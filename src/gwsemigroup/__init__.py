@@ -11,9 +11,6 @@ equation on finite windows.
 """
 
 from .backends import (
-    Genus0Model,
-    HermitianTwoPointModel,
-    MonomialExponent,
     cross_validate,
     genus0_description,
     genus0_dimension,
@@ -38,7 +35,6 @@ from .core import (
 )
 from .plotting import render_membership_svg
 from .semigroup import (
-    NablaQuery,
     TwoPointProfile,
     absolute_maximals_below,
     dimension,
@@ -47,6 +43,7 @@ from .semigroup import (
     is_absolute_maximal,
     is_maximal,
     is_member,
+    lattice_translates,
     members_from_lubs,
     nabla_im_empty,
     nabla_im_set,
@@ -76,12 +73,8 @@ __all__ = [
     "Box",
     "BoxSeries",
     "CheckResult",
-    "Genus0Model",
-    "HermitianTwoPointModel",
     "IntTuple",
     "Lattice",
-    "MonomialExponent",
-    "NablaQuery",
     "Region",
     "SemigroupDescription",
     "SemigroupPolynomial",
@@ -109,6 +102,7 @@ __all__ = [
     "is_maximal",
     "is_member",
     "is_prime_power",
+    "lattice_translates",
     "load_description",
     "lub",
     "members_from_lubs",

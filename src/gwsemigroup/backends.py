@@ -19,7 +19,6 @@ serve as independent fixtures for cross-validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .core import (
@@ -28,7 +27,6 @@ from .core import (
     Lattice,
     SemigroupDescription,
     ceildiv,
-    floordiv,
     ones,
     tsub,
     unit,
@@ -36,9 +34,6 @@ from .core import (
 from .semigroup import dimension
 
 __all__ = [
-    "Genus0Model",
-    "HermitianTwoPointModel",
-    "MonomialExponent",
     "genus0_dimension",
     "genus0_description",
     "hermitian_genus",
@@ -87,46 +82,11 @@ def genus0_description(m: int) -> SemigroupDescription:
     )
 
 
-@dataclass(frozen=True)
-class Genus0Model:
-    """m marked rational points on a genus-0 curve.
-
-    Needs a base field with at least m elements; that is a property of the
-    modelled curve, recorded here but not enforced numerically.
-    """
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("m must be at least 2")
-
-    def dimension(self, alpha: IntTuple) -> int:
-        return genus0_dimension(self.m, alpha)
-
-    def description(self) -> SemigroupDescription:
-        return genus0_description(self.m)
-
-
 # ---------------------------------------------------------------------------
 # Hermitian two-point
 
 def hermitian_genus(q: int) -> int:
     return q * (q - 1) // 2
-
-
-@dataclass(frozen=True)
-class MonomialExponent:
-    """Exponent pair (a, b) of a reduced monomial x^a y^b, 0 <= a <= q."""
-
-    a: int
-    b: int
-
-    def pole_vector(self, q: int) -> IntTuple:
-        """Valuation vector at (infinity, origin)."""
-        if not 0 <= self.a <= q:
-            raise ValueError(f"a must lie in [0, {q}]")
-        return (self.a * q + self.b * (q + 1), -self.a - self.b * (q + 1))
 
 
 def hermitian_dimension(q: int, alpha: IntTuple) -> int:
@@ -143,7 +103,7 @@ def hermitian_dimension(q: int, alpha: IntTuple) -> int:
     period = q + 1
     count = 0
     for a in range(q + 1):
-        b_hi = floordiv(a1 - a * q, period)
+        b_hi = (a1 - a * q) // period
         b_lo = ceildiv(-a2 - a, period)
         if b_hi >= b_lo:
             count += b_hi - b_lo + 1
@@ -187,31 +147,6 @@ def hermitian_description(q: int) -> SemigroupDescription:
         gamma_fundamental=tuple(gammas),
         label=f"hermitian q={q} (Qinf,P00)",
     )
-
-
-@dataclass(frozen=True)
-class HermitianTwoPointModel:
-    """Hermitian curve x^{q+1} = y^q + y at (infinity, origin)."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 2 or not is_prime_power(self.q):
-            raise ValueError(f"q must be a prime power >= 2, got {self.q}")
-
-    @property
-    def genus(self) -> int:
-        return hermitian_genus(self.q)
-
-    @property
-    def period(self) -> int:
-        return self.q + 1
-
-    def dimension(self, alpha: IntTuple) -> int:
-        return hermitian_dimension(self.q, alpha)
-
-    def description(self) -> SemigroupDescription:
-        return hermitian_description(self.q)
 
 
 def cross_validate(q: int, box: Box) -> bool:

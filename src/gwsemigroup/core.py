@@ -34,9 +34,7 @@ __all__ = [
     "zeros",
     "tadd",
     "tsub",
-    "tneg",
     "lub",
-    "floordiv",
     "ceildiv",
     "Box",
     "Lattice",
@@ -86,10 +84,6 @@ def tsub(a: IntTuple, b: IntTuple) -> IntTuple:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def tneg(a: IntTuple) -> IntTuple:
-    return tuple(-x for x in a)
-
-
 def lub(tuples: Iterable[IntTuple]) -> IntTuple:
     """Coordinatewise maximum of a nonempty family of equal-length tuples."""
     it = iter(tuples)
@@ -104,11 +98,6 @@ def lub(tuples: Iterable[IntTuple]) -> IntTuple:
             if x > best[j]:
                 best[j] = x
     return tuple(best)
-
-
-def floordiv(a: int, b: int) -> int:
-    """Floor division for a positive divisor (Python's // already floors)."""
-    return a // b
 
 
 def ceildiv(a: int, b: int) -> int:
@@ -277,7 +266,7 @@ def canonicalize(lattice: Lattice, alpha: IntTuple) -> tuple[IntTuple, tuple[int
     v = list(alpha)
     coeffs = []
     for i, a in enumerate(per):
-        c = floordiv(v[i], a)
+        c = v[i] // a
         v[i] -= c * a
         v[i + 1] += c * a
         coeffs.append(c)

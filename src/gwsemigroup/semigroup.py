@@ -8,8 +8,9 @@ maximality notions all reduce to dimension differences, so they share one
 correctness burden.
 
 Enumeration of Gamma(alpha) walks lattice coefficients k_1, ..., k_{m-1}
-with exact per-level integer bounds.  Writing beta = gamma + sum k_i eta^i,
-the partial sums of the lattice part telescope to k_i * a_i, which gives
+with exact per-level integer bounds (:func:`lattice_translates`).  Writing
+beta = gamma + sum k_i eta^i, the partial sums of the lattice part telescope
+to k_i * a_i, which gives
 
 * an upper bound  k_i <= floor((alpha_i - gamma_i + k_{i-1} a_{i-1}) / a_i)
   from beta_i <= alpha_i, and
@@ -18,21 +19,21 @@ the partial sums of the lattice part telescope to k_i * a_i, which gives
   and each is capped by alpha_j.
 
 The last-level bound is exactly the constraint beta_m <= alpha_m, so every
-leaf of the walk is a genuine element of Gamma(alpha).
+leaf of the walk is a genuine element of Gamma(alpha).  A lower corner
+bounds the walk the same way with the inequalities reversed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     Box,
     IntTuple,
     SemigroupDescription,
     ceildiv,
-    floordiv,
     ones,
     tsub,
     unit,
@@ -43,10 +44,10 @@ __all__ = [
     "dimension",
     "dimension_jump",
     "is_member",
+    "lattice_translates",
     "nabla_im_empty",
     "nabla_im_set",
     "nabla_set",
-    "NablaQuery",
     "is_maximal",
     "is_absolute_maximal",
     "fundamental_maximals",
@@ -71,28 +72,47 @@ def _suffix_gaps(gamma: IntTuple, alpha: IntTuple) -> list[int]:
     return suf
 
 
+def lattice_translates(
+    periods: tuple[int, ...],
+    seeds: Iterable[IntTuple],
+    upper: IntTuple,
+    lower: IntTuple | None = None,
+) -> Iterator[IntTuple]:
+    """Every seed + sum_i k_i eta^i with lower <= it <= upper (coordinatewise).
+
+    Seeds are walked in the given order; the translates of one seed come in
+    increasing coefficient order, which for a single seed is also the
+    lexicographic order of the translates.  Without ``lower`` only the upper
+    corner bounds the walk; it stays finite because the suffix-sum bound
+    caps each coefficient from below.
+    """
+    last = len(periods) - 1
+    for seed in seeds:
+        gap_hi = _suffix_gaps(seed, upper)
+        gap_lo = None if lower is None else _suffix_gaps(seed, lower)
+
+        def walk(idx: int, prev: int, prefix: IntTuple) -> Iterator[IntTuple]:
+            a = periods[idx]
+            lo = ceildiv(gap_hi[idx], a)
+            hi = (upper[idx] - seed[idx] + prev) // a
+            if gap_lo is not None:
+                lo = max(lo, ceildiv(lower[idx] - seed[idx] + prev, a))
+                hi = min(hi, gap_lo[idx] // a)
+            if idx == last:
+                for k in range(lo, hi + 1):
+                    yield prefix + (seed[idx] + k * a - prev, seed[-1] - k * a)
+            else:
+                for k in range(lo, hi + 1):
+                    yield from walk(idx + 1, k * a, prefix + (seed[idx] + k * a - prev,))
+
+        yield from walk(0, 0, ())
+
+
 def absolute_maximals_below(d: SemigroupDescription, alpha: IntTuple) -> set[IntTuple]:
     """All absolute maximal elements beta with beta <= alpha (a finite set)."""
     if len(alpha) != d.m:
         raise ValueError(f"tuple of length {len(alpha)}, description has m={d.m}")
-    per = d.lattice.periods
-    m = d.m
-    out: set[IntTuple] = set()
-    for gamma in d.gamma_fundamental:
-        suf = _suffix_gaps(gamma, alpha)
-
-        def walk(idx: int, prev: int, beta_prefix: tuple[int, ...]) -> None:
-            if idx == m - 1:
-                out.add(beta_prefix + (gamma[m - 1] - prev,))
-                return
-            a = per[idx]
-            lo = ceildiv(suf[idx], a)
-            hi = floordiv(alpha[idx] - gamma[idx] + prev, a)
-            for k in range(lo, hi + 1):
-                walk(idx + 1, k * a, beta_prefix + (gamma[idx] + k * a - prev,))
-
-        walk(0, 0, ())
-    return out
+    return set(lattice_translates(d.lattice.periods, d.gamma_fundamental, alpha))
 
 
 def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
@@ -122,7 +142,7 @@ def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
         for idx in range(m - 1):
             a = per[idx]
             lo = ceildiv(suf[idx], a)
-            hi = floordiv(alpha[idx] - gamma[idx] + prev, a)
+            hi = (alpha[idx] - gamma[idx] + prev) // a
             if hi < lo:
                 feasible = False
                 break
@@ -164,89 +184,45 @@ def nabla_im_empty(d: SemigroupDescription, alpha: IntTuple, i: int) -> bool:
     return dimension_jump(d, alpha, i) == 0
 
 
-def nabla_im_set(d: SemigroupDescription, alpha: IntTuple, i: int) -> set[IntTuple]:
-    """Explicit enumeration of {beta member : beta_i = alpha_i, beta <= alpha}.
-
-    Independent of :func:`nabla_im_empty`; the two routes are compared in
-    tests.  Finite because coordinates are capped above by alpha and below by
-    the requirement that member sums are nonnegative.
-    """
-    if not 1 <= i <= d.m:
-        raise ValueError(f"coordinate index {i} outside 1..{d.m}")
-    m = d.m
-    free = [j for j in range(m) if j != i - 1]
-    caps = [alpha[j] for j in range(m)]
+def _capped_members(d: SemigroupDescription, caps: list[int], fixed: set[int]) -> set[IntTuple]:
+    # Members equal to caps on the 0-based coordinates in fixed and at most
+    # caps elsewhere.  Finite: member sums are nonnegative, so each free
+    # coordinate is at least minus the sum of the other caps.
     total = sum(caps)
+    free = [j for j in range(d.m) if j not in fixed]
     out: set[IntTuple] = set()
-    # beta_j >= -(sum of the other caps), else the member sum goes negative
-    ranges = [range(-(total - caps[j]), caps[j] + 1) for j in free]
-    for combo in product(*ranges):
-        beta = list(alpha)
+    for combo in product(*(range(caps[j] - total, caps[j] + 1) for j in free)):
+        beta = list(caps)
         for j, val in zip(free, combo):
             beta[j] = val
         bt = tuple(beta)
         if sum(bt) >= 0 and is_member(d, bt):
             out.add(bt)
     return out
+
+
+def nabla_im_set(d: SemigroupDescription, alpha: IntTuple, i: int) -> set[IntTuple]:
+    """Explicit enumeration of {beta member : beta_i = alpha_i, beta <= alpha}.
+
+    Independent of :func:`nabla_im_empty`; the two routes are compared in
+    tests.
+    """
+    if not 1 <= i <= d.m:
+        raise ValueError(f"coordinate index {i} outside 1..{d.m}")
+    return _capped_members(d, list(alpha), {i - 1})
 
 
 def nabla_set(d: SemigroupDescription, alpha: IntTuple, J: Iterable[int]) -> set[IntTuple]:
     """Members equal to alpha on J and strictly below it off J.
 
-    J must be a nonempty proper subset of {1..m}.  The enumeration caps each
-    free coordinate at alpha_i - 1 and bounds it below via nonnegative sums.
+    J must be a nonempty proper subset of {1..m}.
     """
     Js = frozenset(J)
     m = d.m
     if not Js or not Js < frozenset(range(1, m + 1)):
         raise ValueError(f"J must be a nonempty proper subset of 1..{m}, got {sorted(Js)}")
-    caps = [alpha[j] if (j + 1) in Js else alpha[j] - 1 for j in range(m)]
-    total = sum(caps)
-    free = [j for j in range(m) if (j + 1) not in Js]
-    ranges = [range(-(total - caps[j]), caps[j] + 1) for j in free]
-    out: set[IntTuple] = set()
-    for combo in product(*ranges):
-        beta = list(alpha)
-        for j, val in zip(free, combo):
-            beta[j] = val
-        bt = tuple(beta)
-        if sum(bt) >= 0 and is_member(d, bt):
-            out.add(bt)
-    return out
-
-
-@dataclass(frozen=True)
-class NablaQuery:
-    """One nabla-set query: either the J-restricted form or the variant
-    fixing coordinate i and capping the rest.
-
-    Exactly one of ``J`` (nonempty proper subset of 1..m) and ``i`` must be
-    given.
-    """
-
-    base: IntTuple
-    J: frozenset[int] | None = None
-    i: int | None = None
-
-    def __post_init__(self) -> None:
-        if (self.J is None) == (self.i is None):
-            raise ValueError("give exactly one of J and i")
-        m = len(self.base)
-        if self.J is not None:
-            Js = frozenset(self.J)
-            if not Js or not Js < frozenset(range(1, m + 1)):
-                raise ValueError("J must be a nonempty proper subset of 1..m")
-            object.__setattr__(self, "J", Js)
-        else:
-            assert self.i is not None
-            if not 1 <= self.i <= m:
-                raise ValueError(f"index {self.i} outside 1..{m}")
-
-    def evaluate(self, d: SemigroupDescription) -> set[IntTuple]:
-        if self.J is not None:
-            return nabla_set(d, self.base, self.J)
-        assert self.i is not None
-        return nabla_im_set(d, self.base, self.i)
+    caps = [x if (j + 1) in Js else x - 1 for j, x in enumerate(alpha)]
+    return _capped_members(d, caps, {j - 1 for j in Js})
 
 
 # ---------------------------------------------------------------------------
@@ -299,28 +275,30 @@ def fundamental_maximals(
 def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:
     """Members inside the box, generated as least upper bounds.
 
-    Folds coordinatewise maxima of m-tuples drawn (with repetition) from the
-    absolute maximal elements dominated by ``box.upper``.  Intermediate lubs
-    are deduplicated and clipped to the upper bound -- lubs only grow, so a
-    coordinate that overshoots can never recover.  Equality with the direct
-    membership scan is a verification-suite check, not an assumption here.
+    A point z is the lub of m absolute maximal elements (repetition allowed)
+    exactly when, for every coordinate i, one absolute maximal beta <= z has
+    beta_i = z_i.  Those beta are dominated by ``box.upper``, so with G the
+    absolute maximal elements below it, the lubs inside the box are the
+    intersection over i of the union, over beta in G with
+    beta_i >= box.lower_i, of the sub-boxes from max(beta, box.lower) to
+    box.upper with coordinate i set to beta_i.  The sweep never consults
+    :func:`dimension`; equality with the direct membership scan is a
+    verification-suite check, not an assumption here.
     """
     if box.dim != d.m:
         raise ValueError("box dimension disagrees with description")
-    gens = sorted(absolute_maximals_below(d, box.upper))
-    if not gens:
-        return set()
-    upper = box.upper
-    layer: set[IntTuple] = set(gens)
-    for _ in range(d.m - 1):
-        grown: set[IntTuple] = set()
-        for x in layer:
-            for g in gens:
-                z = tuple(a if a >= b else b for a, b in zip(x, g))
-                if all(zi <= ui for zi, ui in zip(z, upper)):
-                    grown.add(z)
-        layer = grown
-    return {z for z in layer if z in box}
+    lower, upper = box.lower, box.upper
+    gens = absolute_maximals_below(d, upper)
+
+    def lubs_attaining(i: int) -> set[IntTuple]:
+        out: set[IntTuple] = set()
+        for beta in gens:
+            if beta[i] >= lower[i]:
+                corner = tuple(max(b, l) for b, l in zip(beta, lower))
+                out.update(Box(corner, upper[:i] + (beta[i],) + upper[i + 1:]).points())
+        return out
+
+    return set.intersection(*(lubs_attaining(i) for i in range(d.m)))
 
 
 def riemann_roch_basis(d: SemigroupDescription, alpha: IntTuple) -> list[IntTuple]:

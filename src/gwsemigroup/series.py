@@ -35,6 +35,7 @@ from .semigroup import (
     dimension_jump,
     fundamental_maximals,
     is_member,
+    lattice_translates,
 )
 
 __all__ = [
@@ -252,9 +253,10 @@ class SymmetryReport:
     symmetric); ``gamma_witness`` a non-member of sum 2g-1.
     ``canonical_full_support`` records whether a bounded search found a
     maximal element of sum 2g-2+m with no coordinate equal to 1 (existence of
-    one is equivalent to a canonical divisor using all m points); the search
-    window is reported so a negative answer is understood as bounded, not
-    exhaustive.
+    one is equivalent to a canonical divisor using all m points);
+    ``full_support_witness`` is the lexicographically least such element with
+    every coordinate inside the search window.  The window is reported so a
+    negative answer is understood as bounded, not exhaustive.
     """
 
     symmetric: bool
@@ -263,39 +265,6 @@ class SymmetryReport:
     canonical_full_support: bool
     full_support_witness: IntTuple | None = None
     search_window: tuple[int, int] | None = None
-
-
-def _full_support_search(
-    d: SemigroupDescription, candidates: list[IntTuple], window: tuple[int, int]
-) -> IntTuple | None:
-    # Enumerate lattice translates of each candidate whose coordinates all
-    # stay inside the window, in lexicographic coefficient order.
-    per = d.lattice.periods
-    m = d.m
-    w_lo, w_hi = window
-    for rho in candidates:
-
-        def walk(idx: int, prev: int, prefix: tuple[int, ...]) -> IntTuple | None:
-            if idx == m - 1:
-                last = rho[m - 1] - prev
-                if w_lo <= last <= w_hi:
-                    cand = prefix + (last,)
-                    if all(x != 1 for x in cand):
-                        return cand
-                return None
-            a = per[idx]
-            k_lo = -((-(w_lo - rho[idx] - prev)) // a)  # ceil
-            k_hi = (w_hi - rho[idx] - prev) // a
-            for k in range(k_lo, k_hi + 1):
-                got = walk(idx + 1, k * a, prefix + (rho[idx] + k * a - prev,))
-                if got is not None:
-                    return got
-            return None
-
-        found = walk(0, 0, ())
-        if found is not None:
-            return found
-    return None
 
 
 def symmetry_report(d: SemigroupDescription) -> SymmetryReport:
@@ -326,7 +295,10 @@ def symmetry_report(d: SemigroupDescription) -> SymmetryReport:
         coords = [x for a in maxima for x in a]
         bound = sum(d.lattice.periods)
         window = (min(coords) - bound, max(coords) + bound)
-        full_support_witness = _full_support_search(d, candidates, window)
+        translates = lattice_translates(
+            d.lattice.periods, candidates, (window[1],) * d.m, (window[0],) * d.m
+        )
+        full_support_witness = min((b for b in translates if 1 not in b), default=None)
 
     return SymmetryReport(
         symmetric=symmetric,

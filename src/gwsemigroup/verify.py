@@ -5,7 +5,9 @@ outcomes into :class:`CheckResult` rows for reporting.  Everything here
 re-derives quantities through routes that are independent of the primary
 fast paths, so the suite doubles as the library's internal cross-validation:
 class counts come from full enumeration instead of the greedy range walk,
-lub generation is an actual fold instead of a membership scan, and so on.
+members come from a per-coordinate sweep over lubs of absolute maximal
+elements as well as from a membership scan, and so on.  A check that does
+not apply to the description raises :class:`_Skipped` with its reason.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ class CheckResult:
     detail: str = ""
 
 
+class _Skipped(Exception):
+    """Raised by a check that does not apply; the message is the reason."""
+
+
 def _sample_points(box: Box, cap: int = 400) -> list:
     pts = list(box.points())
     if len(pts) <= cap:
@@ -67,10 +73,11 @@ def _check_class_counts(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
-    folded = members_from_lubs(d, box)
+    swept = members_from_lubs(d, box)
     scanned = {a for a in box.points() if is_member(d, a)}
-    if folded != scanned:
-        diff = sorted(folded.symmetric_difference(scanned))[0]
+    if swept != scanned:
+        diff = sorted(swept.symmetric_difference(scanned))[0]
+        # wording kept from the former fold so that verify output is unchanged
         return f"lub fold and membership scan disagree at {diff}"
     return None
 
@@ -142,7 +149,7 @@ def _check_riemann_roch_regime(d: SemigroupDescription, box: Box) -> str | None:
 def _check_symmetry(d: SemigroupDescription, box: Box) -> str | None:
     report = symmetry_report(d)
     if not report.symmetric:
-        return None  # nothing to check; runner marks this as skipped
+        raise _Skipped("not symmetric")
     failure = next(symmetry_violations(d, box, report), None)
     if failure is not None:
         name, alpha = failure
@@ -152,7 +159,7 @@ def _check_symmetry(d: SemigroupDescription, box: Box) -> str | None:
 
 def _check_two_point_profile(d: SemigroupDescription, box: Box) -> str | None:
     if d.m != 2:
-        return None
+        raise _Skipped("m != 2")
     try:
         profile = two_point_profile(d)
     except ValueError as exc:
@@ -189,15 +196,12 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 def run_verification(d: SemigroupDescription, box: Box) -> list[CheckResult]:
     """Run every check; results are ordered and deterministic."""
     results = []
-    symmetric = symmetry_report(d).symmetric
     for name, fn in _CHECKS:
-        if name == "symmetry-equations" and not symmetric:
-            results.append(CheckResult(name, True, "skipped: not symmetric"))
+        try:
+            counterexample = fn(d, box)
+        except _Skipped as skip:
+            results.append(CheckResult(name, True, f"skipped: {skip}"))
             continue
-        if name == "two-point-profile" and d.m != 2:
-            results.append(CheckResult(name, True, "skipped: m != 2"))
-            continue
-        counterexample = fn(d, box)
         if counterexample is None:
             results.append(CheckResult(name, True))
         else:

@@ -2,9 +2,6 @@ import pytest
 
 from gwsemigroup import (
     Box,
-    Genus0Model,
-    HermitianTwoPointModel,
-    MonomialExponent,
     cross_validate,
     dimension,
     genus0_description,
@@ -12,7 +9,9 @@ from gwsemigroup import (
     hermitian_description,
     hermitian_dimension,
     hermitian_genus,
+    is_absolute_maximal,
     is_prime_power,
+    riemann_roch_basis,
     validate_description,
 )
 
@@ -21,6 +20,7 @@ def test_genus0_dimension_examples():
     assert genus0_dimension(3, (0, 0, 0)) == 1
     assert genus0_dimension(3, (2, -1, 0)) == 2
     assert genus0_dimension(2, (0, -1)) == 0
+    assert genus0_dimension(3, (1, 1, 1)) == 4
     with pytest.raises(ValueError):
         genus0_dimension(3, (0, 0))
 
@@ -62,13 +62,26 @@ def test_reduced_monomials_have_distinct_infinity_poles():
                 seen[pole] = (a, b)
 
 
-def test_monomial_pole_vectors():
-    assert MonomialExponent(0, 0).pole_vector(3) == (0, 0)
-    assert MonomialExponent(2, -1).pole_vector(3) == (2, 2)
-    assert MonomialExponent(0, 1).pole_vector(3) == (4, -4)
-    assert MonomialExponent(1, 0).pole_vector(3) == (3, -1)
-    with pytest.raises(ValueError):
-        MonomialExponent(4, 0).pole_vector(3)
+def _pole_vector(q, a, b):
+    # valuation vector of the reduced monomial x^a y^b at (infinity, origin)
+    return (a * q + b * (q + 1), -a - b * (q + 1))
+
+
+def test_monomial_pole_vectors(hermitian_q3):
+    # the oracle counts exactly the monomials whose pole vector fits under alpha
+    for q in (2, 3):
+        for alpha in Box((-7, -7), (8, 8)).points():
+            fits = [
+                (a, b)
+                for a in range(q + 1)
+                for b in range(-12, 13)
+                if all(x <= y for x, y in zip(_pole_vector(q, a, b), alpha))
+            ]
+            assert hermitian_dimension(q, alpha) == len(fits), (q, alpha)
+    vectors = [_pole_vector(3, a, b) for a, b in ((0, 0), (2, -1), (0, 1), (1, 0))]
+    assert vectors == [(0, 0), (2, 2), (4, -4), (3, -1)]
+    assert all(is_absolute_maximal(hermitian_q3, v) for v in vectors)
+    assert riemann_roch_basis(hermitian_q3, (2, 2)) == vectors[:2]
 
 
 def test_hermitian_dimension_riemann_roch_regime():
@@ -129,20 +142,6 @@ def test_cross_validate_small_boxes():
     assert cross_validate(2, Box((-5, -5), (5, 5)))
     assert cross_validate(3, Box((-6, -6), (7, 7)))
     assert cross_validate(3, Box((-6, -6), (-1, 4)))  # negative-sum corner
-
-
-def test_models_delegate():
-    gm = Genus0Model(3)
-    assert gm.dimension((1, 1, 1)) == 4
-    assert gm.description() == genus0_description(3)
-    hm = HermitianTwoPointModel(3)
-    assert hm.genus == 3 and hm.period == 4
-    assert hm.dimension((2, 2)) == 2
-    assert hm.description() == hermitian_description(3)
-    with pytest.raises(ValueError):
-        Genus0Model(1)
-    with pytest.raises(ValueError):
-        HermitianTwoPointModel(6)
 
 
 def test_combinatorial_dimension_tracks_oracle_under_growth(hermitian_q3):

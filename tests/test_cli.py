@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gwsemigroup
 from gwsemigroup.cli import UsageError, main, parse_box, parse_tuple
 from gwsemigroup.core import Box
 
@@ -70,6 +75,21 @@ def test_gen_genus0_and_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = run_cli(capsys, ["gen", "genus0", "--m", "3", "--out", "/nonexistent/dir/x.json"])
     assert code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(gwsemigroup.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwsemigroup", "gen", "genus0", "--m", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["m"] == 2
 
 
 # ---------------------------------------------------------------------------

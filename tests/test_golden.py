@@ -6,7 +6,6 @@ record the files again (only when an output change is intended), run
 """
 
 import json
-import sys
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -32,19 +31,21 @@ BOXES = {
 
 
 def _cases():
+    # (golden file name, description key, argv without --desc)
     cases = []
     for key, box in BOXES.items():
         for kind in ("L", "Q", "P"):
             for fmt in ("json", "text"):
-                args = ["series", kind, key, "--box", box, "--format", fmt]
-                cases.append((f"{key}-series-{kind}.{fmt}", args))
+                argv = ["series", kind, "--box", box, "--format", fmt]
+                cases.append((f"{key}-series-{kind}.{fmt}", key, argv))
         for fmt in ("json", "text"):
-            args = ["series", "polynomial", key, "--format", fmt]
-            cases.append((f"{key}-series-polynomial.{fmt}", args))
+            argv = ["series", "polynomial", "--format", fmt]
+            cases.append((f"{key}-series-polynomial.{fmt}", key, argv))
     for key, box in (("h3", "-6..6,-6..6"), ("g3", BOXES["g3"]), ("h3-mutilated", "-5..5,-5..5")):
         for fmt in ("json", "text"):
-            cases.append((f"{key}-verify.{fmt}", ["verify", key, "--box", box, "--format", fmt]))
-    cases.append(("h3-plot.svg", ["plot", "h3", "--box", "-8..9,-8..10"]))
+            argv = ["verify", "--box", box, "--format", fmt]
+            cases.append((f"{key}-verify.{fmt}", key, argv))
+    cases.append(("h3-plot.svg", "h3", ["plot", "--box", "-8..9,-8..10"]))
     return cases
 
 
@@ -65,15 +66,10 @@ def _write_descriptions(directory: Path) -> dict[str, str]:
     return paths
 
 
-def _run(args: list[str], paths: dict[str, str]) -> str:
-    command, *rest = args
-    if command == "series":
-        argv = [command, rest[0], "--desc", paths[rest[1]], *rest[2:]]
-    else:
-        argv = [command, "--desc", paths[rest[0]], *rest[1:]]
+def _run(argv: list[str], desc: str) -> str:
     buf = StringIO()
     with redirect_stdout(buf):
-        code = main(argv)
+        code = main([*argv, "--desc", desc])
     return f"exit {code}\n" + buf.getvalue()
 
 
@@ -82,15 +78,14 @@ def paths(tmp_path_factory):
     return _write_descriptions(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name,args", CASES, ids=[name for name, _ in CASES])
-def test_cli_output_matches_golden(paths, name, args):
-    assert _run(args, paths) == (GOLDEN / name).read_text(encoding="utf-8")
+@pytest.mark.parametrize("name,key,argv", CASES, ids=[name for name, _, _ in CASES])
+def test_cli_output_matches_golden(paths, name, key, argv):
+    assert _run(argv, paths[key]) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         recorded = _write_descriptions(Path(tmp))
-        for name, args in CASES:
-            (GOLDEN / name).write_text(_run(args, recorded), encoding="utf-8")
-    sys.exit(0)
+        for name, key, argv in CASES:
+            (GOLDEN / name).write_text(_run(argv, recorded[key]), encoding="utf-8")

@@ -4,16 +4,18 @@ import pytest
 
 from gwsemigroup import (
     Box,
-    NablaQuery,
     absolute_maximals_below,
     dimension,
     dimension_jump,
     fundamental_maximals,
+    genus0_description,
     genus0_dimension,
+    hermitian_description,
     hermitian_dimension,
     is_absolute_maximal,
     is_maximal,
     is_member,
+    lattice_translates,
     members_from_lubs,
     nabla_im_empty,
     nabla_im_set,
@@ -21,7 +23,7 @@ from gwsemigroup import (
     riemann_roch_basis,
     two_point_profile,
 )
-from gwsemigroup.core import tadd, tsub, unit
+from gwsemigroup.core import Lattice, tadd, tsub, unit
 
 from window_data import MAXIMALS_Q3_WINDOW, MEMBERS_Q3_WINDOW
 
@@ -47,6 +49,21 @@ def test_absolute_maximals_below_are_absolute_maximal(hermitian_q3, genus0_m3):
         for beta in gam:
             assert all(b <= a for b, a in zip(beta, alpha))
             assert is_absolute_maximal(d, beta)
+
+
+def test_lattice_translates_match_box_scan():
+    # periods above 1 below the last level, with and without a lower corner
+    lattice = Lattice.from_periods((2, 3))
+    seeds = [(0, 0, 0), (1, 2, -1), (0, 1, 4)]
+    box = Box((-5, -4, -6), (4, 5, 3))
+    for seed in seeds:
+        scanned = [a for a in box.points() if lattice.contains(tsub(a, seed))]
+        walked = list(lattice_translates(lattice.periods, [seed], box.upper, box.lower))
+        assert walked == scanned
+        below = set(lattice_translates(lattice.periods, [seed], box.upper))
+        assert set(scanned) <= below
+        assert all(a <= u for b in below for a, u in zip(b, box.upper))
+        assert all(lattice.contains(tsub(b, seed)) for b in below)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +171,11 @@ def test_nabla_im_examples(hermitian_q3, genus0_m3):
     assert not nabla_im_empty(hermitian_q3, (0, 0), 1)
     assert not nabla_im_empty(hermitian_q3, (0, 0), 2)
     assert nabla_im_empty(genus0_m3, (0, 0, -1), 3)
+    assert nabla_im_set(hermitian_q3, (4, -5), 2) == set()
+    assert nabla_im_set(hermitian_q3, (4, 0), 1) == {(4, -4), (4, -1), (4, 0)}
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            nabla_im_set(hermitian_q3, (0, 0), i)
 
 
 def test_nabla_im_set_agrees_with_jump_route(hermitian_q3, genus0_m3):
@@ -182,19 +204,6 @@ def test_nabla_set_rejects_degenerate_subsets(hermitian_q3):
         nabla_set(hermitian_q3, (0, 0), set())
     with pytest.raises(ValueError):
         nabla_set(hermitian_q3, (0, 0), {1, 2})
-
-
-def test_nabla_query_dispatch(hermitian_q3):
-    q1 = NablaQuery(base=(4, 0), J=frozenset({1}))
-    assert q1.evaluate(hermitian_q3) == {(4, -4), (4, -1)}
-    q2 = NablaQuery(base=(4, -5), i=2)
-    assert q2.evaluate(hermitian_q3) == set()
-    with pytest.raises(ValueError):
-        NablaQuery(base=(0, 0))
-    with pytest.raises(ValueError):
-        NablaQuery(base=(0, 0), J=frozenset({1}), i=1)
-    with pytest.raises(ValueError):
-        NablaQuery(base=(0, 0), J=frozenset({1, 2}))
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +301,13 @@ def test_members_from_lubs_equals_membership_scan(
         (genus0_m2, Box((-2, -2), (2, 2))),
         (genus0_m3, Box((-2, -2, -2), (2, 2, 2))),
         (genus0_m4, Box((-2,) * 4, (2,) * 4)),
+        (genus0_description(5), Box((-2,) * 5, (2,) * 5)),
+        (hermitian_description(9), Box((-36 + 20, -36 - 20), (76 + 20, 76 - 20))),
+        (hermitian_q3, Box((3, 1), (12, 9))),  # lower corner above |alpha| = 0
     ]
     for d, box in cases:
-        folded = members_from_lubs(d, box)
-        assert folded == {a for a in box.points() if is_member(d, a)}
+        swept = members_from_lubs(d, box)
+        assert swept == {a for a in box.points() if is_member(d, a)}
 
 
 def test_members_from_lubs_empty_below_zero_sum(hermitian_q3):

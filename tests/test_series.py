@@ -12,6 +12,8 @@ from gwsemigroup import (
     coeff_p,
     coeff_q,
     dimension_jump,
+    genus0_description,
+    hermitian_description,
     is_absolute_maximal,
     is_maximal,
     is_member,
@@ -242,6 +244,24 @@ def test_symmetry_report_genus0(genus0_m2, genus0_m3):
         assert all(x != 1 for x in r.full_support_witness)
         assert is_maximal(d, r.full_support_witness)
         assert sum(r.full_support_witness) == d.maximal_sum_bound
+
+
+def test_full_support_witness_is_first_in_window():
+    # brute force: the lexicographically first window point of sum 2g-2+m
+    # that is maximal and has no coordinate equal to 1
+    fixtures = [genus0_description(m) for m in (2, 3, 4)]
+    fixtures += [hermitian_description(q) for q in (2, 3, 4, 5)]
+    for d in fixtures:
+        report = symmetry_report(d)
+        lo, hi = report.search_window
+        expected = next(
+            a
+            for a in Box((lo,) * d.m, (hi,) * d.m).points()
+            if sum(a) == d.maximal_sum_bound and 1 not in a and is_maximal(d, a)
+        )
+        assert report.full_support_witness == expected, d.label
+    assert symmetry_report(fixtures[1]).full_support_witness == (-2, 0, 3)
+    assert symmetry_report(fixtures[2]).full_support_witness == (-3, -3, 3, 5)
 
 
 def test_symmetry_equations(hermitian_q2, hermitian_q3, genus0_m2, genus0_m3):
