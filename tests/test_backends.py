@@ -20,7 +20,6 @@ def test_genus0_dimension_examples():
     assert genus0_dimension(3, (0, 0, 0)) == 1
     assert genus0_dimension(3, (2, -1, 0)) == 2
     assert genus0_dimension(2, (0, -1)) == 0
-    assert genus0_dimension(3, (1, 1, 1)) == 4
     with pytest.raises(ValueError):
         genus0_dimension(3, (0, 0))
 
@@ -142,6 +141,22 @@ def test_cross_validate_small_boxes():
     assert cross_validate(2, Box((-5, -5), (5, 5)))
     assert cross_validate(3, Box((-6, -6), (7, 7)))
     assert cross_validate(3, Box((-6, -6), (-1, 4)))  # negative-sum corner
+
+
+def test_models_delegate():
+    # the closed forms and descriptions that the old model classes wrapped
+    assert genus0_dimension(3, (1, 1, 1)) == 4
+    assert genus0_description(3).m == 3
+    assert dimension(genus0_description(3), (1, 1, 1)) == 4
+    hd = hermitian_description(3)
+    assert hermitian_genus(3) == 3 and hd.genus == 3
+    assert hd.lattice.periods == (4,)
+    assert hermitian_dimension(3, (2, 2)) == 2
+    assert dimension(hd, (2, 2)) == 2
+    with pytest.raises(ValueError):
+        genus0_description(1)
+    with pytest.raises(ValueError):
+        hermitian_description(6)
 
 
 def test_combinatorial_dimension_tracks_oracle_under_growth(hermitian_q3):

@@ -171,11 +171,6 @@ def test_nabla_im_examples(hermitian_q3, genus0_m3):
     assert not nabla_im_empty(hermitian_q3, (0, 0), 1)
     assert not nabla_im_empty(hermitian_q3, (0, 0), 2)
     assert nabla_im_empty(genus0_m3, (0, 0, -1), 3)
-    assert nabla_im_set(hermitian_q3, (4, -5), 2) == set()
-    assert nabla_im_set(hermitian_q3, (4, 0), 1) == {(4, -4), (4, -1), (4, 0)}
-    for i in (0, 3):
-        with pytest.raises(ValueError):
-            nabla_im_set(hermitian_q3, (0, 0), i)
 
 
 def test_nabla_im_set_agrees_with_jump_route(hermitian_q3, genus0_m3):
@@ -202,6 +197,19 @@ def test_nabla_set_examples(hermitian_q3, genus0_m2):
 def test_nabla_set_rejects_degenerate_subsets(hermitian_q3):
     with pytest.raises(ValueError):
         nabla_set(hermitian_q3, (0, 0), set())
+    with pytest.raises(ValueError):
+        nabla_set(hermitian_q3, (0, 0), {1, 2})
+
+
+def test_nabla_query_dispatch(hermitian_q3):
+    # the J-restricted form and the fixed-coordinate form, as the old query
+    # object dispatched them
+    assert nabla_set(hermitian_q3, (4, 0), {1}) == {(4, -4), (4, -1)}
+    assert nabla_im_set(hermitian_q3, (4, -5), 2) == set()
+    assert nabla_im_set(hermitian_q3, (4, 0), 1) == {(4, -4), (4, -1), (4, 0)}
+    for i in (0, 3):
+        with pytest.raises(ValueError):
+            nabla_im_set(hermitian_q3, (0, 0), i)
     with pytest.raises(ValueError):
         nabla_set(hermitian_q3, (0, 0), {1, 2})
 
