@@ -5,8 +5,15 @@ the pair (point at infinity, origin) its generalized Weierstrass semigroup
 lives in Z^2 and is completely described by four absolute maximal elements
 together with the rank-one lattice spanned by (4, -4).
 
-Run:  python3 demos/01_two_point_hermitian.py
+Run:  python3 demos/01_two_point_hermitian.py [OUT.svg]
+
+The SVG of the window goes to OUT.svg, or into a fresh temporary directory
+when no path is given; the demo prints where it went.
 """
+
+import sys
+import tempfile
+from pathlib import Path
 
 from gwsemigroup import (
     Box,
@@ -53,6 +60,9 @@ for y in range(box.upper[1], box.lower[1] - 1, -1):
             row.append(".")
     print("  " + "".join(row))
 
-with open("hermitian_q3_window.svg", "w", encoding="utf-8") as fh:
-    fh.write(render_membership_svg(d, box))
-print("\nwrote hermitian_q3_window.svg")
+if len(sys.argv) > 1:
+    svg_path = Path(sys.argv[1])
+else:
+    svg_path = Path(tempfile.mkdtemp(prefix="gwsemigroup-demo-")) / "hermitian_q3_window.svg"
+svg_path.write_text(render_membership_svg(d, box), encoding="utf-8")
+print(f"\nwrote {svg_path}")

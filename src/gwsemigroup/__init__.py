@@ -23,12 +23,10 @@ from .core import (
     Box,
     IntTuple,
     Lattice,
-    Region,
     SemigroupDescription,
     canonicalize,
     indicator,
     load_description,
-    lub,
     save_description,
     unit,
     validate_description,
@@ -75,7 +73,6 @@ __all__ = [
     "CheckResult",
     "IntTuple",
     "Lattice",
-    "Region",
     "SemigroupDescription",
     "SemigroupPolynomial",
     "SymmetryReport",
@@ -104,7 +101,6 @@ __all__ = [
     "is_prime_power",
     "lattice_translates",
     "load_description",
-    "lub",
     "members_from_lubs",
     "nabla_im_empty",
     "nabla_im_set",

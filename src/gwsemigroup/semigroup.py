@@ -164,16 +164,16 @@ def dimension_jump(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:
 
 def is_member(d: SemigroupDescription, alpha: IntTuple) -> bool:
     """Whether alpha belongs to the semigroup: every coordinate jump equals 1."""
-    cache = d._caches.setdefault("member", {})
-    hit = cache.get(alpha)
-    if hit is not None:
-        return hit
     la = dimension(d, alpha)
-    verdict = la > 0 and all(
-        dimension(d, tsub(alpha, unit(d.m, i))) == la - 1 for i in range(1, d.m + 1)
-    )
-    cache[alpha] = verdict
-    return verdict
+    if la == 0:
+        return False
+    below = list(alpha)
+    for i in range(d.m):
+        below[i] -= 1
+        if dimension(d, tuple(below)) != la - 1:
+            return False
+        below[i] += 1
+    return True
 
 
 def nabla_im_empty(d: SemigroupDescription, alpha: IntTuple, i: int) -> bool:
@@ -257,19 +257,14 @@ def fundamental_maximals(
     outside that slab no maximal element can exist.  For a valid description
     the second component reproduces ``gamma_fundamental``.
     """
-    cached = d._caches.get("fundamental_maximals")
-    if cached is not None:
-        return cached
     maxima: list[IntTuple] = []
     absolute: list[IntTuple] = []
-    for alpha in d.region.sum_slab(0, d.maximal_sum_bound):
+    for alpha in d.lattice.sum_slab(0, d.maximal_sum_bound):
         if is_maximal(d, alpha):
             maxima.append(alpha)
             if is_absolute_maximal(d, alpha):
                 absolute.append(alpha)
-    result = (tuple(sorted(maxima)), tuple(sorted(absolute)))
-    d._caches["fundamental_maximals"] = result
-    return result
+    return tuple(sorted(maxima)), tuple(sorted(absolute))
 
 
 def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:

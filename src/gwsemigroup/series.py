@@ -284,7 +284,7 @@ def symmetry_report(d: SemigroupDescription) -> SymmetryReport:
     sigma = candidates[0] if symmetric else None
 
     gamma_witness = None
-    for alpha in d.region.sum_slab(2 * d.genus - 1, 2 * d.genus - 1):
+    for alpha in d.lattice.sum_slab(2 * d.genus - 1, 2 * d.genus - 1):
         if not is_member(d, alpha):
             gamma_witness = alpha
             break

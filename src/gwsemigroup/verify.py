@@ -77,8 +77,7 @@ def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
     scanned = {a for a in box.points() if is_member(d, a)}
     if swept != scanned:
         diff = sorted(swept.symmetric_difference(scanned))[0]
-        # wording kept from the former fold so that verify output is unchanged
-        return f"lub fold and membership scan disagree at {diff}"
+        return f"lub sweep and membership scan disagree at {diff}"
     return None
 
 

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from gwsemigroup.core import (
     Box,
     Lattice,
-    Region,
     SemigroupDescription,
     canonicalize,
     indicator,
     load_description,
-    lub,
     save_description,
     tadd,
     validate_description,
@@ -21,7 +19,7 @@ from gwsemigroup.core import (
 
 
 # ---------------------------------------------------------------------------
-# indicator tuples and lub
+# indicator tuples
 
 def test_indicator_examples():
     assert indicator(3, {1, 3}) == (1, 0, 1)
@@ -34,38 +32,6 @@ def test_indicator_rejects_out_of_range():
         indicator(3, {0})
     with pytest.raises(ValueError):
         indicator(3, {4})
-
-
-def test_lub_examples():
-    assert lub([(1, 5), (3, -1)]) == (3, 5)
-    assert lub([(0, 0, 0)]) == (0, 0, 0)
-    assert lub([(4, -4), (-1, 3), (2, 2)]) == (4, 3)
-
-
-def test_lub_errors():
-    with pytest.raises(ValueError):
-        lub([])
-    with pytest.raises(ValueError):
-        lub([(1, 2), (1, 2, 3)])
-
-
-small_tuples = st.integers(1, 4).flatmap(
-    lambda m: st.lists(
-        st.tuples(*([st.integers(-100, 100)] * m)), min_size=1, max_size=5
-    )
-)
-
-
-@given(small_tuples)
-def test_lub_idempotent_and_order_free(ts):
-    assert lub(ts) == lub(ts + ts) == lub(list(reversed(ts)))
-
-
-@given(small_tuples)
-def test_lub_fold_associative(ts):
-    if len(ts) >= 2:
-        assert lub([lub(ts[:1]), lub(ts[1:])]) == lub(ts)
-        assert lub([lub(ts[:-1]), ts[-1]]) == lub(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +57,7 @@ def test_box_rejects_bad_bounds():
 
 
 # ---------------------------------------------------------------------------
-# lattices, regions, canonical representatives
+# lattices, fundamental regions, canonical representatives
 
 def test_lattice_shape_validation():
     lat = Lattice(((4, -4),))
@@ -109,10 +75,10 @@ def test_lattice_shape_validation():
 
 
 def test_region_membership_and_slab():
-    region = Region(Lattice.from_periods((4,)))
-    assert (0, -7) in region and (3, 99) in region
-    assert (4, 0) not in region and (-1, 0) not in region
-    slab = list(region.sum_slab(0, 2))
+    lat = Lattice.from_periods((4,))
+    assert lat.in_region((0, -7)) and lat.in_region((3, 99))
+    assert not lat.in_region((4, 0)) and not lat.in_region((-1, 0))
+    slab = list(lat.sum_slab(0, 2))
     assert slab == sorted(slab)
     assert all(0 <= a for a, _ in slab)
     assert all(0 <= a + b <= 2 for a, b in slab)
@@ -139,7 +105,7 @@ def test_canonicalize_roundtrip(lat, data):
         data.draw(st.integers(-100, 100), label=f"alpha[{i}]") for i in range(lat.m)
     )
     rep, coeffs = canonicalize(lat, alpha)
-    assert rep in lat.region
+    assert lat.in_region(rep)
     assert tadd(rep, lat.combination(coeffs)) == alpha
 
 
@@ -239,3 +205,42 @@ def test_validate_trivial_two_point_genus0(genus0_m2):
     assert genus0_m2.genus == 0
     assert genus0_m2.gamma_fundamental == (zeros(2),)
     assert validate_description(genus0_m2) == []
+
+
+def _replace_gammas(d, gammas):
+    return SemigroupDescription(d.m, d.genus, d.lattice, tuple(gammas), "mutant")
+
+
+_Q3_RR_VIOLATIONS = [
+    "(c) dim((2, 3)) = 2, Riemann-Roch predicts 3",
+    "(c) dim((3, 2)) = 2, Riemann-Roch predicts 3",
+    "(c) dim((0, 6)) = 3, Riemann-Roch predicts 4",
+    "(c) dim((2, 4)) = 3, Riemann-Roch predicts 4",
+    "(c) dim((3, 3)) = 3, Riemann-Roch predicts 4",
+    "(c) dim((0, 10)) = 6, Riemann-Roch predicts 8",
+    "(c) dim((1, 9)) = 7, Riemann-Roch predicts 8",
+    "(c) dim((2, 8)) = 6, Riemann-Roch predicts 8",
+    "(c) dim((3, 7)) = 6, Riemann-Roch predicts 8",
+]
+
+
+def test_validate_mutant_violation_lists(hermitian_q3, genus0_m3):
+    # Exact lists, order included: (a) and (b) come from the slab scan of
+    # fundamental_maximals, (c) and (d) from the Riemann-Roch probes.
+    gammas = hermitian_q3.gamma_fundamental
+    dropped = _replace_gammas(hermitian_q3, [g for g in gammas if g != (2, 2)])
+    assert validate_description(dropped) == _Q3_RR_VIOLATIONS
+    moved = _replace_gammas(hermitian_q3, [(2, 3) if g == (2, 2) else g for g in gammas])
+    assert validate_description(moved) == [
+        "(a) listed gamma (2, 3) is not absolute maximal",
+        *_Q3_RR_VIOLATIONS,
+    ]
+    extra = _replace_gammas(genus0_m3, [*genus0_m3.gamma_fundamental, (0, 0, 1)])
+    assert validate_description(extra) == ["(a) listed gamma (0, 0, 1) is not absolute maximal"]
+    period2 = SemigroupDescription(3, 1, Lattice.from_periods((2, 1)), ((0, 0, 0), (1, 0, 1)))
+    assert validate_description(period2) == [
+        "(a) listed gamma (1, 0, 1) is not absolute maximal",
+        "(c) dim((0, 0, 1)) = 2, Riemann-Roch predicts 1",
+        "(c) dim((0, 0, 2)) = 3, Riemann-Roch predicts 2",
+        "(c) dim((0, 0, 6)) = 7, Riemann-Roch predicts 6",
+    ]

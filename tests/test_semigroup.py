@@ -277,7 +277,7 @@ def test_no_maximals_above_sum_bound(hermitian_q3, genus0_m3):
     # library lemma behind the finite scan: maximality dies beyond 2g-2+m
     for d in (hermitian_q3, genus0_m3):
         lo = d.maximal_sum_bound + 1
-        for alpha in d.region.sum_slab(lo, lo + d.m + 2):
+        for alpha in d.lattice.sum_slab(lo, lo + d.m + 2):
             assert not is_maximal(d, alpha)
             for eta in d.lattice.generators:
                 assert not is_maximal(d, tadd(alpha, eta))

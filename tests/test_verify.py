@@ -1,4 +1,16 @@
-from gwsemigroup import Box, SemigroupDescription, run_verification
+from gwsemigroup import (
+    Box,
+    SemigroupDescription,
+    genus0_description,
+    hermitian_description,
+    is_absolute_maximal,
+    is_maximal,
+    render_membership_svg,
+    riemann_roch_basis,
+    run_verification,
+    semigroup_polynomial,
+    series_on_box,
+)
 from gwsemigroup.verify import CHECK_NAMES
 
 
@@ -34,6 +46,37 @@ def test_verification_flags_mutilated_description(hermitian_q3):
     assert not by_name["description-consistency"].passed
     assert by_name["description-consistency"].detail
     assert any(not r.passed for r in results)
+
+
+def test_verification_reports_lub_sweep_failure(hermitian_q3):
+    moved = SemigroupDescription(
+        m=2,
+        genus=hermitian_q3.genus,
+        lattice=hermitian_q3.lattice,
+        gamma_fundamental=tuple(
+            (2, 3) if g == (2, 2) else g for g in hermitian_q3.gamma_fundamental
+        ),
+        label="moved",
+    )
+    results = run_verification(moved, Box((-4, -4), (6, 6)))
+    row = {r.name: r for r in results}["lub-generation"]
+    assert not row.passed
+    assert row.detail == "lub sweep and membership scan disagree at (2, 3)"
+
+
+def test_requests_keep_only_the_dimension_memo():
+    # dimension's memo is the only state a description carries
+    h3, g3 = hermitian_description(3), genus0_description(3)
+    run_verification(h3, Box((-6, -6), (8, 8)))
+    run_verification(g3, Box((-2, -2, -2), (2, 2, 2)))
+    assert set(h3._caches) == set(g3._caches) == {"dim"}
+    for kind in ("L", "Q", "P"):
+        series_on_box(g3, kind, Box((-2, -2, -2), (2, 2, 2)))
+    semigroup_polynomial(g3)
+    render_membership_svg(h3, Box((-4, -4), (6, 6)))
+    assert is_maximal(g3, (0, 0, 1)) and is_absolute_maximal(h3, (2, 2))
+    assert len(riemann_roch_basis(g3, (1, 1, 1))) == 4
+    assert set(h3._caches) == set(g3._caches) == {"dim"}
 
 
 def test_verification_skips_profile_for_many_points(genus0_m3):
