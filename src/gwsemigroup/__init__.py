@@ -25,7 +25,6 @@ from .core import (
     Lattice,
     SemigroupDescription,
     canonicalize,
-    indicator,
     load_description,
     save_description,
     unit,
@@ -43,7 +42,6 @@ from .semigroup import (
     is_member,
     lattice_translates,
     members_from_lubs,
-    nabla_im_empty,
     nabla_im_set,
     nabla_set,
     riemann_roch_basis,
@@ -94,7 +92,6 @@ __all__ = [
     "hermitian_description",
     "hermitian_dimension",
     "hermitian_genus",
-    "indicator",
     "is_absolute_maximal",
     "is_maximal",
     "is_member",
@@ -102,7 +99,6 @@ __all__ = [
     "lattice_translates",
     "load_description",
     "members_from_lubs",
-    "nabla_im_empty",
     "nabla_im_set",
     "nabla_set",
     "render_membership_svg",

@@ -28,7 +28,7 @@ IntTuple = tuple[int, ...]
 
 __all__ = [
     "IntTuple",
-    "indicator",
+    "int_tuple",
     "unit",
     "ones",
     "zeros",
@@ -48,22 +48,24 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # tuple arithmetic
 
-def indicator(m: int, indices: Iterable[int]) -> IntTuple:
-    """The m-tuple with entry 1 at the given 1-based positions and 0 elsewhere.
+def int_tuple(values: Iterable[int], what: str = "entries") -> IntTuple:
+    """The values as a tuple; ValueError unless every entry is an int.
 
-    ``indicator(m, range(1, m + 1))`` is the all-ones tuple, ``indicator(m, ())``
-    the zero tuple, and ``indicator(m, (i,))`` the i-th standard basis vector.
+    Bools, floats and strings are rejected instead of coerced, so ``True`` or
+    ``1.5`` cannot silently become 1.
     """
-    idx = set(indices)
-    for i in idx:
-        if not 1 <= i <= m:
-            raise ValueError(f"index {i} outside 1..{m}")
-    return tuple(1 if i in idx else 0 for i in range(1, m + 1))
+    t = tuple(values)
+    for x in t:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be integers, got {x!r}")
+    return t
 
 
 def unit(m: int, i: int) -> IntTuple:
     """Standard basis vector e_i (1-based)."""
-    return indicator(m, (i,))
+    if not 1 <= i <= m:
+        raise ValueError(f"index {i} outside 1..{m}")
+    return (0,) * (i - 1) + (1,) + (0,) * (m - i)
 
 
 def ones(m: int) -> IntTuple:
@@ -98,8 +100,8 @@ class Box:
     upper: IntTuple
 
     def __post_init__(self) -> None:
-        lo = tuple(int(x) for x in self.lower)
-        hi = tuple(int(x) for x in self.upper)
+        lo = int_tuple(self.lower, "box bounds")
+        hi = int_tuple(self.upper, "box bounds")
         if len(lo) != len(hi):
             raise ValueError("box bounds of mixed lengths")
         if not lo:
@@ -144,7 +146,7 @@ class Lattice:
     generators: tuple[IntTuple, ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(tuple(int(x) for x in g) for g in self.generators)
+        gens = tuple(int_tuple(g, "generator entries") for g in self.generators)
         if not gens:
             raise ValueError("a lattice needs at least one generator (m >= 2)")
         m = len(gens[0])
@@ -173,7 +175,7 @@ class Lattice:
 
     @classmethod
     def from_periods(cls, periods: Iterable[int]) -> "Lattice":
-        per = tuple(int(a) for a in periods)
+        per = int_tuple(periods, "periods")
         m = len(per) + 1
         gens = tuple(
             tuple(a if j == i else -a if j == i + 1 else 0 for j in range(m))
@@ -267,13 +269,14 @@ class SemigroupDescription:
     _caches: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        int_tuple((self.m, self.genus), "m and genus")
         if self.m < 2:
             raise ValueError("m must be at least 2")
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
         if self.lattice.m != self.m:
             raise ValueError("lattice dimension disagrees with m")
-        gammas = tuple(sorted({tuple(int(x) for x in g) for g in self.gamma_fundamental}))
+        gammas = tuple(sorted({int_tuple(g, "gamma entries") for g in self.gamma_fundamental}))
         bound = self.maximal_sum_bound
         for g in gammas:
             if len(g) != self.m:
@@ -286,8 +289,6 @@ class SemigroupDescription:
                 )
         if zeros(self.m) not in gammas:
             raise ValueError("gamma_fundamental must contain the zero tuple")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "genus", int(self.genus))
         object.__setattr__(self, "gamma_fundamental", gammas)
 
     @property
@@ -318,15 +319,11 @@ class SemigroupDescription:
         missing = required - set(data)
         if missing:
             raise ValueError(f"description JSON missing keys: {sorted(missing)}")
-        if not isinstance(data["m"], int) or not isinstance(data["genus"], int):
-            raise ValueError("'m' and 'genus' must be integers")
         if not isinstance(data["label"], str):
             raise ValueError("'label' must be a string")
         for key in ("lattice_generators", "gamma_fundamental"):
             rows = data[key]
-            if not isinstance(rows, list) or not all(
-                isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rows
-            ):
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError(f"'{key}' must be a list of integer lists")
         lattice = Lattice(tuple(tuple(g) for g in data["lattice_generators"]))
         return cls(

@@ -3,9 +3,9 @@
 The single primitive here is :func:`dimension` (the Riemann-Roch dimension
 of the divisor with coefficient vector ``alpha``), computed as the number of
 equivalence classes of ``Gamma(alpha) = {beta absolute maximal : beta <= alpha}``
-under "equal last coordinate".  Membership, nabla-set emptiness, and both
-maximality notions all reduce to dimension differences, so they share one
-correctness burden.
+under "equal last coordinate".  Membership, nabla-set emptiness (a vanishing
+:func:`dimension_jump`), and both maximality notions all reduce to dimension
+differences, so they share one correctness burden.
 
 Enumeration of Gamma(alpha) walks lattice coefficients k_1, ..., k_{m-1}
 with exact per-level integer bounds (:func:`lattice_translates`).  Writing
@@ -45,7 +45,6 @@ __all__ = [
     "dimension_jump",
     "is_member",
     "lattice_translates",
-    "nabla_im_empty",
     "nabla_im_set",
     "nabla_set",
     "is_maximal",
@@ -157,8 +156,6 @@ def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
 
 def dimension_jump(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:
     """dim(alpha) - dim(alpha - e_i); always 0 or 1."""
-    if not 1 <= i <= d.m:
-        raise ValueError(f"coordinate index {i} outside 1..{d.m}")
     return dimension(d, alpha) - dimension(d, tsub(alpha, unit(d.m, i)))
 
 
@@ -174,14 +171,6 @@ def is_member(d: SemigroupDescription, alpha: IntTuple) -> bool:
             return False
         below[i] += 1
     return True
-
-
-def nabla_im_empty(d: SemigroupDescription, alpha: IntTuple, i: int) -> bool:
-    """True iff no member matches alpha at coordinate i while being <= alpha.
-
-    Equivalent to a vanishing dimension jump in direction i.
-    """
-    return dimension_jump(d, alpha, i) == 0
 
 
 def _capped_members(d: SemigroupDescription, caps: list[int], fixed: set[int]) -> set[IntTuple]:
@@ -204,8 +193,8 @@ def _capped_members(d: SemigroupDescription, caps: list[int], fixed: set[int]) -
 def nabla_im_set(d: SemigroupDescription, alpha: IntTuple, i: int) -> set[IntTuple]:
     """Explicit enumeration of {beta member : beta_i = alpha_i, beta <= alpha}.
 
-    Independent of :func:`nabla_im_empty`; the two routes are compared in
-    tests.
+    Empty exactly when ``dimension_jump(d, alpha, i) == 0``; the two routes
+    are compared in tests.
     """
     if not 1 <= i <= d.m:
         raise ValueError(f"coordinate index {i} outside 1..{d.m}")
@@ -231,16 +220,21 @@ def nabla_set(d: SemigroupDescription, alpha: IntTuple, J: Iterable[int]) -> set
 def is_maximal(d: SemigroupDescription, alpha: IntTuple) -> bool:
     """Member with no member matching it in one coordinate and below elsewhere.
 
-    Uses the identity that the i-th nabla set of alpha equals the capped
-    variant at alpha - 1 + e_i, turning the test into m dimension jumps.
+    The i-th nabla set of alpha is the set of members beta <= base + e_i with
+    beta_i = alpha_i, where base = alpha - 1; it is empty exactly when raising
+    coordinate i of base back to alpha_i leaves dim(base) unchanged.  So the
+    test costs dim(base) plus m raised dimensions after the membership test.
     """
     if not is_member(d, alpha):
         return False
-    shift = tsub(alpha, ones(d.m))
-    return all(
-        nabla_im_empty(d, tuple(x + (1 if j == i else 0) for j, x in enumerate(shift)), i + 1)
-        for i in range(d.m)
-    )
+    base = [x - 1 for x in alpha]
+    below = dimension(d, tuple(base))
+    for i, x in enumerate(alpha):
+        base[i] = x
+        if dimension(d, tuple(base)) != below:
+            return False
+        base[i] = x - 1
+    return True
 
 
 def is_absolute_maximal(d: SemigroupDescription, alpha: IntTuple) -> bool:

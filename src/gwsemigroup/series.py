@@ -2,9 +2,12 @@
 
 Three Z-valued formal series are attached to a description: the filtration
 series L whose coefficient at alpha is the quotient dimension
-``d(alpha) = dim(alpha) - dim(alpha - 1)``, the product
-``Q = prod_i (1 - t_i) * L`` with alternating-sum coefficients, and the
-Poincare series P supported on maximal elements.  Infinite formal series
+``d(alpha) = dim(alpha) - dim(alpha - 1)``, the Poincare series P supported
+on maximal elements, and ``Q = prod_i (1 - t_i) * L``.  P is the m-fold
+backward difference of ``dim``, ``p(alpha) = sum_J (-1)^|J| dim(alpha - 1_J)``
+over the 2^m corners of the unit cube below alpha, and Q is the same
+difference applied to L; :func:`_cube_difference` is that one operator.
+Infinite formal series
 cannot be multiplied in general, so every identity here is checked
 coefficientwise on finite boxes -- which is exactly what the identities
 assert.  The same reasoning turns the lattice-sum factorization of P into a
@@ -16,15 +19,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator
+from functools import partial
+from itertools import product
+from typing import Callable, Iterator
 
 from .core import (
     Box,
     IntTuple,
     SemigroupDescription,
     canonicalize,
-    indicator,
     ones,
     tadd,
     tsub,
@@ -66,35 +69,27 @@ def coeff_l(d: SemigroupDescription, alpha: IntTuple) -> int:
     return dimension(d, alpha) - dimension(d, tsub(alpha, ones(d.m)))
 
 
-def coeff_q(d: SemigroupDescription, alpha: IntTuple) -> int:
-    """Alternating sum of filtration coefficients over all 2^m corner shifts."""
-    m = d.m
+def _cube_difference(fn: Callable[[IntTuple], int], alpha: IntTuple) -> int:
+    """The unit-cube difference: sum over J subset of {1..m} of (-1)^|J| fn(alpha - 1_J)."""
     total = 0
-    for r in range(m + 1):
-        sign = -1 if r % 2 else 1
-        for J in combinations(range(1, m + 1), r):
-            total += sign * coeff_l(d, tsub(alpha, indicator(m, J)))
+    for corner in product((0, 1), repeat=len(alpha)):
+        value = fn(tuple([x - c for x, c in zip(alpha, corner)]))
+        total += -value if sum(corner) & 1 else value
     return total
 
 
-def coeff_p(d: SemigroupDescription, alpha: IntTuple, i: int = 1) -> int:
-    """Poincare series coefficient at alpha.
+def coeff_q(d: SemigroupDescription, alpha: IntTuple) -> int:
+    """Alternating sum of filtration coefficients over all 2^m corner shifts."""
+    return _cube_difference(partial(coeff_l, d), alpha)
 
-    Computed from direction ``i`` as the signed sum of dimension jumps
-    ``d_i(alpha - 1 + 1_J + e_i)`` over subsets J avoiding i; the result is
-    the same for every direction (a verification-suite check).
+
+def coeff_p(d: SemigroupDescription, alpha: IntTuple) -> int:
+    """Poincare series coefficient at alpha: the unit-cube difference of dim.
+
+    The paper's route from the jumps in one direction i gives the same value
+    for every i (a verification-suite check).
     """
-    m = d.m
-    if not 1 <= i <= m:
-        raise ValueError(f"coordinate index {i} outside 1..{m}")
-    base = tadd(tsub(alpha, ones(m)), unit(m, i))
-    others = [j for j in range(1, m + 1) if j != i]
-    total = 0
-    for r in range(m):
-        sign = -1 if r % 2 else 1
-        for J in combinations(others, r):
-            total += sign * dimension_jump(d, tadd(base, indicator(m, J)), i)
-    return total if (m - 1) % 2 == 0 else -total
+    return _cube_difference(partial(dimension, d), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ not apply to the description raises :class:`_Skipped` with its reason.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .core import Box, SemigroupDescription, tadd, validate_description
+from .core import Box, IntTuple, SemigroupDescription, tadd, validate_description
 from .semigroup import (
     absolute_maximals_below,
     dimension,
+    dimension_jump,
     is_absolute_maximal,
     is_maximal,
     is_member,
@@ -86,9 +88,20 @@ def _check_qp_identity(d: SemigroupDescription, box: Box) -> str | None:
     return None if alpha is None else f"q != p - shifted p at {alpha}"
 
 
+def _p_from_direction(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:
+    # The paper's route to p(alpha) from direction i alone: the jumps
+    # d_i(alpha - 1_K) over the subsets K of the other directions, signed (-1)^|K|.
+    total = 0
+    for corner in product((0, 1), repeat=d.m):
+        if not corner[i - 1]:
+            jump = dimension_jump(d, tuple([x - c for x, c in zip(alpha, corner)]), i)
+            total += -jump if sum(corner) & 1 else jump
+    return total
+
+
 def _check_index_independence(d: SemigroupDescription, box: Box) -> str | None:
     for alpha in _sample_points(box):
-        vals = {coeff_p(d, alpha, i) for i in range(1, d.m + 1)}
+        vals = {coeff_p(d, alpha)} | {_p_from_direction(d, alpha, i) for i in range(1, d.m + 1)}
         if len(vals) != 1:
             return f"p at {alpha} depends on the direction: {sorted(vals)}"
     return None

@@ -9,29 +9,24 @@ from gwsemigroup.core import (
     Lattice,
     SemigroupDescription,
     canonicalize,
-    indicator,
     load_description,
     save_description,
     tadd,
+    unit,
     validate_description,
     zeros,
 )
 
 
 # ---------------------------------------------------------------------------
-# indicator tuples
+# unit tuples
 
-def test_indicator_examples():
-    assert indicator(3, {1, 3}) == (1, 0, 1)
-    assert indicator(2, set()) == (0, 0)
-    assert indicator(4, {1, 2, 3, 4}) == (1, 1, 1, 1)
-
-
-def test_indicator_rejects_out_of_range():
+def test_unit_rejects_out_of_range():
+    assert unit(3, 2) == (0, 1, 0)
     with pytest.raises(ValueError):
-        indicator(3, {0})
+        unit(3, 0)
     with pytest.raises(ValueError):
-        indicator(3, {4})
+        unit(3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +132,31 @@ def test_description_structural_errors():
         SemigroupDescription(1, 0, lat, ((0, 0),))
 
 
+def test_constructors_reject_non_integers():
+    lat = Lattice.from_periods((2,))
+    for bad in [
+        lambda: Box((0.5, 0), (1, 1)),
+        lambda: Box((0, 0), (1, True)),
+        lambda: Box(("0", 0), (1, 1)),
+        lambda: Lattice(((2.0, -2),)),
+        lambda: Lattice(((True, -1),)),
+        lambda: Lattice.from_periods((1.5,)),
+        lambda: Lattice.from_periods((True,)),
+        lambda: SemigroupDescription(2, 1.5, lat, ((0, 0), (1, 0))),
+        lambda: SemigroupDescription(2, True, lat, ((0, 0),)),
+        lambda: SemigroupDescription(2.0, 1, lat, ((0, 0),)),
+        lambda: SemigroupDescription(2, 1, lat, ((0, 0), (1.2, 0))),
+        lambda: SemigroupDescription(2, 1, lat, ((0, 0), (1, False))),
+    ]:
+        with pytest.raises(ValueError):
+            bad()
+    # lists of ints are accepted and stored as tuples
+    assert Box([0, -1], [2, 3]) == Box((0, -1), (2, 3))
+    assert Lattice([[2, -2]]) == lat == Lattice.from_periods([2])
+    d = SemigroupDescription(2, 1, lat, [[0, 0], [1, 0]])
+    assert d.gamma_fundamental == ((0, 0), (1, 0))
+
+
 def test_description_json_roundtrip(tmp_path, hermitian_q3, genus0_m3):
     for d in (hermitian_q3, genus0_m3):
         path = tmp_path / "d.json"
@@ -160,6 +180,7 @@ def test_description_schema_validation(tmp_path):
     for broken in [
         {k: v for k, v in good.items() if k != "label"},
         {**good, "m": "2"},
+        {**good, "genus": True},
         {**good, "gamma_fundamental": [[0, 0], "x"]},
         {**good, "lattice_generators": [[4.0, -4]]},
     ]:

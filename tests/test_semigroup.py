@@ -17,12 +17,12 @@ from gwsemigroup import (
     is_member,
     lattice_translates,
     members_from_lubs,
-    nabla_im_empty,
     nabla_im_set,
     nabla_set,
     riemann_roch_basis,
     two_point_profile,
 )
+from gwsemigroup import semigroup
 from gwsemigroup.core import Lattice, tadd, tsub, unit
 
 from window_data import MAXIMALS_Q3_WINDOW, MEMBERS_Q3_WINDOW
@@ -167,10 +167,11 @@ def test_riemann_roch_regime(hermitian_q2, hermitian_q3, genus0_m3):
 # nabla sets
 
 def test_nabla_im_examples(hermitian_q3, genus0_m3):
-    assert nabla_im_empty(hermitian_q3, (4, -5), 2)
-    assert not nabla_im_empty(hermitian_q3, (0, 0), 1)
-    assert not nabla_im_empty(hermitian_q3, (0, 0), 2)
-    assert nabla_im_empty(genus0_m3, (0, 0, -1), 3)
+    # an empty i-th nabla set is a vanishing jump in direction i
+    assert dimension_jump(hermitian_q3, (4, -5), 2) == 0
+    assert dimension_jump(hermitian_q3, (0, 0), 1) != 0
+    assert dimension_jump(hermitian_q3, (0, 0), 2) != 0
+    assert dimension_jump(genus0_m3, (0, 0, -1), 3) == 0
 
 
 def test_nabla_im_set_agrees_with_jump_route(hermitian_q3, genus0_m3):
@@ -182,7 +183,7 @@ def test_nabla_im_set_agrees_with_jump_route(hermitian_q3, genus0_m3):
         for alpha in box.points():
             for i in range(1, d.m + 1):
                 enumerated = nabla_im_set(d, alpha, i)
-                assert (len(enumerated) == 0) == nabla_im_empty(d, alpha, i)
+                assert (len(enumerated) == 0) == (dimension_jump(d, alpha, i) == 0)
                 for beta in enumerated:
                     assert beta[i - 1] == alpha[i - 1]
                     assert all(b <= a for b, a in zip(beta, alpha))
@@ -225,6 +226,23 @@ def test_maximality_examples(hermitian_q3, genus0_m3):
     assert not is_absolute_maximal(genus0_m3, (0, 0, 1))
     assert is_absolute_maximal(hermitian_q3, (2, 2))
     assert is_absolute_maximal(genus0_m3, (0, 0, 0))
+
+
+def test_is_maximal_dimension_calls(monkeypatch, hermitian_q3, genus0_m4):
+    # work bound at a maximal member: m + 1 calls for membership, then
+    # dim(alpha - 1) and one call per raised coordinate, 2m + 2 in all
+    calls = []
+    original = semigroup.dimension
+
+    def counting(d, alpha):
+        calls.append(alpha)
+        return original(d, alpha)
+
+    monkeypatch.setattr(semigroup, "dimension", counting)
+    for d, alpha, expected in [(hermitian_q3, (2, 2), 6), (genus0_m4, (0, 0, 0, 0), 10)]:
+        calls.clear()
+        assert is_maximal(d, alpha)
+        assert len(calls) == expected == 2 * d.m + 2
 
 
 def test_maximals_window(hermitian_q3):

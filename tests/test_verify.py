@@ -11,6 +11,7 @@ from gwsemigroup import (
     semigroup_polynomial,
     series_on_box,
 )
+from gwsemigroup import verify
 from gwsemigroup.verify import CHECK_NAMES
 
 
@@ -62,6 +63,19 @@ def test_verification_reports_lub_sweep_failure(hermitian_q3):
     row = {r.name: r for r in results}["lub-generation"]
     assert not row.passed
     assert row.detail == "lub sweep and membership scan disagree at (2, 3)"
+
+
+def test_index_independence_catches_a_single_point_fault(monkeypatch, hermitian_q3):
+    # a coeff_p that is wrong at one point disagrees with every direction's
+    # jump route there
+    original = verify.coeff_p
+
+    def faulty(d, alpha):
+        return original(d, alpha) + (1 if alpha == (2, 2) else 0)
+
+    monkeypatch.setattr(verify, "coeff_p", faulty)
+    detail = verify._check_index_independence(hermitian_q3, Box((0, 0), (4, 4)))
+    assert detail == "p at (2, 2) depends on the direction: [1, 2]"
 
 
 def test_requests_keep_only_the_dimension_memo():
