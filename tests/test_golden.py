@@ -1,8 +1,9 @@
 """CLI outputs compared byte for byte with files recorded under tests/golden/.
 
-Each case runs ``cli.main`` on fixture descriptions written by ``gen``.  To
-record the files again (only when an output change is intended), run
-``PYTHONPATH=src python tests/test_golden.py``.
+Each case runs ``cli.main`` on fixture descriptions written by ``gen``.
+``PYTHONPATH=src python tests/test_golden.py`` records every case whose file
+does not exist yet and lists the files it skipped; to record a file again
+(only when an output change is intended), delete it first.
 """
 
 import json
@@ -21,6 +22,7 @@ DESCRIPTIONS = {
     "h3": ["hermitian", "--q", "3"],
     "g3": ["genus0", "--m", "3"],
     "g4": ["genus0", "--m", "4"],
+    "g5": ["genus0", "--m", "5"],
 }
 
 BOXES = {
@@ -41,11 +43,24 @@ def _cases():
         for fmt in ("json", "text"):
             argv = ["series", "polynomial", "--format", fmt]
             cases.append((f"{key}-series-polynomial.{fmt}", key, argv))
-    for key, box in (("h3", "-6..6,-6..6"), ("g3", BOXES["g3"]), ("h3-mutilated", "-5..5,-5..5")):
+    for kind in ("L", "Q", "P"):
+        argv = ["series", kind, "--box", ",".join(["-1..1"] * 5), "--format", "json"]
+        cases.append((f"g5-series-{kind}.json", "g5", argv))
+    # a box with a width-1 axis
+    cases.append(("h3-series-P-row.text", "h3", ["series", "P", "--box", "-3..4,2..2"]))
+    verify_boxes = (
+        ("h3", "-6..6,-6..6"),
+        ("g3", BOXES["g3"]),
+        ("h3-mutilated", "-5..5,-5..5"),
+        ("h3-extra-gamma", "-6..6,-6..6"),
+        ("h3-without-22", "-6..6,-6..6"),
+    )
+    for key, box in verify_boxes:
         for fmt in ("json", "text"):
             argv = ["verify", "--box", box, "--format", fmt]
             cases.append((f"{key}-verify.{fmt}", key, argv))
     cases.append(("h3-plot.svg", "h3", ["plot", "--box", "-8..9,-8..10"]))
+    cases.append(("h3-plot-row.svg", "h3", ["plot", "--box", "-4..6,1..1"]))
     return cases
 
 
@@ -59,10 +74,19 @@ def _write_descriptions(directory: Path) -> dict[str, str]:
         assert main(["gen", *gen_args, "--out", paths[key]]) == 0
     # h3 without the absolute maximal element (1, 5): not symmetric, so the
     # symmetry row is skipped, and several checks fail.
-    data = json.loads(Path(paths["h3"]).read_text(encoding="utf-8"))
-    data["gamma_fundamental"] = [g for g in data["gamma_fundamental"] if g != [1, 5]]
-    paths["h3-mutilated"] = str(directory / "h3-mutilated.json")
-    Path(paths["h3-mutilated"]).write_text(json.dumps(data), encoding="utf-8")
+    # h3 with the extra gamma (2, -2), and h3 without (2, 2): both still
+    # symmetric, so their verify output holds a failing symmetry row.
+    gammas = json.loads(Path(paths["h3"]).read_text(encoding="utf-8"))["gamma_fundamental"]
+    variants = {
+        "h3-mutilated": [g for g in gammas if g != [1, 5]],
+        "h3-extra-gamma": gammas + [[2, -2]],
+        "h3-without-22": [g for g in gammas if g != [2, 2]],
+    }
+    for key, variant in variants.items():
+        data = json.loads(Path(paths["h3"]).read_text(encoding="utf-8"))
+        data["gamma_fundamental"] = variant
+        paths[key] = str(directory / f"{key}.json")
+        Path(paths[key]).write_text(json.dumps(data), encoding="utf-8")
     return paths
 
 
@@ -88,4 +112,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         recorded = _write_descriptions(Path(tmp))
         for name, key, argv in CASES:
-            (GOLDEN / name).write_text(_run(argv, recorded[key]), encoding="utf-8")
+            target = GOLDEN / name
+            if target.exists():
+                print(f"skipped {name}: exists")
+                continue
+            target.write_text(_run(argv, recorded[key]), encoding="utf-8")
+            print(f"recorded {name}")
