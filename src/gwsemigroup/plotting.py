@@ -2,13 +2,15 @@
 
 Open circles mark maximal elements, filled dots the remaining members, with
 the first coordinate rightward and the second upward on a unit grid.  The
+points are classified from one ``dim`` grid on the box grown by one layer
+below, by the dimension tests of ``is_member`` and ``is_maximal``.  The
 SVG is assembled by hand so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
 from .core import Box, SemigroupDescription
-from .semigroup import is_maximal, is_member
+from .series import _dim_grid, _window
 
 __all__ = ["render_membership_svg"]
 
@@ -50,11 +52,24 @@ def render_membership_svg(d: SemigroupDescription, box: Box) -> str:
             f'<line x1="{sx(x_lo) - _MARGIN // 2}" y1="{sy(0)}" x2="{sx(x_hi) + _MARGIN // 2}" '
             f'y2="{sy(0)}" stroke="black" stroke-width="1"/>'
         )
-    for alpha in box.points():
-        if not is_member(d, alpha):
+    size = (x_hi - x_lo + 1, y_hi - y_lo + 1)
+    shape = (size[0] + 1, size[1] + 1)
+    grid = _dim_grid(d, (x_lo - 1, y_lo - 1), box.upper)
+    # dim at alpha, alpha - e_1, alpha - e_2 and alpha - (1, 1)
+    cells = zip(
+        box.points(),
+        _window(grid, shape, (1, 1), size),
+        _window(grid, shape, (0, 1), size),
+        _window(grid, shape, (1, 0), size),
+        _window(grid, shape, (0, 0), size),
+    )
+    for alpha, here, west, south, corner in cells:
+        # a member loses one dimension when either coordinate drops
+        if here == 0 or west != here - 1 or south != here - 1:
             continue
         cx, cy = sx(alpha[0]), sy(alpha[1])
-        if is_maximal(d, alpha):
+        # maximal: raising either coordinate of alpha - (1, 1) keeps its dimension
+        if west == corner == south:
             lines.append(
                 f'<circle cx="{cx}" cy="{cy}" r="{_RADIUS_OPEN}" '
                 f'fill="none" stroke="black" stroke-width="1.2"/>'

@@ -6,7 +6,15 @@ series L whose coefficient at alpha is the quotient dimension
 on maximal elements, and ``Q = prod_i (1 - t_i) * L``.  P is the m-fold
 backward difference of ``dim``, ``p(alpha) = sum_J (-1)^|J| dim(alpha - 1_J)``
 over the 2^m corners of the unit cube below alpha, and Q is the same
-difference applied to L; :func:`_cube_difference` is that one operator.
+difference applied to L; :func:`_cube_difference` is that one operator for
+single points.
+
+On a box the same operators act on whole tables.  The box engine fills one
+flat ``dim`` grid (:func:`_dim_grid`) on the box grown below by one layer
+(two for Q), reads L as the grid minus its diagonal shift, and applies
+``prod_i (1 - shift_i)`` as m axis passes (:func:`_axis_differences`), each
+a slice difference that drops the first layer along its axis.  So a box
+request costs one ``dimension`` call per grid cell instead of 2^m per point.
 Infinite formal series
 cannot be multiplied in general, so every identity here is checked
 coefficientwise on finite boxes -- which is exactly what the identities
@@ -21,6 +29,7 @@ import json
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import product
+from operator import sub
 from typing import Callable, Iterator
 
 from .core import (
@@ -32,10 +41,10 @@ from .core import (
     tadd,
     tsub,
     unit,
+    zeros,
 )
 from .semigroup import (
     dimension,
-    dimension_jump,
     fundamental_maximals,
     is_member,
     lattice_translates,
@@ -93,9 +102,62 @@ def coeff_p(d: SemigroupDescription, alpha: IntTuple) -> int:
 
 
 # ---------------------------------------------------------------------------
-# box series
+# the box engine: flat tables in Box.points() order (last axis fastest)
 
-_KIND_COEFF = {"L": coeff_l, "Q": coeff_q, "P": coeff_p}
+def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list[int]:
+    """dimension at every point of the box [lower, upper], one call per cell."""
+    return [dimension(d, alpha) for alpha in Box(lower, upper).points()]
+
+
+def _slab(values: list[int], shape: IntTuple, axis: int, start: int, count: int) -> list[int]:
+    """The layers start .. start + count - 1 of the table along one axis."""
+    stride = 1
+    for n in shape[axis + 1:]:
+        stride *= n
+    block = shape[axis] * stride
+    lo, hi = start * stride, (start + count) * stride
+    out: list[int] = []
+    for first in range(0, len(values), block):
+        out += values[first + lo:first + hi]
+    return out
+
+
+def _window(values: list[int], shape: IntTuple, start: IntTuple, size: IntTuple) -> list[int]:
+    """The sub-table of the given size whose first cell has index offsets start."""
+    for axis, (first, count) in enumerate(zip(start, size)):
+        values = _slab(values, shape, axis, first, count)
+        shape = shape[:axis] + (count,) + shape[axis + 1:]
+    return values
+
+
+def _window_difference(
+    values: list[int], shape: IntTuple, top: IntTuple, bottom: IntTuple, size: IntTuple
+) -> list[int]:
+    return list(map(sub, _window(values, shape, top, size), _window(values, shape, bottom, size)))
+
+
+def _diagonal_difference(values: list[int], shape: IntTuple) -> tuple[list[int], IntTuple]:
+    """v(x) - v(x - 1) at every cell outside the first layer of each axis."""
+    m = len(shape)
+    size = tuple(n - 1 for n in shape)
+    return _window_difference(values, shape, ones(m), zeros(m), size), size
+
+
+def _axis_differences(values: list[int], shape: IntTuple) -> tuple[list[int], IntTuple]:
+    """prod_i (1 - shift_i) applied to the table: one slice pass per axis.
+
+    The pass along axis i subtracts each layer from the next, so the result
+    drops the first layer along that axis.
+    """
+    for axis, n in enumerate(shape):
+        upper = _slab(values, shape, axis, 1, n - 1)
+        values = list(map(sub, upper, _slab(values, shape, axis, 0, n - 1)))
+        shape = shape[:axis] + (n - 1,) + shape[axis + 1:]
+    return values, shape
+
+
+# ---------------------------------------------------------------------------
+# box series
 
 
 @dataclass(frozen=True)
@@ -153,23 +215,38 @@ class BoxSeries:
 
 
 def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
-    """Evaluate the L, Q, or P coefficient at every point of the box."""
-    try:
-        fn = _KIND_COEFF[kind]
-    except KeyError:
-        raise ValueError(f"kind must be one of L, Q, P; got {kind!r}") from None
+    """The L, Q, or P coefficient at every point of the box, from one dim grid.
+
+    P is the axis differences of the grid on [lower - 1, upper], L the grid
+    minus its diagonal shift, and Q the axis differences of L, with the grid
+    taken on [lower - 2, upper].
+    """
+    if kind not in ("L", "Q", "P"):
+        raise ValueError(f"kind must be one of L, Q, P; got {kind!r}")
     if box.dim != d.m:
         raise ValueError("box dimension disagrees with description")
-    return BoxSeries(box=box, kind=kind, coeffs={a: fn(d, a) for a in box.points()})
+    grow = 2 if kind == "Q" else 1
+    values = _dim_grid(d, tuple(x - grow for x in box.lower), box.upper)
+    shape = tuple(u - l + 1 + grow for l, u in zip(box.lower, box.upper))
+    if kind != "P":
+        values, shape = _diagonal_difference(values, shape)
+    if kind != "L":
+        values, shape = _axis_differences(values, shape)
+    return BoxSeries(box=box, kind=kind, coeffs=dict(zip(box.points(), values)))
 
 
 # ---------------------------------------------------------------------------
 # functional equation of Q against P
 
 def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
-    """Points where q(alpha) != p(alpha) - p(alpha - 1)."""
+    """Points where the box engine's q(alpha) != p(alpha) - p(alpha - 1).
+
+    p comes point by point from :func:`coeff_p`, so the engine is checked
+    against the independent per-point route.
+    """
+    q = series_on_box(d, "Q", box)
     for alpha in box.points():
-        if coeff_q(d, alpha) != coeff_p(d, alpha) - coeff_p(d, tsub(alpha, ones(d.m))):
+        if q[alpha] != coeff_p(d, alpha) - coeff_p(d, tsub(alpha, ones(d.m))):
             yield alpha
 
 
@@ -316,6 +393,11 @@ def symmetry_violations(
     * ``p(alpha) = (-1)^m p(s - alpha)``
     * ``q(alpha) = (-1)^{m-1} q(s - alpha + 1)``
     * ``d_i(alpha) + d_i(s - alpha - 1 + e_i) = 1`` for every direction i
+
+    Every value is read from two dim grids: the box grown by 2 below, and
+    the reflected box [s - upper - 1, s - lower + 1].  Both have the box's
+    shape plus 2; the tables taken from the reflected grid list the
+    reflected points backwards, so box point k pairs with entry -1 - k.
     """
     if report is None:
         report = symmetry_report(d)
@@ -324,16 +406,32 @@ def symmetry_violations(
     sigma = report.sigma
     m = d.m
     sign_m = 1 if m % 2 == 0 else -1
-    for alpha in box.points():
-        refl = tsub(sigma, alpha)
-        if coeff_p(d, alpha) != sign_m * coeff_p(d, refl):
+    size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))
+    grown = tuple(n + 1 for n in size)
+    shape = tuple(n + 2 for n in size)
+    twos = (2,) * m
+    # with v = alpha - lower and u = upper - alpha, the cell at offsets
+    # v + 2 of near holds dim(alpha) and the cell at u of far dim(s - alpha - 1)
+    near = _dim_grid(d, tsub(box.lower, twos), box.upper)
+    far = _dim_grid(d, tsub(tsub(sigma, box.upper), ones(m)), tadd(tsub(sigma, box.lower), ones(m)))
+    p_near, _ = _axis_differences(_window(near, shape, ones(m), grown), grown)
+    p_far, _ = _axis_differences(_window(far, shape, zeros(m), grown), grown)
+    q_near, _ = _axis_differences(*_diagonal_difference(near, shape))
+    q_far, _ = _axis_differences(*_diagonal_difference(far, shape))
+    jumps_near, jumps_far = [], []
+    for i in range(1, m + 1):
+        e_i = unit(m, i)
+        jumps_near.append(_window_difference(near, shape, twos, tsub(twos, e_i), size))
+        jumps_far.append(_window_difference(far, shape, e_i, zeros(m), size))
+    for k, alpha in enumerate(box.points()):
+        r = -1 - k
+        if p_near[k] != sign_m * p_far[r]:
             yield ("poincare-reflection", alpha)
-        if coeff_q(d, alpha) != -sign_m * coeff_q(d, tadd(refl, ones(m))):
+        if q_near[k] != -sign_m * q_far[r]:
             yield ("aux-series-reflection", alpha)
-        base = tsub(refl, ones(m))
-        for i in range(1, m + 1):
-            if dimension_jump(d, alpha, i) + dimension_jump(d, tadd(base, unit(m, i)), i) != 1:
-                yield (f"jump-complement-i{i}", alpha)
+        for i in range(m):
+            if jumps_near[i][k] + jumps_far[i][r] != 1:
+                yield (f"jump-complement-i{i + 1}", alpha)
 
 
 def check_symmetry_equations(

@@ -11,7 +11,7 @@ from gwsemigroup import (
     semigroup_polynomial,
     series_on_box,
 )
-from gwsemigroup import verify
+from gwsemigroup import series, verify
 from gwsemigroup.verify import CHECK_NAMES
 
 
@@ -76,6 +76,22 @@ def test_index_independence_catches_a_single_point_fault(monkeypatch, hermitian_
     monkeypatch.setattr(verify, "coeff_p", faulty)
     detail = verify._check_index_independence(hermitian_q3, Box((0, 0), (4, 4)))
     assert detail == "p at (2, 2) depends on the direction: [1, 2]"
+
+
+def test_qp_identity_cross_checks_the_box_engine(monkeypatch, hermitian_q3):
+    # one dim grid cell raised by 1 makes the engine's q disagree with the
+    # per-point p route at that cell
+    original = series._dim_grid
+
+    def faulty(d, lower, upper):
+        values = original(d, lower, upper)
+        cell = Box(lower, upper).points()
+        values[[i for i, a in enumerate(cell) if a == (2, 2)][0]] += 1
+        return values
+
+    monkeypatch.setattr(series, "_dim_grid", faulty)
+    detail = verify._check_qp_identity(hermitian_q3, Box((-4, -4), (6, 6)))
+    assert detail == "q != p - shifted p at (2, 2)"
 
 
 def test_requests_keep_only_the_dimension_memo():
