@@ -76,16 +76,16 @@ def _write_descriptions(directory: Path) -> dict[str, str]:
     # symmetry row is skipped, and several checks fail.
     # h3 with the extra gamma (2, -2), and h3 without (2, 2): both still
     # symmetric, so their verify output holds a failing symmetry row.
-    gammas = json.loads(Path(paths["h3"]).read_text(encoding="utf-8"))["gamma_fundamental"]
+    h3 = json.loads(Path(paths["h3"]).read_text(encoding="utf-8"))
+    gammas = h3["gamma_fundamental"]
     variants = {
         "h3-mutilated": [g for g in gammas if g != [1, 5]],
         "h3-extra-gamma": gammas + [[2, -2]],
         "h3-without-22": [g for g in gammas if g != [2, 2]],
     }
     for key, variant in variants.items():
-        data = json.loads(Path(paths["h3"]).read_text(encoding="utf-8"))
-        data["gamma_fundamental"] = variant
         paths[key] = str(directory / f"{key}.json")
+        data = {**h3, "gamma_fundamental": variant}
         Path(paths[key]).write_text(json.dumps(data), encoding="utf-8")
     return paths
 

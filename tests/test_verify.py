@@ -85,8 +85,7 @@ def test_qp_identity_cross_checks_the_box_engine(monkeypatch, hermitian_q3):
 
     def faulty(d, lower, upper):
         values = original(d, lower, upper)
-        cell = Box(lower, upper).points()
-        values[[i for i, a in enumerate(cell) if a == (2, 2)][0]] += 1
+        values[list(Box(lower, upper).points()).index((2, 2))] += 1
         return values
 
     monkeypatch.setattr(series, "_dim_grid", faulty)
