@@ -76,7 +76,7 @@ def genus0_description(m: int) -> SemigroupDescription:
     return SemigroupDescription(
         m=m,
         genus=0,
-        lattice=Lattice.from_periods((1,) * (m - 1)),
+        lattice=Lattice((1,) * (m - 1)),
         gamma_fundamental=((0,) * m,),
         label=f"genus-0, {m} points",
     )
@@ -143,7 +143,7 @@ def hermitian_description(q: int) -> SemigroupDescription:
     return SemigroupDescription(
         m=2,
         genus=g,
-        lattice=Lattice.from_periods((period,)),
+        lattice=Lattice((period,)),
         gamma_fundamental=tuple(gammas),
         label=f"hermitian q={q} (Qinf,P00)",
     )

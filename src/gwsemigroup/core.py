@@ -12,8 +12,10 @@ amount of data:
   (the last coordinate is unconstrained).
 
 This module holds that data model together with the exact lattice
-arithmetic everything else is built on.  All integers are unbounded
-Python ints; no floating point is used anywhere in the package.
+arithmetic everything else is built on.  A lattice is stored as its periods
+a_i; the JSON form lists the generator rows eta^i, and their period shape is
+checked once, where they are read.  All integers are unbounded Python
+ints; no floating point is used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -138,66 +140,35 @@ class Box:
 class Lattice:
     """Sum-zero lattice spanned by eta^i = a_i * (e_i - e_{i+1}), i = 1..m-1.
 
-    ``generators[i-1]`` is the full m-tuple eta^i.  The positive integer a_i
-    (the i-th period) sits at position i, its negative at position i+1, and
-    every other entry is zero, so each generator has coordinate sum zero.
+    Stored as its positive periods (a_1, ..., a_{m-1}), so m is one more than
+    their count and every generator has the period shape by construction.
+    Generator rows from outside (the JSON form) are checked against that shape
+    in :meth:`SemigroupDescription.from_json_dict`.
     """
 
-    generators: tuple[IntTuple, ...]
+    periods: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        gens = tuple(int_tuple(g, "generator entries") for g in self.generators)
-        if not gens:
-            raise ValueError("a lattice needs at least one generator (m >= 2)")
-        m = len(gens[0])
-        if len(gens) != m - 1:
-            raise ValueError(f"expected {m - 1} generators for m={m}, got {len(gens)}")
-        for i, g in enumerate(gens):
-            if len(g) != m:
-                raise ValueError("generators of mixed lengths")
-            a = g[i]
+        per = int_tuple(self.periods, "periods")
+        if not per:
+            raise ValueError("a lattice needs at least one period (m >= 2)")
+        for i, a in enumerate(per):
             if a <= 0:
                 raise ValueError(f"period a_{i + 1} must be positive, got {a}")
-            expected = tuple(a if j == i else -a if j == i + 1 else 0 for j in range(m))
-            if g != expected:
-                raise ValueError(
-                    f"generator {i + 1} must equal {expected} (period shape), got {g}"
-                )
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "periods", per)
 
     @property
     def m(self) -> int:
-        return len(self.generators[0])
+        return len(self.periods) + 1
 
     @property
-    def periods(self) -> tuple[int, ...]:
-        return tuple(g[i] for i, g in enumerate(self.generators))
-
-    @classmethod
-    def from_periods(cls, periods: Iterable[int]) -> "Lattice":
-        per = int_tuple(periods, "periods")
-        m = len(per) + 1
-        gens = tuple(
+    def generators(self) -> tuple[IntTuple, ...]:
+        """eta^1, ..., eta^{m-1} as full m-tuples: a_i at position i, -a_i at i+1."""
+        m = self.m
+        return tuple(
             tuple(a if j == i else -a if j == i + 1 else 0 for j in range(m))
-            for i, a in enumerate(per)
+            for i, a in enumerate(self.periods)
         )
-        return cls(gens)
-
-    def combination(self, coeffs: Iterable[int]) -> IntTuple:
-        """The lattice element sum_i coeffs_i * eta^i."""
-        ks = list(coeffs)
-        if len(ks) != self.m - 1:
-            raise ValueError("coefficient count must be m-1")
-        v = [0] * self.m
-        for k, g in zip(ks, self.generators):
-            for j, x in enumerate(g):
-                v[j] += k * x
-        return tuple(v)
-
-    def contains(self, v: IntTuple) -> bool:
-        """Whether v lies in the lattice."""
-        rep, _ = canonicalize(self, v)
-        return rep == zeros(self.m) and sum(v) == 0
 
     def in_region(self, alpha: IntTuple) -> bool:
         """Whether alpha lies in the fundamental region C.
@@ -325,7 +296,14 @@ class SemigroupDescription:
             rows = data[key]
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
                 raise ValueError(f"'{key}' must be a list of integer lists")
-        lattice = Lattice(tuple(tuple(g) for g in data["lattice_generators"]))
+        rows = tuple(int_tuple(r, "generator entries") for r in data["lattice_generators"])
+        # The lattice is its periods: a_i is entry i of row i, and the rows
+        # must be exactly the generators eta^i = a_i (e_i - e_{i+1}) they imply.
+        if any(len(r) != len(rows) + 1 for r in rows):
+            raise ValueError(f"expected {len(rows)} generator rows of length {len(rows) + 1}")
+        lattice = Lattice(tuple(r[i] for i, r in enumerate(rows)))
+        if lattice.generators != rows:
+            raise ValueError(f"generators {rows} lack the period shape {lattice.generators}")
         return cls(
             m=data["m"],
             genus=data["genus"],

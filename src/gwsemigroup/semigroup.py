@@ -335,14 +335,6 @@ class TwoPointProfile:
         q, r = divmod(j, self.period)
         return self.table[r] - q * self.period
 
-    def sigma1(self, t: int) -> int:
-        """Least s with (s, t) in the semigroup: the inverse staircase."""
-        a = self.period
-        for r, val in enumerate(self.table):
-            if (val - t) % a == 0:
-                return ((val - t) // a) * a + r
-        raise AssertionError("unreachable: residues cover Z/period")
-
     def maximal_elements(self, j_lo: int, j_hi: int) -> list[IntTuple]:
         return [(j, self.sigma2(j)) for j in range(j_lo, j_hi + 1)]
 
@@ -351,9 +343,9 @@ def two_point_profile(d: SemigroupDescription) -> TwoPointProfile:
     """Compute the staircase profile of a two-point description.
 
     Scans upward from the smallest conceivable partner (-j, since member sums
-    are nonnegative); membership is guaranteed once the sum reaches 2g.  The
-    inverse relation sigma1(sigma2(j)) == j is verified by an independent
-    scan and a failure marks the description as inconsistent.
+    are nonnegative); membership is guaranteed once the sum reaches 2g.  A
+    second scan runs along each row t = table[j] from s = -t and must meet its
+    first member at s = j; a failure marks the description as inconsistent.
     """
     if d.m != 2:
         raise ValueError("profiles are defined for two-point descriptions only")

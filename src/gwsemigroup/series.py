@@ -26,7 +26,7 @@ one lattice translate contributes to each monomial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from operator import sub
@@ -170,10 +170,10 @@ class BoxSeries:
 
     box: Box
     kind: str
-    coeffs: dict = field(compare=False)
+    coeffs: dict
 
     def __post_init__(self) -> None:
-        if self.kind not in ("L", "Q", "P", "custom"):
+        if self.kind not in ("L", "Q", "P"):
             raise ValueError(f"unknown series kind {self.kind!r}")
         missing = [p for p in self.box.points() if p not in self.coeffs]
         if missing:
@@ -185,14 +185,6 @@ class BoxSeries:
     def __getitem__(self, alpha: IntTuple) -> int:
         return self.coeffs[alpha]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BoxSeries)
-            and self.box == other.box
-            and self.kind == other.kind
-            and self.coeffs == other.coeffs
-        )
-
     def support(self) -> list[IntTuple]:
         return sorted(a for a, c in self.coeffs.items() if c != 0)
 
@@ -202,13 +194,6 @@ class BoxSeries:
             "kind": self.kind,
             "coeffs": [[list(a), self.coeffs[a]] for a in self.support()],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BoxSeries":
-        box = Box(tuple(data["box"]["lower"]), tuple(data["box"]["upper"]))
-        sparse = {tuple(a): int(c) for a, c in data["coeffs"]}
-        coeffs = {p: sparse.get(p, 0) for p in box.points()}
-        return cls(box=box, kind=data["kind"], coeffs=coeffs)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -266,10 +251,7 @@ class SemigroupPolynomial:
     absolute maximal element carries coefficient 1.
     """
 
-    terms: dict = field(compare=False)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SemigroupPolynomial) and self.terms == other.terms
+    terms: dict
 
     def __getitem__(self, alpha: IntTuple) -> int:
         return self.terms.get(alpha, 0)

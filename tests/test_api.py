@@ -4,6 +4,7 @@ A name removed from a module but left in an ``__all__`` list (or re-exported
 from ``gwsemigroup``) fails here instead of at a user's import.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -43,3 +44,19 @@ def test_removed_names_stay_gone():
     for module in (gwsemigroup, semigroup):
         assert not hasattr(module, "nabla_im_empty")
     assert list(inspect.signature(series.coeff_p).parameters) == ["d", "alpha"]
+
+
+def test_lattice_is_its_periods_and_test_only_api_is_gone():
+    from gwsemigroup.core import Lattice
+    from gwsemigroup.semigroup import TwoPointProfile
+    from gwsemigroup.series import BoxSeries
+
+    assert [f.name for f in dataclasses.fields(Lattice)] == ["periods"]
+    for cls, attr in [
+        (Lattice, "from_periods"),
+        (Lattice, "combination"),
+        (Lattice, "contains"),
+        (BoxSeries, "from_json_dict"),
+        (TwoPointProfile, "sigma1"),
+    ]:
+        assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"

@@ -45,7 +45,7 @@ def _random_description(rng: random.Random) -> SemigroupDescription:
     for _ in range(rng.randint(0, 4)):
         head = [rng.randrange(a) for a in periods]
         gammas.add((*head, rng.randint(0, bound) - sum(head)))
-    return SemigroupDescription(m, genus, Lattice.from_periods(periods), tuple(gammas))
+    return SemigroupDescription(m, genus, Lattice(periods), tuple(gammas))
 
 
 def _random_box(rng: random.Random, m: int) -> Box:

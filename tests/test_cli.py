@@ -127,6 +127,14 @@ def test_query_usage_errors(capsys, q3_file, tmp_path):
     assert code == 2
 
 
+def test_query_rejects_generators_without_period_shape(capsys, q3_file, tmp_path):
+    data = json.loads(Path(q3_file).read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**data, "lattice_generators": [[4, -3]]}), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["query", "dim", "0,0", "--desc", str(bad)])
+    assert code == 2 and err.startswith("error: cannot load description")
+
+
 # ---------------------------------------------------------------------------
 # series
 

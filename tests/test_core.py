@@ -54,23 +54,29 @@ def test_box_rejects_bad_bounds():
 # ---------------------------------------------------------------------------
 # lattices, fundamental regions, canonical representatives
 
+def _combination(lat, coeffs):
+    """The lattice element sum_i coeffs_i * eta^i."""
+    v = zeros(lat.m)
+    for k, eta in zip(coeffs, lat.generators, strict=True):
+        v = tadd(v, tuple(k * x for x in eta))
+    return v
+
+
 def test_lattice_shape_validation():
-    lat = Lattice(((4, -4),))
-    assert lat.m == 2 and lat.periods == (4,)
-    with pytest.raises(ValueError):
-        Lattice(((4, -3),))
-    with pytest.raises(ValueError):
-        Lattice(((0, 0),))
-    with pytest.raises(ValueError):
-        Lattice(((4, -4, 0),))  # one generator cannot span m=3
-    lat3 = Lattice.from_periods((2, 5))
+    assert Lattice((4,)).m == 2
+    lat3 = Lattice((2, 5))
+    assert lat3.m == 3 and lat3.periods == (2, 5)
     assert lat3.generators == ((2, -2, 0), (0, 5, -5))
-    assert lat3.combination((1, -1)) == (2, -7, 5)
-    assert lat3.contains((2, -7, 5)) and not lat3.contains((1, -1, 0))
+    assert _combination(lat3, (1, -1)) == (2, -7, 5)
+    assert canonicalize(lat3, (2, -7, 5)) == ((0, 0, 0), (1, -1))
+    assert canonicalize(lat3, (1, -1, 0))[0] != (0, 0, 0)
+    for periods in [(), (0,), (4, -4)]:
+        with pytest.raises(ValueError):
+            Lattice(periods)
 
 
 def test_region_membership_and_slab():
-    lat = Lattice.from_periods((4,))
+    lat = Lattice((4,))
     assert lat.in_region((0, -7)) and lat.in_region((3, 99))
     assert not lat.in_region((4, 0)) and not lat.in_region((-1, 0))
     slab = list(lat.sum_slab(0, 2))
@@ -81,16 +87,16 @@ def test_region_membership_and_slab():
 
 
 def test_canonicalize_examples():
-    herm = Lattice.from_periods((4,))
+    herm = Lattice((4,))
     assert canonicalize(herm, (5, 1)) == ((1, 5), (1,))
     assert canonicalize(herm, (0, 0)) == ((0, 0), (0,))
-    g03 = Lattice.from_periods((1, 1))
+    g03 = Lattice((1, 1))
     assert canonicalize(g03, (2, -1, 0)) == ((0, 0, 1), (2, 1))
 
 
 lattices = st.integers(2, 4).flatmap(
     lambda m: st.tuples(*([st.integers(1, 6)] * (m - 1)))
-).map(Lattice.from_periods)
+).map(Lattice)
 
 
 @given(lattices, st.data())
@@ -101,7 +107,7 @@ def test_canonicalize_roundtrip(lat, data):
     )
     rep, coeffs = canonicalize(lat, alpha)
     assert lat.in_region(rep)
-    assert tadd(rep, lat.combination(coeffs)) == alpha
+    assert tadd(rep, _combination(lat, coeffs)) == alpha
 
 
 @given(lattices, st.data())
@@ -119,7 +125,7 @@ def test_canonicalize_generator_shift_increments_coefficient(lat, data):
 # descriptions: construction, serialization, validation
 
 def test_description_structural_errors():
-    lat = Lattice.from_periods((4,))
+    lat = Lattice((4,))
     with pytest.raises(ValueError):  # zero tuple missing
         SemigroupDescription(2, 3, lat, ((1, 5),))
     with pytest.raises(ValueError):  # outside the fundamental region
@@ -133,15 +139,14 @@ def test_description_structural_errors():
 
 
 def test_constructors_reject_non_integers():
-    lat = Lattice.from_periods((2,))
+    lat = Lattice((2,))
     for bad in [
         lambda: Box((0.5, 0), (1, 1)),
         lambda: Box((0, 0), (1, True)),
         lambda: Box(("0", 0), (1, 1)),
-        lambda: Lattice(((2.0, -2),)),
-        lambda: Lattice(((True, -1),)),
-        lambda: Lattice.from_periods((1.5,)),
-        lambda: Lattice.from_periods((True,)),
+        lambda: Lattice((2.0,)),
+        lambda: Lattice((True,)),
+        lambda: Lattice((1.5,)),
         lambda: SemigroupDescription(2, 1.5, lat, ((0, 0), (1, 0))),
         lambda: SemigroupDescription(2, True, lat, ((0, 0),)),
         lambda: SemigroupDescription(2.0, 1, lat, ((0, 0),)),
@@ -152,7 +157,7 @@ def test_constructors_reject_non_integers():
             bad()
     # lists of ints are accepted and stored as tuples
     assert Box([0, -1], [2, 3]) == Box((0, -1), (2, 3))
-    assert Lattice([[2, -2]]) == lat == Lattice.from_periods([2])
+    assert Lattice([2]) == lat
     d = SemigroupDescription(2, 1, lat, [[0, 0], [1, 0]])
     assert d.gamma_fundamental == ((0, 0), (1, 0))
 
@@ -183,6 +188,15 @@ def test_description_schema_validation(tmp_path):
         {**good, "genus": True},
         {**good, "gamma_fundamental": [[0, 0], "x"]},
         {**good, "lattice_generators": [[4.0, -4]]},
+        # rows that lack the period shape eta^i = a_i (e_i - e_{i+1})
+        {**good, "lattice_generators": [[4, -3]]},
+        {**good, "lattice_generators": [[0, 0]]},
+        {**good, "lattice_generators": [[-4, 4]]},
+        {**good, "lattice_generators": []},
+        {**good, "lattice_generators": [[]]},
+        {**good, "lattice_generators": [[True, -1]]},
+        {**good, "m": 3, "lattice_generators": [[4, -4, 0]]},
+        {**good, "m": 3, "lattice_generators": [[1, -1, 0], [0, 1]]},
     ]:
         with pytest.raises(ValueError):
             SemigroupDescription.from_json_dict(broken)
@@ -258,7 +272,7 @@ def test_validate_mutant_violation_lists(hermitian_q3, genus0_m3):
     ]
     extra = _replace_gammas(genus0_m3, [*genus0_m3.gamma_fundamental, (0, 0, 1)])
     assert validate_description(extra) == ["(a) listed gamma (0, 0, 1) is not absolute maximal"]
-    period2 = SemigroupDescription(3, 1, Lattice.from_periods((2, 1)), ((0, 0, 0), (1, 0, 1)))
+    period2 = SemigroupDescription(3, 1, Lattice((2, 1)), ((0, 0, 0), (1, 0, 1)))
     assert validate_description(period2) == [
         "(a) listed gamma (1, 0, 1) is not absolute maximal",
         "(c) dim((0, 0, 1)) = 2, Riemann-Roch predicts 1",

@@ -1,6 +1,7 @@
 """CLI outputs compared byte for byte with files recorded under tests/golden/.
 
-Each case runs ``cli.main`` on fixture descriptions written by ``gen``.
+Each case runs ``cli.main`` on fixture descriptions written by ``gen``; the
+``gen`` cases themselves take no description.
 ``PYTHONPATH=src python tests/test_golden.py`` records every case whose file
 does not exist yet and lists the files it skipped; to record a file again
 (only when an output change is intended), delete it first.
@@ -33,8 +34,11 @@ BOXES = {
 
 
 def _cases():
-    # (golden file name, description key, argv without --desc)
-    cases = []
+    # (golden file name, description key or None, argv without --desc)
+    cases = [
+        ("gen-hermitian-q3.json", None, ["gen", *DESCRIPTIONS["h3"]]),
+        ("gen-genus0-m4.json", None, ["gen", *DESCRIPTIONS["g4"]]),
+    ]
     for key, box in BOXES.items():
         for kind in ("L", "Q", "P"):
             for fmt in ("json", "text"):
@@ -90,10 +94,12 @@ def _write_descriptions(directory: Path) -> dict[str, str]:
     return paths
 
 
-def _run(argv: list[str], desc: str) -> str:
+def _run(argv: list[str], desc: str | None) -> str:
+    if desc is not None:
+        argv = [*argv, "--desc", desc]
     buf = StringIO()
     with redirect_stdout(buf):
-        code = main([*argv, "--desc", desc])
+        code = main(argv)
     return f"exit {code}\n" + buf.getvalue()
 
 
@@ -104,7 +110,7 @@ def paths(tmp_path_factory):
 
 @pytest.mark.parametrize("name,key,argv", CASES, ids=[name for name, _, _ in CASES])
 def test_cli_output_matches_golden(paths, name, key, argv):
-    assert _run(argv, paths[key]) == (GOLDEN / name).read_text(encoding="utf-8")
+    assert _run(argv, paths.get(key)) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -116,5 +122,5 @@ if __name__ == "__main__":
             if target.exists():
                 print(f"skipped {name}: exists")
                 continue
-            target.write_text(_run(argv, recorded[key]), encoding="utf-8")
+            target.write_text(_run(argv, recorded.get(key)), encoding="utf-8")
             print(f"recorded {name}")
