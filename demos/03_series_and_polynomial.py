@@ -25,15 +25,15 @@ box = Box((-4, -4), (6, 6))
 
 for kind in ("L", "Q", "P"):
     series = series_on_box(d, kind, box)
-    support = series.support()
-    print(f"{kind} on {box.lower}..{box.upper}: {len(support)} nonzero coefficients")
+    terms = series.terms()
+    print(f"{kind} on {box.lower}..{box.upper}: {len(terms)} nonzero coefficients")
     if kind != "L":
-        for alpha in support[:6]:
-            print(f"   {series[alpha]:+d} at {alpha}")
+        for alpha, c in terms[:6]:
+            print(f"   {c:+d} at {alpha}")
 print()
 
 poly = semigroup_polynomial(d)
-print("semigroup polynomial (q=3):", poly.sorted_terms())
+print("semigroup polynomial (q=3):", list(poly.items()))
 print("  reconstructs P on the window:", check_reconstruction(d, Box((-8, -8), (9, 10))))
 print("  Q agrees with the shifted difference of P:", check_qp_identity(d, Box((-6, -6), (6, 6))))
 print()
@@ -42,6 +42,6 @@ print()
 # maximal-but-not-absolute-maximal elements enter with signs.
 d3 = genus0_description(3)
 poly3 = semigroup_polynomial(d3)
-print("semigroup polynomial (genus 0, three points):", poly3.sorted_terms())
+print("semigroup polynomial (genus 0, three points):", list(poly3.items()))
 print("  reconstructs P:", check_reconstruction(d3, Box((-3,) * 3, (3,) * 3)))
 print("  Q identity:", check_qp_identity(d3, Box((-4,) * 3, (4,) * 3)))

@@ -49,7 +49,6 @@ from .semigroup import (
 )
 from .series import (
     BoxSeries,
-    SemigroupPolynomial,
     SymmetryReport,
     check_qp_identity,
     check_reconstruction,
@@ -72,7 +71,6 @@ __all__ = [
     "IntTuple",
     "Lattice",
     "SemigroupDescription",
-    "SemigroupPolynomial",
     "SymmetryReport",
     "TwoPointProfile",
     "absolute_maximals_below",

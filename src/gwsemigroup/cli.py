@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from .backends import genus0_description, hermitian_description
-from .core import Box, SemigroupDescription, load_description
+from .core import Box, IntTuple, SemigroupDescription, load_description
 from .plotting import render_membership_svg
 from .semigroup import (
     dimension,
@@ -152,17 +153,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _terms_text(pairs: Iterable[tuple[IntTuple, int]]) -> str:
+    """One 'coefficient @ (point)' line per (point, coefficient) pair; '0' for none."""
+    body = "\n".join(f"{c} @ (" + ",".join(str(x) for x in a) + ")" for a, c in pairs)
+    return body + "\n" if body else "0\n"
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
     d = _load(args.desc)
     if args.kind == "polynomial":
         poly = semigroup_polynomial(d)
         if args.format == "text":
-            body = "\n".join(
-                f"{c} @ (" + ",".join(str(x) for x in a) + ")" for a, c in poly.sorted_terms()
-            )
-            text = body + "\n" if body else "0\n"
+            text = _terms_text(poly.items())
         else:
-            text = json.dumps(poly.to_json_dict(), sort_keys=True, indent=2) + "\n"
+            payload = {"kind": "polynomial", "terms": [[list(a), c] for a, c in poly.items()]}
+            text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         _write_output(text, args.out)
         return EXIT_OK
     if args.box is None:
@@ -172,13 +177,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise UsageError(f"box dimension {box.dim} disagrees with description m={d.m}")
     _enforce_cap(box, args.cap)
     bs = series_on_box(d, args.kind, box)
-    if args.format == "text":
-        body = "\n".join(
-            f"{bs.coeffs[a]} @ (" + ",".join(str(x) for x in a) + ")" for a in bs.support()
-        )
-        text = body + "\n" if body else "0\n"
-    else:
-        text = bs.dumps()
+    text = _terms_text(bs.terms()) if args.format == "text" else bs.dumps()
     _write_output(text, args.out)
     return EXIT_OK
 
@@ -277,8 +276,9 @@ _VALUE_FLAGS = {"--box", "--out", "--desc", "--q", "--m", "--cap", "--format"}
 
 
 def _merge_flag_values(argv: list[str]) -> list[str]:
-    # Glue '--box -8..9,...' into '--box=-8..9,...' so argparse does not read
-    # a leading minus sign as a new option.
+    # Glue '--box -8..9,...' into '--box=-8..9,...' and wrap a bare tuple
+    # '-1,5' as '(-1,5)', so argparse does not read a leading minus sign as
+    # a new option.
     out: list[str] = []
     i = 0
     while i < len(argv):
@@ -287,7 +287,7 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
             out.append(f"{arg}={argv[i + 1]}")
             i += 2
         else:
-            out.append(arg)
+            out.append(f"({arg})" if arg[:1] == "-" and arg[1:2].isdigit() else arg)
             i += 1
     return out
 

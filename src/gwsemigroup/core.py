@@ -37,6 +37,7 @@ __all__ = [
     "tadd",
     "tsub",
     "ceildiv",
+    "spread_sample",
     "Box",
     "Lattice",
     "canonicalize",
@@ -54,9 +55,12 @@ def int_tuple(values: Iterable[int], what: str = "entries") -> IntTuple:
     """The values as a tuple; ValueError unless every entry is an int.
 
     Bools, floats and strings are rejected instead of coerced, so ``True`` or
-    ``1.5`` cannot silently become 1.
+    ``1.5`` cannot silently become 1, and a non-iterable is a ValueError too.
     """
-    t = tuple(values)
+    try:
+        t = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence of integers, got {values!r}") from None
     for x in t:
         if type(x) is not int:
             raise ValueError(f"{what} must be integers, got {x!r}")
@@ -89,6 +93,13 @@ def tsub(a: IntTuple, b: IntTuple) -> IntTuple:
 def ceildiv(a: int, b: int) -> int:
     """Ceiling division for a positive divisor."""
     return -((-a) // b)
+
+
+def spread_sample(items: list, cap: int) -> list:
+    """All items if there are at most cap, else every (n // cap + 1)-th from the first."""
+    if len(items) <= cap:
+        return items
+    return items[:: len(items) // cap + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +256,17 @@ class SemigroupDescription:
             raise ValueError("m must be at least 2")
         if self.genus < 0:
             raise ValueError("genus must be nonnegative")
+        if not isinstance(self.lattice, Lattice):
+            raise ValueError(f"lattice must be a Lattice, got {self.lattice!r}")
+        if not isinstance(self.label, str):
+            raise ValueError("'label' must be a string")
         if self.lattice.m != self.m:
             raise ValueError("lattice dimension disagrees with m")
-        gammas = tuple(sorted({int_tuple(g, "gamma entries") for g in self.gamma_fundamental}))
+        try:
+            listed = {int_tuple(g, "gamma entries") for g in self.gamma_fundamental}
+        except TypeError:
+            raise ValueError("gamma_fundamental must be a sequence of integer tuples") from None
+        gammas = tuple(sorted(listed))
         bound = self.maximal_sum_bound
         for g in gammas:
             if len(g) != self.m:
@@ -290,8 +309,6 @@ class SemigroupDescription:
         missing = required - set(data)
         if missing:
             raise ValueError(f"description JSON missing keys: {sorted(missing)}")
-        if not isinstance(data["label"], str):
-            raise ValueError("'label' must be a string")
         for key in ("lattice_generators", "gamma_fundamental"):
             rows = data[key]
             if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -331,19 +348,6 @@ def save_description(d: SemigroupDescription, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # semantic validation
 
-def _rr_sample_prefixes(periods: tuple[int, ...], cap: int = 512) -> list[tuple[int, ...]]:
-    # Cover every pattern of constrained coordinates so that a dropped
-    # fundamental class cannot hide from the Riemann-Roch probe.
-    total = 1
-    for a in periods:
-        total *= a
-    prefixes = list(product(*(range(a) for a in periods)))
-    if total <= cap:
-        return prefixes
-    step = total // cap + 1
-    return prefixes[::step]
-
-
 def validate_description(d: SemigroupDescription) -> list[str]:
     """Self-consistency gate; returns human-readable violations (empty = valid).
 
@@ -372,7 +376,9 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     ]
 
     g2 = 2 * d.genus - 1
-    prefixes = _rr_sample_prefixes(d.lattice.periods)
+    # Cover every pattern of constrained coordinates so that a dropped
+    # fundamental class cannot hide from the Riemann-Roch probe.
+    prefixes = spread_sample(list(product(*(range(a) for a in d.lattice.periods))), 512)
     for s in (g2, g2 + 1, g2 + 5):
         for prefix in prefixes:
             alpha = prefix + (s - sum(prefix),)

@@ -14,13 +14,15 @@ flat ``dim`` grid (:func:`_dim_grid`) on the box grown below by one layer
 (two for Q), reads L as the grid minus its diagonal shift, and applies
 ``prod_i (1 - shift_i)`` as m axis passes (:func:`_axis_differences`), each
 a slice difference that drops the first layer along its axis.  So a box
-request costs one ``dimension`` call per grid cell instead of 2^m per point.
-Infinite formal series
+request costs one ``dimension`` call per grid cell instead of 2^m per point,
+and the flat table, in ``Box.points()`` order, is the result: a
+:class:`BoxSeries` holds it as ``values``.  Infinite formal series
 cannot be multiplied in general, so every identity here is checked
 coefficientwise on finite boxes -- which is exactly what the identities
 assert.  The same reasoning turns the lattice-sum factorization of P into a
 fundamental-region lookup: translates of the region tile Z^m, so exactly
-one lattice translate contributes to each monomial.
+one lattice translate contributes to each monomial, and the semigroup
+polynomial is a plain dict from those region points to their coefficients.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ __all__ = [
     "BoxSeries",
     "series_on_box",
     "check_qp_identity",
-    "SemigroupPolynomial",
     "semigroup_polynomial",
     "check_reconstruction",
     "SymmetryReport",
@@ -162,37 +163,32 @@ def _axis_differences(values: list[int], shape: IntTuple) -> tuple[list[int], In
 
 @dataclass(frozen=True)
 class BoxSeries:
-    """Total integer coefficient map over a finite box.
+    """Every coefficient of one series on a finite box: the engine's table.
 
-    ``coeffs`` carries every box point explicitly (zeros included); the JSON
-    form drops zeros and sorts keys so serialization is canonical.
+    ``values`` lists the coefficients in ``box.points()`` order, zeros
+    included; the JSON form keeps the nonzero :meth:`terms`, which come out
+    in lexicographic order because the points do.
     """
 
     box: Box
     kind: str
-    coeffs: dict
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.kind not in ("L", "Q", "P"):
             raise ValueError(f"unknown series kind {self.kind!r}")
-        missing = [p for p in self.box.points() if p not in self.coeffs]
-        if missing:
-            raise ValueError(f"coefficient map not total on the box: missing {missing[0]}")
-        stray = [k for k in self.coeffs if k not in self.box]
-        if stray:
-            raise ValueError(f"coefficient key outside the box: {stray[0]}")
+        if len(self.values) != self.box.point_count():
+            raise ValueError(f"{len(self.values)} values for {self.box.point_count()} box points")
 
-    def __getitem__(self, alpha: IntTuple) -> int:
-        return self.coeffs[alpha]
-
-    def support(self) -> list[IntTuple]:
-        return sorted(a for a, c in self.coeffs.items() if c != 0)
+    def terms(self) -> list[tuple[IntTuple, int]]:
+        """The nonzero (point, coefficient) pairs, in lexicographic order."""
+        return [(a, c) for a, c in zip(self.box.points(), self.values) if c != 0]
 
     def to_json_dict(self) -> dict:
         return {
             "box": {"lower": list(self.box.lower), "upper": list(self.box.upper)},
             "kind": self.kind,
-            "coeffs": [[list(a), self.coeffs[a]] for a in self.support()],
+            "coeffs": [[list(a), c] for a, c in self.terms()],
         }
 
     def dumps(self) -> str:
@@ -217,7 +213,7 @@ def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
         values, shape = _diagonal_difference(values, shape)
     if kind != "L":
         values, shape = _axis_differences(values, shape)
-    return BoxSeries(box=box, kind=kind, coeffs=dict(zip(box.points(), values)))
+    return BoxSeries(box=box, kind=kind, values=tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +226,8 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
     against the independent per-point route.
     """
     q = series_on_box(d, "Q", box)
-    for alpha in box.points():
-        if q[alpha] != coeff_p(d, alpha) - coeff_p(d, tsub(alpha, ones(d.m))):
+    for alpha, value in zip(box.points(), q.values):
+        if value != coeff_p(d, alpha) - coeff_p(d, tsub(alpha, ones(d.m))):
             yield alpha
 
 
@@ -243,39 +239,19 @@ def check_qp_identity(d: SemigroupDescription, box: Box) -> bool:
 # ---------------------------------------------------------------------------
 # the semigroup polynomial and reconstruction
 
-@dataclass(frozen=True)
-class SemigroupPolynomial:
-    """Finitely supported part of P: its coefficients on the fundamental region.
+def semigroup_polynomial(d: SemigroupDescription) -> dict[IntTuple, int]:
+    """Finitely supported part of P: its nonzero coefficients on the fundamental region.
 
-    Terms are indexed by the maximal elements inside the region; every
-    absolute maximal element carries coefficient 1.
+    Keyed by the maximal elements inside the region, in lexicographic order;
+    every absolute maximal element carries coefficient 1.
     """
-
-    terms: dict
-
-    def __getitem__(self, alpha: IntTuple) -> int:
-        return self.terms.get(alpha, 0)
-
-    def sorted_terms(self) -> list[tuple[IntTuple, int]]:
-        return sorted(self.terms.items())
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "polynomial", "terms": [[list(a), c] for a, c in self.sorted_terms()]}
-
-
-def semigroup_polynomial(d: SemigroupDescription) -> SemigroupPolynomial:
-    """Poincare coefficients on the fundamental-region maximal elements."""
     maxima, _ = fundamental_maximals(d)
-    terms = {}
-    for alpha in maxima:
-        c = coeff_p(d, alpha)
-        if c != 0:
-            terms[alpha] = c
-    return SemigroupPolynomial(terms=terms)
+    coeffs = {alpha: coeff_p(d, alpha) for alpha in maxima}
+    return {alpha: c for alpha, c in coeffs.items() if c != 0}
 
 
 def reconstruction_violations(
-    d: SemigroupDescription, box: Box, poly: SemigroupPolynomial | None = None
+    d: SemigroupDescription, box: Box, poly: dict[IntTuple, int] | None = None
 ) -> Iterator[IntTuple]:
     """Points where the region-representative lookup disagrees with coeff_p.
 
@@ -286,12 +262,12 @@ def reconstruction_violations(
         poly = semigroup_polynomial(d)
     for alpha in box.points():
         rep, _ = canonicalize(d.lattice, alpha)
-        if coeff_p(d, alpha) != poly[rep]:
+        if coeff_p(d, alpha) != poly.get(rep, 0):
             yield alpha
 
 
 def check_reconstruction(
-    d: SemigroupDescription, box: Box, poly: SemigroupPolynomial | None = None
+    d: SemigroupDescription, box: Box, poly: dict[IntTuple, int] | None = None
 ) -> bool:
     return next(reconstruction_violations(d, box, poly), None) is None
 

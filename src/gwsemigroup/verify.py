@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Box, IntTuple, SemigroupDescription, tadd, validate_description
+from .core import (
+    Box,
+    IntTuple,
+    SemigroupDescription,
+    spread_sample,
+    tadd,
+    validate_description,
+)
 from .semigroup import (
     absolute_maximals_below,
     dimension,
@@ -47,14 +54,6 @@ class CheckResult:
 
 class _Skipped(Exception):
     """Raised by a check that does not apply; the message is the reason."""
-
-
-def _sample_points(box: Box, cap: int = 400) -> list:
-    pts = list(box.points())
-    if len(pts) <= cap:
-        return pts
-    step = len(pts) // cap + 1
-    return pts[::step]
 
 
 def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | None:
@@ -100,7 +99,7 @@ def _p_from_direction(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:
 
 
 def _check_index_independence(d: SemigroupDescription, box: Box) -> str | None:
-    for alpha in _sample_points(box):
+    for alpha in spread_sample(list(box.points()), 400):
         vals = {coeff_p(d, alpha)} | {_p_from_direction(d, alpha, i) for i in range(1, d.m + 1)}
         if len(vals) != 1:
             return f"p at {alpha} depends on the direction: {sorted(vals)}"
@@ -128,7 +127,7 @@ def _check_reconstruction(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
-    for alpha in _sample_points(box, cap=150):
+    for alpha in spread_sample(list(box.points()), 150):
         for eta in d.lattice.generators:
             shifted = tadd(alpha, eta)
             if is_member(d, alpha) != is_member(d, shifted):

@@ -9,6 +9,8 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import gwsemigroup
 
 
@@ -60,3 +62,20 @@ def test_lattice_is_its_periods_and_test_only_api_is_gone():
         (TwoPointProfile, "sigma1"),
     ]:
         assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
+
+
+def test_series_results_are_the_engine_table():
+    from gwsemigroup import series
+    from gwsemigroup.core import Box
+    from gwsemigroup.series import BoxSeries
+
+    for module in (gwsemigroup, series):
+        assert not hasattr(module, "SemigroupPolynomial")
+    for attr in ("coeffs", "support", "__getitem__"):
+        assert not hasattr(BoxSeries, attr), f"BoxSeries.{attr}"
+    assert [f.name for f in dataclasses.fields(BoxSeries)] == ["box", "kind", "values"]
+    box = Box((0, 0), (1, 2))
+    assert BoxSeries(box=box, kind="P", values=(0,) * 6).terms() == []
+    for kind, values in [("P", (0,) * 5), ("P", (0,) * 7), ("X", (0,) * 6)]:
+        with pytest.raises(ValueError):
+            BoxSeries(box=box, kind=kind, values=values)

@@ -107,6 +107,15 @@ def test_query_text(capsys, q3_file):
     assert run_cli(capsys, ["query", "absmaximal", "(2,2)", "--desc", q3_file])[:2] == (0, "true\n")
 
 
+def test_query_negative_first_coordinate(capsys, q3_file):
+    # a bare tuple with a leading minus sign is the point, not an option
+    assert run_cli(capsys, ["query", "dim", "-1,5", "--desc", q3_file])[:2] == (0, "2\n")
+    assert run_cli(capsys, ["query", "dim", "--desc", q3_file, "-1,5"])[:2] == (0, "2\n")
+    assert run_cli(capsys, ["query", "member", "-4,4", "--desc", q3_file])[:2] == (0, "true\n")
+    code, _, err = run_cli(capsys, ["query", "dim", "-1,x", "--desc", q3_file])
+    assert code == 2 and "cannot parse tuple" in err
+
+
 def test_query_json(capsys, q3_file):
     code, out, _ = run_cli(capsys, ["query", "dim", "2,2", "--desc", q3_file, "--format", "json"])
     assert code == 0

@@ -11,11 +11,24 @@ from gwsemigroup.core import (
     canonicalize,
     load_description,
     save_description,
+    spread_sample,
     tadd,
     unit,
     validate_description,
     zeros,
 )
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+def test_spread_sample_keeps_every_step_th_item():
+    # the rule verify and the Riemann-Roch probe share: all items up to the
+    # cap, else every (n // cap + 1)-th one from the first
+    assert spread_sample([1, 2, 3], 3) == [1, 2, 3]
+    assert spread_sample(list(range(10)), 3) == [0, 4, 8]
+    assert spread_sample(list(range(800)), 400) == list(range(0, 800, 3))
+    assert len(spread_sample(list(range(12996)), 400)) == 394
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +165,13 @@ def test_constructors_reject_non_integers():
         lambda: SemigroupDescription(2.0, 1, lat, ((0, 0),)),
         lambda: SemigroupDescription(2, 1, lat, ((0, 0), (1.2, 0))),
         lambda: SemigroupDescription(2, 1, lat, ((0, 0), (1, False))),
+        lambda: Lattice(4),
+        lambda: Box(5, 6),
+        lambda: Box((0, 0), None),
+        lambda: SemigroupDescription(2, 0, (1,), ((0, 0),)),
+        lambda: SemigroupDescription(2, 0, None, ((0, 0),)),
+        lambda: SemigroupDescription(2, 0, lat, 7),
+        lambda: SemigroupDescription(2, 0, lat, ((0, 0),), label=5),
     ]:
         with pytest.raises(ValueError):
             bad()
