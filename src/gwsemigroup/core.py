@@ -30,14 +30,7 @@ IntTuple = tuple[int, ...]
 
 __all__ = [
     "IntTuple",
-    "int_tuple",
     "unit",
-    "ones",
-    "zeros",
-    "tadd",
-    "tsub",
-    "ceildiv",
-    "spread_sample",
     "Box",
     "Lattice",
     "canonicalize",
@@ -69,8 +62,8 @@ def int_tuple(values: Iterable[int], what: str = "entries") -> IntTuple:
 
 def unit(m: int, i: int) -> IntTuple:
     """Standard basis vector e_i (1-based)."""
-    if not 1 <= i <= m:
-        raise ValueError(f"index {i} outside 1..{m}")
+    if type(i) is not int or not 1 <= i <= m:
+        raise ValueError(f"index {i!r} is not an integer in 1..{m}")
     return (0,) * (i - 1) + (1,) + (0,) * (m - i)
 
 
@@ -142,6 +135,12 @@ class Box:
     def points(self) -> Iterator[IntTuple]:
         """All box points in lexicographic order (deterministic)."""
         return product(*(range(l, u + 1) for l, u in zip(self.lower, self.upper)))
+
+
+def require_box_dim(box: Box, m: int) -> None:
+    """ValueError unless the box has the description's m coordinates."""
+    if box.dim != m:
+        raise ValueError("box dimension disagrees with description")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,9 @@ class SemigroupDescription:
     label: str = ""
     # The one memo: _caches["dim"] maps alpha to semigroup.dimension(alpha).
     # Box workloads and repeated point queries revisit the same alphas.
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
+    _caches: dict = field(
+        default_factory=lambda: {"dim": {}}, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         int_tuple((self.m, self.genus), "m and genus")

@@ -34,6 +34,8 @@ from .core import (
     IntTuple,
     SemigroupDescription,
     ceildiv,
+    require_box_dim,
+    int_tuple,
     ones,
     tsub,
     unit,
@@ -125,7 +127,7 @@ def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
     """
     if len(alpha) != d.m:
         raise ValueError(f"tuple of length {len(alpha)}, description has m={d.m}")
-    cache = d._caches.setdefault("dim", {})
+    cache = d._caches["dim"]
     hit = cache.get(alpha)
     if hit is not None:
         return hit
@@ -196,8 +198,8 @@ def nabla_im_set(d: SemigroupDescription, alpha: IntTuple, i: int) -> set[IntTup
     Empty exactly when ``dimension_jump(d, alpha, i) == 0``; the two routes
     are compared in tests.
     """
-    if not 1 <= i <= d.m:
-        raise ValueError(f"coordinate index {i} outside 1..{d.m}")
+    if type(i) is not int or not 1 <= i <= d.m:
+        raise ValueError(f"coordinate index {i!r} is not an integer in 1..{d.m}")
     return _capped_members(d, list(alpha), {i - 1})
 
 
@@ -206,7 +208,7 @@ def nabla_set(d: SemigroupDescription, alpha: IntTuple, J: Iterable[int]) -> set
 
     J must be a nonempty proper subset of {1..m}.
     """
-    Js = frozenset(J)
+    Js = frozenset(int_tuple(J, "J"))
     m = d.m
     if not Js or not Js < frozenset(range(1, m + 1)):
         raise ValueError(f"J must be a nonempty proper subset of 1..{m}, got {sorted(Js)}")
@@ -274,8 +276,7 @@ def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:
     :func:`dimension`; equality with the direct membership scan is a
     verification-suite check, not an assumption here.
     """
-    if box.dim != d.m:
-        raise ValueError("box dimension disagrees with description")
+    require_box_dim(box, d.m)
     lower, upper = box.lower, box.upper
     gens = absolute_maximals_below(d, upper)
 

@@ -39,6 +39,7 @@ from .core import (
     IntTuple,
     SemigroupDescription,
     canonicalize,
+    require_box_dim,
     ones,
     tadd,
     tsub,
@@ -204,8 +205,7 @@ def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
     """
     if kind not in ("L", "Q", "P"):
         raise ValueError(f"kind must be one of L, Q, P; got {kind!r}")
-    if box.dim != d.m:
-        raise ValueError("box dimension disagrees with description")
+    require_box_dim(box, d.m)
     grow = 2 if kind == "Q" else 1
     values = _dim_grid(d, tuple(x - grow for x in box.lower), box.upper)
     shape = tuple(u - l + 1 + grow for l, u in zip(box.lower, box.upper))
@@ -250,26 +250,22 @@ def semigroup_polynomial(d: SemigroupDescription) -> dict[IntTuple, int]:
     return {alpha: c for alpha, c in coeffs.items() if c != 0}
 
 
-def reconstruction_violations(
-    d: SemigroupDescription, box: Box, poly: dict[IntTuple, int] | None = None
-) -> Iterator[IntTuple]:
+def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
     """Points where the region-representative lookup disagrees with coeff_p.
 
     The lattice-sum factorization of P collapses to a lookup because distinct
     lattice translates of the fundamental region are disjoint.
     """
-    if poly is None:
-        poly = semigroup_polynomial(d)
+    require_box_dim(box, d.m)
+    poly = semigroup_polynomial(d)
     for alpha in box.points():
         rep, _ = canonicalize(d.lattice, alpha)
         if coeff_p(d, alpha) != poly.get(rep, 0):
             yield alpha
 
 
-def check_reconstruction(
-    d: SemigroupDescription, box: Box, poly: dict[IntTuple, int] | None = None
-) -> bool:
-    return next(reconstruction_violations(d, box, poly), None) is None
+def check_reconstruction(d: SemigroupDescription, box: Box) -> bool:
+    return next(reconstruction_violations(d, box), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +353,7 @@ def symmetry_violations(
     shape plus 2; the tables taken from the reflected grid list the
     reflected points backwards, so box point k pairs with entry -1 - k.
     """
+    require_box_dim(box, d.m)
     if report is None:
         report = symmetry_report(d)
     if not report.symmetric or report.sigma is None:

@@ -38,6 +38,36 @@ def test_package_exports_are_the_module_objects():
         assert getattr(gwsemigroup, attr) is getattr(homes[attr], attr), attr
 
 
+def test_package_exports_are_the_module_lists():
+    from gwsemigroup import backends, core, plotting, semigroup, series, verify
+
+    modules = (backends, core, plotting, semigroup, series, verify)
+    expected = [attr for module in modules for attr in module.__all__]
+    assert gwsemigroup.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+def test_package_exports_the_public_names():
+    assert sorted(gwsemigroup.__all__) == [
+        "Box", "BoxSeries", "CheckResult", "IntTuple", "Lattice",
+        "SemigroupDescription", "SymmetryReport", "TwoPointProfile",
+        "absolute_maximals_below", "canonicalize", "check_qp_identity",
+        "check_reconstruction", "check_symmetry_equations", "coeff_l",
+        "coeff_p", "coeff_q", "cross_validate", "dimension", "dimension_jump",
+        "fundamental_maximals", "genus0_description", "genus0_dimension",
+        "hermitian_description", "hermitian_dimension", "hermitian_genus",
+        "is_absolute_maximal", "is_maximal", "is_member", "is_prime_power",
+        "lattice_translates", "load_description", "members_from_lubs",
+        "nabla_im_set", "nabla_set", "render_membership_svg",
+        "riemann_roch_basis", "run_verification", "save_description",
+        "semigroup_polynomial", "series_on_box", "symmetry_report",
+        "two_point_profile", "unit", "validate_description",
+    ]
+    # internal helpers stay importable from their modules only
+    for attr in ("ones", "tadd", "spread_sample", "CHECK_NAMES"):
+        assert not hasattr(gwsemigroup, attr), attr
+
+
 def test_removed_names_stay_gone():
     from gwsemigroup import core, semigroup, series
 
@@ -46,6 +76,8 @@ def test_removed_names_stay_gone():
     for module in (gwsemigroup, semigroup):
         assert not hasattr(module, "nabla_im_empty")
     assert list(inspect.signature(series.coeff_p).parameters) == ["d", "alpha"]
+    for fn in (series.reconstruction_violations, series.check_reconstruction):
+        assert list(inspect.signature(fn).parameters) == ["d", "box"], fn.__name__
 
 
 def test_lattice_is_its_periods_and_test_only_api_is_gone():

@@ -223,6 +223,19 @@ def test_nabla_query_dispatch(hermitian_q3):
         nabla_set(hermitian_q3, (0, 0), {1, 2})
 
 
+@pytest.mark.parametrize("index", [True, 1.0, "1"])
+def test_coordinate_indices_must_be_ints(hermitian_q3, index):
+    # a bool is not coerced to 1, nor a float or a string accepted
+    for call in (
+        lambda: unit(2, index),
+        lambda: dimension_jump(hermitian_q3, (1, 1), index),
+        lambda: nabla_im_set(hermitian_q3, (1, 1), index),
+        lambda: nabla_set(hermitian_q3, (1, 1), [index]),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # maximality
 

@@ -1,10 +1,16 @@
+import pytest
+
 from gwsemigroup import (
     Box,
     SemigroupDescription,
+    check_qp_identity,
+    check_reconstruction,
+    check_symmetry_equations,
     genus0_description,
     hermitian_description,
     is_absolute_maximal,
     is_maximal,
+    members_from_lubs,
     render_membership_svg,
     riemann_roch_basis,
     run_verification,
@@ -12,6 +18,7 @@ from gwsemigroup import (
     series_on_box,
 )
 from gwsemigroup import series, verify
+from gwsemigroup.series import qp_violations, reconstruction_violations, symmetry_violations
 from gwsemigroup.verify import CHECK_NAMES
 
 
@@ -96,6 +103,8 @@ def test_qp_identity_cross_checks_the_box_engine(monkeypatch, hermitian_q3):
 def test_requests_keep_only_the_dimension_memo():
     # dimension's memo is the only state a description carries
     h3, g3 = hermitian_description(3), genus0_description(3)
+    assert h3._caches == g3._caches == {"dim": {}}
+    assert h3._caches["dim"] is not g3._caches["dim"]
     run_verification(h3, Box((-6, -6), (8, 8)))
     run_verification(g3, Box((-2, -2, -2), (2, 2, 2)))
     assert set(h3._caches) == set(g3._caches) == {"dim"}
@@ -117,3 +126,22 @@ def test_verification_skips_profile_for_many_points(genus0_m3):
 def test_verification_four_point_box(genus0_m4):
     results = run_verification(genus0_m4, Box((-3,) * 4, (3,) * 4))
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+_BOX_REQUESTS = {
+    "symmetry_violations": lambda d, box: list(symmetry_violations(d, box)),
+    "reconstruction_violations": lambda d, box: list(reconstruction_violations(d, box)),
+    "qp_violations": lambda d, box: list(qp_violations(d, box)),
+    "check_symmetry_equations": check_symmetry_equations,
+    "check_reconstruction": check_reconstruction,
+    "check_qp_identity": check_qp_identity,
+    "run_verification": run_verification,
+    "members_from_lubs": members_from_lubs,
+    "series_on_box": lambda d, box: series_on_box(d, "P", box),
+}
+
+
+@pytest.mark.parametrize("request_name", _BOX_REQUESTS)
+def test_box_requests_reject_wrong_box_dimension(hermitian_q3, request_name):
+    with pytest.raises(ValueError, match="box dimension disagrees with description"):
+        _BOX_REQUESTS[request_name](hermitian_q3, Box((0, 0, 0), (1, 1, 1)))
