@@ -3,7 +3,9 @@
 Open circles mark maximal elements, filled dots the remaining members, with
 the first coordinate rightward and the second upward on a unit grid.  The
 points are classified from one ``dim`` grid on the box grown by one layer
-below, by the dimension tests of ``is_member`` and ``is_maximal``.  The
+below, by the dimension tests of ``is_member`` and ``is_maximal``; the grid
+calls ``dimension`` once per lattice class among its cells, because dim is
+periodic under the period lattice.  The
 SVG is assembled by hand so identical inputs give byte-identical files.
 """
 

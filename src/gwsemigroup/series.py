@@ -13,9 +13,11 @@ On a box the same operators act on whole tables.  The box engine fills one
 flat ``dim`` grid (:func:`_dim_grid`) on the box grown below by one layer
 (two for Q), reads L as the grid minus its diagonal shift, and applies
 ``prod_i (1 - shift_i)`` as m axis passes (:func:`_axis_differences`), each
-a slice difference that drops the first layer along its axis.  So a box
-request costs one ``dimension`` call per grid cell instead of 2^m per point,
-and the flat table, in ``Box.points()`` order, is the result: a
+a slice difference that drops the first layer along its axis.  dim is
+periodic under the period lattice, so the grid copies one value to every
+cell of a lattice class: a box request costs one ``dimension`` call per
+lattice class among its cells instead of 2^m per point, and the flat
+table, in ``Box.points()`` order, is the result: a
 :class:`BoxSeries` holds it as ``values``.  Infinite formal series
 cannot be multiplied in general, so every identity here is checked
 coefficientwise on finite boxes -- which is exactly what the identities
@@ -107,8 +109,35 @@ def coeff_p(d: SemigroupDescription, alpha: IntTuple) -> int:
 # the box engine: flat tables in Box.points() order (last axis fastest)
 
 def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list[int]:
-    """dimension at every point of the box [lower, upper], one call per cell."""
-    return [dimension(d, alpha) for alpha in Box(lower, upper).points()]
+    """dimension at every point of the box [lower, upper], one call per lattice class.
+
+    Exact for every description, valid or not: translating alpha by a lattice
+    vector eta translates Gamma(alpha) by eta, which shifts every last
+    coordinate by eta_m and keeps the count of distinct ones.  So each cell
+    takes the value at its :func:`canonicalize` representative, and
+    ``dimension`` (which never reduces a point itself) only sees, and
+    memoizes, fundamental-region points.  Along a row of the last axis the
+    representatives are those of the row's first cell with the last
+    coordinate counted up, so rows whose first cells share a representative
+    are equal and are built once.
+    """
+    lo, hi = lower[-1], upper[-1]
+    values: dict[IntTuple, int] = {}
+    rows: dict[IntTuple, list[int]] = {}
+    out: list[int] = []
+    for head in product(*(range(l, u + 1) for l, u in zip(lower[:-1], upper[:-1]))):
+        first, _ = canonicalize(d.lattice, head + (lo,))
+        row = rows.get(first)
+        if row is None:
+            row = rows[first] = []
+            for k in range(hi - lo + 1):
+                rep = first[:-1] + (first[-1] + k,)
+                value = values.get(rep)
+                if value is None:
+                    value = values[rep] = dimension(d, rep)
+                row.append(value)
+        out += row
+    return out
 
 
 def _slab(values: list[int], shape: IntTuple, axis: int, start: int, count: int) -> list[int]:

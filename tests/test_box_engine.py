@@ -6,6 +6,7 @@ own through ``coeff_l/q/p``, ``dimension_jump``, ``is_member`` and
 ``is_maximal``.
 """
 
+import dataclasses
 import random
 import re
 
@@ -27,8 +28,8 @@ from gwsemigroup import (
     series_on_box,
     symmetry_report,
 )
-from gwsemigroup import plotting, semigroup, series
-from gwsemigroup.core import ones, tadd, tsub, unit, validate_description
+from gwsemigroup import plotting, semigroup, series, verify
+from gwsemigroup.core import canonicalize, ones, tadd, tsub, unit, validate_description
 from gwsemigroup.series import symmetry_violations
 
 COEFF = {"L": coeff_l, "Q": coeff_q, "P": coeff_p}
@@ -94,10 +95,27 @@ def test_engine_cases_cover_width_one_axes_and_broken_descriptions():
     assert sum(bool(validate_description(d)) for d, _ in ENGINE_CASES) >= 30
 
 
-def test_series_dimension_calls_are_one_grid(monkeypatch):
-    # work bound: one dimension call per cell of the grid grown below the
-    # box (by 2 for Q, by 1 for L and P), memo hits included
-    g3 = genus0_description(3)
+def _periodic_m3():
+    # m = 3 with period 2 at the first, non-last level; it passes
+    # validate_description, which no m >= 3 fixture with a period > 1 does
+    return SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1)), label="m3-a2")
+
+
+# boxes spanning at least three periods along every constrained axis, so
+# that most cells repeat the class of another cell
+PERIODIC_CASES = [
+    (hermitian_description(9), Box((-12, -20), (20, 25))),
+    (_periodic_m3(), Box((-4, -3, -5), (3, 4, 3))),
+]
+
+
+def _classes(d, lower, upper):
+    return {canonicalize(d.lattice, a)[0] for a in Box(lower, upper).points()}
+
+
+@pytest.fixture
+def dimension_calls(monkeypatch):
+    # every dimension call the box engine makes, memo hits included
     calls = []
 
     def counting(d, alpha):
@@ -105,12 +123,100 @@ def test_series_dimension_calls_are_one_grid(monkeypatch):
         return semigroup.dimension(d, alpha)
 
     monkeypatch.setattr(series, "dimension", counting)
-    counts, distinct = {}, {}
+    return calls
+
+
+def test_dim_grid_equals_fresh_per_point_dimension():
+    # ground truth from a copy of the description with its own empty memo,
+    # so no value the grid stored can feed the reference
+    for d, box in ENGINE_CASES + PERIODIC_CASES:
+        fresh = dataclasses.replace(d)
+        want = [semigroup.dimension(fresh, a) for a in box.points()]
+        assert series._dim_grid(d, box.lower, box.upper) == want, (d, box)
+    for d, box in PERIODIC_CASES:
+        assert d.lattice.periods[0] > 1
+        for l, u, a in zip(box.lower, box.upper, d.lattice.periods):
+            assert u - l + 1 >= 3 * a
+        assert 2 * len(_classes(d, box.lower, box.upper)) <= box.point_count()
+
+
+def test_series_dimension_calls_are_one_grid(dimension_calls):
+    # work bound: one dimension call per lattice class among the cells of the
+    # grid grown below the box (by 2 for Q, by 1 for L and P), each at the
+    # class representative, and never more calls than cells
+    cases = [(genus0_description(3), Box((-1,) * 3, (1,) * 3))] + PERIODIC_CASES
+    counts = []
+    for d, box in cases:
+        for kind in ("L", "Q", "P"):
+            dimension_calls.clear()
+            series_on_box(d, kind, box)
+            grow = 2 if kind == "Q" else 1
+            lower = tuple(x - grow for x in box.lower)
+            classes = _classes(d, lower, box.upper)
+            assert sorted(dimension_calls) == sorted(classes), (d.label, kind)
+            assert len(classes) < Box(lower, box.upper).point_count()
+            counts.append(len(dimension_calls))
+    # genus 0 at m = 3 has one class per coordinate sum: 10, 13 and 10
+    # calls where the grids have 64, 125 and 64 cells
+    assert counts[:3] == [10, 13, 10]
+
+
+def test_plot_and_symmetry_dimension_calls_are_one_per_class(dimension_calls):
+    h3 = hermitian_description(3)
+    report = symmetry_report(h3)
+    box = Box((-6, -5), (8, 8))
+    grown = tuple(x - 1 for x in box.lower)
+    dimension_calls.clear()
+    render_membership_svg(h3, box)
+    assert sorted(dimension_calls) == sorted(_classes(h3, grown, box.upper))
+    assert len(dimension_calls) < Box(grown, box.upper).point_count()
+    # two grids of the box's shape plus 2: near [lower - 2, upper] and the
+    # reflection far [s - upper - 1, s - lower + 1]
+    dimension_calls.clear()
+    list(symmetry_violations(h3, box, report))
+    s = report.sigma
+    near = (tsub(box.lower, (2, 2)), box.upper)
+    far = (tsub(tsub(s, box.upper), (1, 1)), tadd(tsub(s, box.lower), (1, 1)))
+    want = sorted(_classes(h3, *near)) + sorted(_classes(h3, *far))
+    assert sorted(dimension_calls) == sorted(want)
+    assert len(dimension_calls) < 2 * Box(*near).point_count()
+
+
+def test_box_requests_memoize_only_class_representatives():
+    h3 = hermitian_description(3)
+    # the report scans membership per point, so it comes from another copy
+    report = symmetry_report(hermitian_description(3))
+    box = Box((-6, -5), (8, 8))
     for kind in ("L", "Q", "P"):
-        calls.clear()
-        series_on_box(g3, kind, Box((-1,) * 3, (1,) * 3))
-        counts[kind], distinct[kind] = len(calls), len(set(calls))
-    assert counts == distinct == {"L": 64, "Q": 125, "P": 64}
+        series_on_box(h3, kind, box)
+    render_membership_svg(h3, box)
+    list(symmetry_violations(h3, box, report))
+    keys = h3._caches["dim"]
+    assert len(keys) > 0
+    assert all(h3.lattice.in_region(a) for a in keys)
+    # dimension itself does not reduce a point to its class
+    fresh = hermitian_description(3)
+    semigroup.dimension(fresh, (15, -3))
+    assert list(fresh._caches["dim"]) == [(15, -3)]
+
+
+def test_verify_catches_a_dimension_fault_outside_the_region(monkeypatch):
+    # The grid evaluates only fundamental-region representatives, so a
+    # fault there is invisible to it; qp-identity (per-point p at raw
+    # points) and lattice-periodicity (raw points and their translates)
+    # must still see it.
+    true_dimension = semigroup.dimension
+
+    def faulty(d, alpha):
+        value = true_dimension(d, alpha)
+        return value if d.lattice.in_region(alpha) else value + (sum(alpha) % 3 == 0)
+
+    for module in (semigroup, series, verify):
+        monkeypatch.setattr(module, "dimension", faulty)
+    h3 = hermitian_description(3)
+    rows = {r.name: r for r in verify.run_verification(h3, Box((-6, -6), (6, 6)))}
+    assert not rows["qp-identity"].passed
+    assert not rows["lattice-periodicity"].passed
 
 
 def test_series_results_make_no_containment_scan(monkeypatch):
