@@ -43,7 +43,7 @@ print()
 profile = two_point_profile(d)
 print(f"staircase period {profile.period}, table {list(profile.table)}")
 print("maximal elements for j = -4..7:")
-print(" ", profile.maximal_elements(-4, 7))
+print(" ", [(j, profile.sigma2(j)) for j in range(-4, 8)])
 print()
 
 # A small ASCII rendering of the window: 'o' maximal, '*' member, '.' gap.

@@ -71,8 +71,8 @@ def genus0_description(m: int) -> SemigroupDescription:
     Every difference of points is principal, so all periods are 1 and the
     fundamental region holds a single absolute maximal class, the origin.
     """
-    if m < 2:
-        raise ValueError("m must be at least 2")
+    if type(m) is not int or m < 2:
+        raise ValueError(f"m must be an integer >= 2, got {m!r}")
     return SemigroupDescription(
         m=m,
         genus=0,
@@ -125,8 +125,8 @@ def hermitian_description(q: int) -> SemigroupDescription:
     combinatorial dimension machinery is never consulted, which is what
     makes the resulting fixture an independent reference.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
+    if type(q) is not int or q < 2:
+        raise ValueError(f"q must be an integer >= 2, got {q!r}")
     if not is_prime_power(q):
         raise ValueError(f"q must be a prime power, got {q}")
     g = hermitian_genus(q)

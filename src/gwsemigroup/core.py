@@ -138,7 +138,9 @@ class Box:
 
 
 def require_box_dim(box: Box, m: int) -> None:
-    """ValueError unless the box has the description's m coordinates."""
+    """ValueError unless box is a Box with the description's m coordinates."""
+    if not isinstance(box, Box):
+        raise ValueError(f"expected a Box, got {box!r}")
     if box.dim != m:
         raise ValueError("box dimension disagrees with description")
 
@@ -363,7 +365,14 @@ def validate_description(d: SemigroupDescription) -> list[str]:
 
     (a) and (b) compare the list with the absolute maximal elements that
     :func:`semigroup.fundamental_maximals` finds in its slab scan; every
-    listed gamma lies in that slab by construction.
+    listed gamma lies in that slab by construction.  (b) cannot fire while
+    ``dimension`` counts the set V(alpha) of last coordinates of the
+    translates beta <= alpha of listed gammas.  For alpha absolute maximal,
+    V(alpha - 1) is inside V(alpha - e_i), which is inside V(alpha), and both
+    drops are 1, so V(alpha - e_i) is V(alpha) without alpha_m: every
+    beta <= alpha with beta_m = alpha_m has beta_i = alpha_i for all i, one
+    such beta exists, and so alpha, a translate in the region, is listed.
+    (b) is therefore a cross-check of the implementation.
     """
     from . import semigroup  # deferred: semigroup builds on this module
 

@@ -249,9 +249,10 @@ def fundamental_maximals(
 ) -> tuple[tuple[IntTuple, ...], tuple[IntTuple, ...]]:
     """(maximal, absolute maximal) elements inside the fundamental region.
 
-    Exhaustively scans the finite slab 0 <= |alpha| <= 2g-2+m of the region;
-    outside that slab no maximal element can exist.  For a valid description
-    the second component reproduces ``gamma_fundamental``.
+    Scans the finite slab 0 <= |alpha| <= 2g-2+m of the region in
+    lexicographic order, so both tuples are sorted; outside that slab no
+    maximal element can exist.  For a valid description the second
+    component reproduces ``gamma_fundamental``.
     """
     maxima: list[IntTuple] = []
     absolute: list[IntTuple] = []
@@ -260,7 +261,7 @@ def fundamental_maximals(
             maxima.append(alpha)
             if is_absolute_maximal(d, alpha):
                 absolute.append(alpha)
-    return tuple(sorted(maxima)), tuple(sorted(absolute))
+    return tuple(maxima), tuple(absolute)
 
 
 def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:
@@ -325,6 +326,9 @@ class TwoPointProfile:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.table) is not tuple:
+            raise ValueError(f"table must be a tuple, got {self.table!r}")
+        int_tuple((self.period, *self.table), "period and table entries")
         if self.period < 1 or len(self.table) != self.period:
             raise ValueError("table length must equal the period")
         residues = {t % self.period for t in self.table}
@@ -335,9 +339,6 @@ class TwoPointProfile:
         """Least t with (j, t) in the semigroup, any j."""
         q, r = divmod(j, self.period)
         return self.table[r] - q * self.period
-
-    def maximal_elements(self, j_lo: int, j_hi: int) -> list[IntTuple]:
-        return [(j, self.sigma2(j)) for j in range(j_lo, j_hi + 1)]
 
 
 def two_point_profile(d: SemigroupDescription) -> TwoPointProfile:

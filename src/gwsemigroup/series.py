@@ -19,9 +19,9 @@ cell of a lattice class: a box request costs one ``dimension`` call per
 lattice class among its cells instead of 2^m per point, and the flat
 table, in ``Box.points()`` order, is the result: a
 :class:`BoxSeries` holds it as ``values``.  Infinite formal series
-cannot be multiplied in general, so every identity here is checked
-coefficientwise on finite boxes -- which is exactly what the identities
-assert.  The same reasoning turns the lattice-sum factorization of P into a
+cannot be multiplied in general, so each identity here is checked
+coefficientwise on a finite box, by an iterator over the violating points.
+The same reasoning turns the lattice-sum factorization of P into a
 fundamental-region lookup: translates of the region tile Z^m, so exactly
 one lattice translate contributes to each monomial, and the semigroup
 polynomial is a plain dict from those region points to their coefficients.
@@ -61,12 +61,12 @@ __all__ = [
     "coeff_p",
     "BoxSeries",
     "series_on_box",
-    "check_qp_identity",
+    "qp_violations",
     "semigroup_polynomial",
-    "check_reconstruction",
+    "reconstruction_violations",
     "SymmetryReport",
     "symmetry_report",
-    "check_symmetry_equations",
+    "symmetry_violations",
 ]
 
 
@@ -260,11 +260,6 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
             yield alpha
 
 
-def check_qp_identity(d: SemigroupDescription, box: Box) -> bool:
-    """Coefficientwise check of (1 - t_1 ... t_m) * P = Q over the box."""
-    return next(qp_violations(d, box), None) is None
-
-
 # ---------------------------------------------------------------------------
 # the semigroup polynomial and reconstruction
 
@@ -293,10 +288,6 @@ def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[Int
             yield alpha
 
 
-def check_reconstruction(d: SemigroupDescription, box: Box) -> bool:
-    return next(reconstruction_violations(d, box), None) is None
-
-
 # ---------------------------------------------------------------------------
 # symmetry
 
@@ -306,18 +297,16 @@ class SymmetryReport:
 
     ``sigma`` is a maximal element of coordinate sum 2g-2+m (present iff
     symmetric); ``gamma_witness`` a non-member of sum 2g-1.
-    ``canonical_full_support`` records whether a bounded search found a
-    maximal element of sum 2g-2+m with no coordinate equal to 1 (existence of
-    one is equivalent to a canonical divisor using all m points);
-    ``full_support_witness`` is the lexicographically least such element with
-    every coordinate inside the search window.  The window is reported so a
-    negative answer is understood as bounded, not exhaustive.
+    ``full_support_witness`` is the lexicographically least maximal element
+    of sum 2g-2+m with no coordinate equal to 1 and every coordinate inside
+    the search window, or None if the bounded search finds none (existence of
+    one is equivalent to a canonical divisor using all m points).  The window
+    is reported so a negative answer is understood as bounded, not exhaustive.
     """
 
     symmetric: bool
     sigma: IntTuple | None
     gamma_witness: IntTuple | None
-    canonical_full_support: bool
     full_support_witness: IntTuple | None = None
     search_window: tuple[int, int] | None = None
 
@@ -334,7 +323,7 @@ def symmetry_report(d: SemigroupDescription) -> SymmetryReport:
     """
     maxima, _ = fundamental_maximals(d)
     target = d.maximal_sum_bound
-    candidates = sorted(a for a in maxima if sum(a) == target)
+    candidates = [a for a in maxima if sum(a) == target]
     symmetric = bool(candidates)
     sigma = candidates[0] if symmetric else None
 
@@ -359,7 +348,6 @@ def symmetry_report(d: SemigroupDescription) -> SymmetryReport:
         symmetric=symmetric,
         sigma=sigma,
         gamma_witness=gamma_witness,
-        canonical_full_support=full_support_witness is not None,
         full_support_witness=full_support_witness,
         search_window=window,
     )
@@ -416,9 +404,3 @@ def symmetry_violations(
         for i in range(m):
             if jumps_near[i][k] + jumps_far[i][r] != 1:
                 yield (f"jump-complement-i{i + 1}", alpha)
-
-
-def check_symmetry_equations(
-    d: SemigroupDescription, box: Box, report: SymmetryReport | None = None
-) -> bool:
-    return next(symmetry_violations(d, box, report), None) is None

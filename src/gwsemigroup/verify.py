@@ -174,15 +174,11 @@ def _check_two_point_profile(d: SemigroupDescription, box: Box) -> str | None:
         profile = two_point_profile(d)
     except ValueError as exc:
         return str(exc)
+    # the column scan stops only at a member and sigma2 is periodic by its
+    # divmod, so only the point below each staircase step needs a test
     for j, t in enumerate(profile.table):
-        if not is_member(d, (j, t)):
-            return f"staircase point ({j}, {t}) is not a member"
         if is_member(d, (j, t - 1)):
             return f"({j}, {t - 1}) is a member below the staircase"
-    a = profile.period
-    for j in (-a, 1, a + 1, 3 * a + 2):
-        if profile.sigma2(j + a) != profile.sigma2(j) - a:
-            return f"staircase periodicity fails at column {j}"
     return None
 
 

@@ -51,17 +51,18 @@ def test_package_exports_the_public_names():
     assert sorted(gwsemigroup.__all__) == [
         "Box", "BoxSeries", "CheckResult", "IntTuple", "Lattice",
         "SemigroupDescription", "SymmetryReport", "TwoPointProfile",
-        "absolute_maximals_below", "canonicalize", "check_qp_identity",
-        "check_reconstruction", "check_symmetry_equations", "coeff_l",
-        "coeff_p", "coeff_q", "cross_validate", "dimension", "dimension_jump",
+        "absolute_maximals_below", "canonicalize", "coeff_l", "coeff_p",
+        "coeff_q", "cross_validate", "dimension", "dimension_jump",
         "fundamental_maximals", "genus0_description", "genus0_dimension",
         "hermitian_description", "hermitian_dimension", "hermitian_genus",
         "is_absolute_maximal", "is_maximal", "is_member", "is_prime_power",
         "lattice_translates", "load_description", "members_from_lubs",
-        "nabla_im_set", "nabla_set", "render_membership_svg",
+        "nabla_im_set", "nabla_set", "qp_violations",
+        "reconstruction_violations", "render_membership_svg",
         "riemann_roch_basis", "run_verification", "save_description",
         "semigroup_polynomial", "series_on_box", "symmetry_report",
-        "two_point_profile", "unit", "validate_description",
+        "symmetry_violations", "two_point_profile", "unit",
+        "validate_description",
     ]
     # internal helpers stay importable from their modules only
     for attr in ("ones", "tadd", "spread_sample", "CHECK_NAMES"):
@@ -76,8 +77,11 @@ def test_removed_names_stay_gone():
     for module in (gwsemigroup, semigroup):
         assert not hasattr(module, "nabla_im_empty")
     assert list(inspect.signature(series.coeff_p).parameters) == ["d", "alpha"]
-    for fn in (series.reconstruction_violations, series.check_reconstruction):
-        assert list(inspect.signature(fn).parameters) == ["d", "box"], fn.__name__
+    assert list(inspect.signature(series.reconstruction_violations).parameters) == ["d", "box"]
+    # the boolean wrappers of the violation iterators
+    for attr in ("check_qp_identity", "check_reconstruction", "check_symmetry_equations"):
+        for module in (gwsemigroup, series):
+            assert not hasattr(module, attr), attr
 
 
 def test_lattice_is_its_periods_and_test_only_api_is_gone():
@@ -92,6 +96,7 @@ def test_lattice_is_its_periods_and_test_only_api_is_gone():
         (Lattice, "contains"),
         (BoxSeries, "from_json_dict"),
         (TwoPointProfile, "sigma1"),
+        (TwoPointProfile, "maximal_elements"),
     ]:
         assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
 
@@ -111,3 +116,11 @@ def test_series_results_are_the_engine_table():
     for kind, values in [("P", (0,) * 5), ("P", (0,) * 7), ("X", (0,) * 6)]:
         with pytest.raises(ValueError):
             BoxSeries(box=box, kind=kind, values=values)
+
+
+def test_symmetry_report_fields():
+    from gwsemigroup.series import SymmetryReport
+
+    assert [f.name for f in dataclasses.fields(SymmetryReport)] == [
+        "symmetric", "sigma", "gamma_witness", "full_support_witness", "search_window",
+    ]

@@ -119,6 +119,16 @@ def test_hermitian_description_fixtures(hermitian_q2, hermitian_q3):
     assert len(d4.gamma_fundamental) == 5
 
 
+@pytest.mark.parametrize(
+    "make, arg",
+    [(genus0_description, 2.0), (genus0_description, True), (hermitian_description, 3.0),
+     (hermitian_description, "3")],
+)
+def test_descriptions_reject_non_integer_parameters(make, arg):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(arg)
+
+
 def test_hermitian_description_rejects_bad_q():
     with pytest.raises(ValueError):
         hermitian_description(1)

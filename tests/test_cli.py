@@ -53,7 +53,7 @@ def test_parse_box():
 # gen
 
 def test_gen_hermitian_matches_fixture(q3_file):
-    data = json.loads(open(q3_file).read())
+    data = json.loads(Path(q3_file).read_text(encoding="utf-8"))
     assert data == {
         "m": 2,
         "genus": 3,
@@ -204,7 +204,7 @@ def test_verify_passes(capsys, q3_file):
 
 
 def test_verify_fails_on_mutilated(capsys, tmp_path, q3_file):
-    data = json.loads(open(q3_file).read())
+    data = json.loads(Path(q3_file).read_text(encoding="utf-8"))
     data["gamma_fundamental"] = [g for g in data["gamma_fundamental"] if g != [2, 2]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data), encoding="utf-8")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwsemigroup import semigroup
 from gwsemigroup.core import (
     Box,
     Lattice,
@@ -260,6 +261,21 @@ def test_validate_trivial_two_point_genus0(genus0_m2):
     assert genus0_m2.genus == 0
     assert genus0_m2.gamma_fundamental == (zeros(2),)
     assert validate_description(genus0_m2) == []
+
+
+def test_validate_reports_an_unlisted_absolute_maximal(monkeypatch, hermitian_q3):
+    # (b) cannot fire while dimension counts last-coordinate classes (see
+    # validate_description), so the slab scan is made to report one extra
+    original = semigroup.fundamental_maximals
+
+    def with_extra(d):
+        maxima, absolute = original(d)
+        return maxima, tuple(sorted(absolute + ((1, 1),)))
+
+    monkeypatch.setattr(semigroup, "fundamental_maximals", with_extra)
+    assert validate_description(hermitian_q3) == [
+        "(b) absolute maximal (1, 1) missing from the list"
+    ]
 
 
 def _replace_gammas(d, gammas):

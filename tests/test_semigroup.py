@@ -5,6 +5,7 @@ import pytest
 
 from gwsemigroup import (
     Box,
+    TwoPointProfile,
     absolute_maximals_below,
     dimension,
     dimension_jump,
@@ -425,7 +426,16 @@ def test_two_point_profile_rejects_other_m(genus0_m3):
         two_point_profile(genus0_m3)
 
 
+@pytest.mark.parametrize(
+    "period, table", [(True, (0,)), ("2", (0, 1)), (2, (0, 1.0)), (2, [0, 1]), (2, 5)]
+)
+def test_two_point_profile_rejects_non_integer_data(period, table):
+    with pytest.raises(ValueError):
+        TwoPointProfile(period, table)
+
+
 def test_maximals_are_staircase_points(hermitian_q3):
     profile = two_point_profile(hermitian_q3)
-    expected = set(profile.maximal_elements(-8, 9)) & set(Box((-8, -8), (9, 10)).points())
+    staircase = {(j, profile.sigma2(j)) for j in range(-8, 10)}
+    expected = staircase & set(Box((-8, -8), (9, 10)).points())
     assert expected == MAXIMALS_Q3_WINDOW

@@ -5,9 +5,6 @@ import pytest
 from gwsemigroup import (
     Box,
     BoxSeries,
-    check_qp_identity,
-    check_reconstruction,
-    check_symmetry_equations,
     coeff_l,
     coeff_p,
     coeff_q,
@@ -17,9 +14,12 @@ from gwsemigroup import (
     is_absolute_maximal,
     is_maximal,
     is_member,
+    qp_violations,
+    reconstruction_violations,
     semigroup_polynomial,
     series_on_box,
     symmetry_report,
+    symmetry_violations,
 )
 from gwsemigroup.core import canonicalize, tadd, tsub, unit
 from gwsemigroup.verify import _p_from_direction
@@ -166,8 +166,8 @@ def test_box_series_json_roundtrip(hermitian_q3):
 # functional equation between Q and P
 
 def test_qp_identity(hermitian_q3, genus0_m3):
-    assert check_qp_identity(hermitian_q3, Box((-6, -6), (6, 6)))
-    assert check_qp_identity(genus0_m3, Box((-4, -4, -4), (4, 4, 4)))
+    assert list(qp_violations(hermitian_q3, Box((-6, -6), (6, 6)))) == []
+    assert list(qp_violations(genus0_m3, Box((-4, -4, -4), (4, 4, 4)))) == []
 
 
 def test_qp_identity_single_point(hermitian_q3):
@@ -175,7 +175,7 @@ def test_qp_identity_single_point(hermitian_q3):
     expected = coeff_q(hermitian_q3, (0, 0)) == coeff_p(hermitian_q3, (0, 0)) - coeff_p(
         hermitian_q3, (-1, -1)
     )
-    assert check_qp_identity(hermitian_q3, box) == expected
+    assert list(qp_violations(hermitian_q3, box)) == ([] if expected else [(0, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +202,15 @@ def test_semigroup_polynomial_support_law(hermitian_q2, genus0_m3, genus0_m4):
 
 
 def test_reconstruction(hermitian_q3, genus0_m3):
-    assert check_reconstruction(hermitian_q3, Box((-8, -8), (9, 10)))
-    assert check_reconstruction(genus0_m3, Box((-3, -3, -3), (3, 3, 3)))
+    assert list(reconstruction_violations(hermitian_q3, Box((-8, -8), (9, 10)))) == []
+    assert list(reconstruction_violations(genus0_m3, Box((-3, -3, -3), (3, 3, 3)))) == []
 
 
 def test_reconstruction_single_point(hermitian_q3):
     # at the origin the lookup reduces to the constant term, which is 1
     poly = semigroup_polynomial(hermitian_q3)
     assert poly[(0, 0)] == 1
-    assert check_reconstruction(hermitian_q3, Box((0, 0), (0, 0)))
+    assert list(reconstruction_violations(hermitian_q3, Box((0, 0), (0, 0)))) == []
 
 
 def test_reconstruction_is_representative_lookup(hermitian_q3):
@@ -232,7 +232,6 @@ def test_symmetry_report_hermitian_q3(hermitian_q3):
     assert report.gamma_witness is not None
     assert sum(report.gamma_witness) == 2 * hermitian_q3.genus - 1
     assert not is_member(hermitian_q3, report.gamma_witness)
-    assert report.canonical_full_support
     assert report.full_support_witness == (-3, 9)
     assert all(x != 1 for x in report.full_support_witness)
     assert is_maximal(hermitian_q3, report.full_support_witness)
@@ -245,7 +244,7 @@ def test_symmetry_report_genus0(genus0_m2, genus0_m3):
     assert r3.symmetric and r3.sigma == (0, 0, 1)
     for d, r in ((genus0_m2, r2), (genus0_m3, r3)):
         assert not is_member(d, r.gamma_witness) and sum(r.gamma_witness) == -1
-        assert r.canonical_full_support
+        assert r.full_support_witness is not None
         assert all(x != 1 for x in r.full_support_witness)
         assert is_maximal(d, r.full_support_witness)
         assert sum(r.full_support_witness) == d.maximal_sum_bound
@@ -277,7 +276,7 @@ def test_symmetry_equations(hermitian_q2, hermitian_q3, genus0_m2, genus0_m3):
         (genus0_m3, Box((-3, -3, -3), (3, 3, 3))),
     ]
     for d, box in cases:
-        assert check_symmetry_equations(d, box)
+        assert list(symmetry_violations(d, box)) == []
 
 
 def test_symmetry_equation_at_distinguished_point(hermitian_q3, genus0_m3):
@@ -293,10 +292,9 @@ def test_symmetry_equations_require_symmetric_description(hermitian_q3):
         symmetric=False,
         sigma=None,
         gamma_witness=None,
-        canonical_full_support=False,
     )
     with pytest.raises(ValueError):
-        check_symmetry_equations(hermitian_q3, Box((0, 0), (1, 1)), broken)
+        list(symmetry_violations(hermitian_q3, Box((0, 0), (1, 1)), broken))
 
 
 def test_poincare_support_law(hermitian_q3, genus0_m3, genus0_m4):

@@ -3,22 +3,23 @@ import pytest
 from gwsemigroup import (
     Box,
     SemigroupDescription,
-    check_qp_identity,
-    check_reconstruction,
-    check_symmetry_equations,
+    TwoPointProfile,
     genus0_description,
     hermitian_description,
     is_absolute_maximal,
     is_maximal,
     members_from_lubs,
+    qp_violations,
+    reconstruction_violations,
     render_membership_svg,
     riemann_roch_basis,
     run_verification,
     semigroup_polynomial,
     series_on_box,
+    symmetry_report,
+    symmetry_violations,
 )
 from gwsemigroup import series, verify
-from gwsemigroup.series import qp_violations, reconstruction_violations, symmetry_violations
 from gwsemigroup.verify import CHECK_NAMES
 
 
@@ -132,12 +133,10 @@ _BOX_REQUESTS = {
     "symmetry_violations": lambda d, box: list(symmetry_violations(d, box)),
     "reconstruction_violations": lambda d, box: list(reconstruction_violations(d, box)),
     "qp_violations": lambda d, box: list(qp_violations(d, box)),
-    "check_symmetry_equations": check_symmetry_equations,
-    "check_reconstruction": check_reconstruction,
-    "check_qp_identity": check_qp_identity,
     "run_verification": run_verification,
     "members_from_lubs": members_from_lubs,
     "series_on_box": lambda d, box: series_on_box(d, "P", box),
+    "render_membership_svg": render_membership_svg,
 }
 
 
@@ -145,3 +144,34 @@ _BOX_REQUESTS = {
 def test_box_requests_reject_wrong_box_dimension(hermitian_q3, request_name):
     with pytest.raises(ValueError, match="box dimension disagrees with description"):
         _BOX_REQUESTS[request_name](hermitian_q3, Box((0, 0, 0), (1, 1, 1)))
+
+
+@pytest.mark.parametrize("request_name", _BOX_REQUESTS)
+def test_box_requests_reject_a_tuple_pair(hermitian_q3, request_name):
+    with pytest.raises(ValueError, match="expected a Box"):
+        _BOX_REQUESTS[request_name](hermitian_q3, ((0, 0), (1, 1)))
+
+
+def test_violation_iterators_yield_every_failure(hermitian_q3):
+    # the mutant without (2, 2) breaks the reflections at many box points;
+    # the iterators report each one, in box order, not only the first
+    mutant = SemigroupDescription(
+        m=2,
+        genus=hermitian_q3.genus,
+        lattice=hermitian_q3.lattice,
+        gamma_fundamental=tuple(g for g in hermitian_q3.gamma_fundamental if g != (2, 2)),
+    )
+    box = Box((-6, -6), (8, 8))
+    points = list(box.points())
+    failures = list(symmetry_violations(mutant, box, symmetry_report(hermitian_q3)))
+    assert len(failures) > 1
+    assert sorted(failures, key=lambda f: points.index(f[1])) == failures
+    assert list(qp_violations(mutant, box)) == []
+
+
+def test_two_point_profile_check_flags_a_member_below_the_staircase(monkeypatch, hermitian_q3):
+    # the true table is (0, 5, 2, -1); a period too high in column 1 puts
+    # the member (1, 8) just below the staircase
+    monkeypatch.setattr(verify, "two_point_profile", lambda d: TwoPointProfile(4, (0, 9, 2, -1)))
+    detail = verify._check_two_point_profile(hermitian_q3, Box((0, 0), (1, 1)))
+    assert detail == "(1, 8) is a member below the staircase"
