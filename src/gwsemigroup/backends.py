@@ -27,7 +27,9 @@ from .core import (
     Lattice,
     SemigroupDescription,
     ceildiv,
+    int_tuple,
     ones,
+    require_box_dim,
     tsub,
     unit,
 )
@@ -44,7 +46,13 @@ __all__ = [
 ]
 
 
+def _require_int(value: int, what: str) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def is_prime_power(n: int) -> bool:
+    _require_int(n, "n")
     if n < 2:
         return False
     for p in range(2, isqrt(n) + 1):
@@ -86,6 +94,7 @@ def genus0_description(m: int) -> SemigroupDescription:
 # Hermitian two-point
 
 def hermitian_genus(q: int) -> int:
+    _require_int(q, "q")
     return q * (q - 1) // 2
 
 
@@ -97,6 +106,8 @@ def hermitian_dimension(q: int, alpha: IntTuple) -> int:
     For each a the two inequalities bound b into one integer interval, so no
     search is involved.
     """
+    _require_int(q, "q")
+    alpha = int_tuple(alpha, "coordinates")
     if len(alpha) != 2:
         raise ValueError("Hermitian oracle takes length-2 tuples")
     a1, a2 = alpha
@@ -151,5 +162,6 @@ def hermitian_description(q: int) -> SemigroupDescription:
 
 def cross_validate(q: int, box: Box) -> bool:
     """Combinatorial dimension versus monomial-count oracle on a whole box."""
+    require_box_dim(box, 2)
     d = hermitian_description(q)
     return all(dimension(d, alpha) == hermitian_dimension(q, alpha) for alpha in box.points())

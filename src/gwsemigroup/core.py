@@ -21,7 +21,8 @@ ints; no floating point is used anywhere in the package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -126,11 +127,6 @@ class Box:
         for l, u in zip(self.lower, self.upper):
             n *= u - l + 1
         return n
-
-    def __contains__(self, alpha: IntTuple) -> bool:
-        return len(alpha) == self.dim and all(
-            l <= x <= u for l, x, u in zip(self.lower, alpha, self.upper)
-        )
 
     def points(self) -> Iterator[IntTuple]:
         """All box points in lexicographic order (deterministic)."""
@@ -247,11 +243,6 @@ class SemigroupDescription:
     lattice: Lattice
     gamma_fundamental: tuple[IntTuple, ...]
     label: str = ""
-    # The one memo: _caches["dim"] maps alpha to semigroup.dimension(alpha).
-    # Box workloads and repeated point queries revisit the same alphas.
-    _caches: dict = field(
-        default_factory=lambda: {"dim": {}}, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         int_tuple((self.m, self.genus), "m and genus")
@@ -292,6 +283,27 @@ class SemigroupDescription:
         is a member and alpha cannot be maximal; members also need |alpha| >= 0.
         """
         return 2 * self.genus - 2 + self.m
+
+    @cached_property
+    def class_bases(self) -> tuple[tuple[int, ...], ...]:
+        """Row k: the least base per last-coordinate class, ascending, for the
+        k-th region prefix r in ``product`` order (mixed-radix digits of k).
+        The translates of gamma below (r, t) have last coordinates congruent to
+        gamma_m mod a_{m-1}, from gamma_m minus the greedily largest carry up to t.
+        """
+        per = self.lattice.periods
+        rows = []
+        for r in product(*(range(a) for a in per)):
+            least: dict[int, int] = {}
+            for gamma in self.gamma_fundamental:
+                carry = 0
+                for x, g, a in zip(r, gamma, per):
+                    carry = (x - g + carry) // a * a
+                base = gamma[-1] - carry
+                c = base % per[-1]
+                least[c] = min(base, least.get(c, base))
+            rows.append(tuple(sorted(least.values())))
+        return tuple(rows)
 
     # -- serialization ------------------------------------------------------
 

@@ -111,6 +111,7 @@ def lattice_translates(
 
 def absolute_maximals_below(d: SemigroupDescription, alpha: IntTuple) -> set[IntTuple]:
     """All absolute maximal elements beta with beta <= alpha (a finite set)."""
+    alpha = int_tuple(alpha, "coordinates")
     if len(alpha) != d.m:
         raise ValueError(f"tuple of length {len(alpha)}, description has m={d.m}")
     return set(lattice_translates(d.lattice.periods, d.gamma_fundamental, alpha))
@@ -119,41 +120,31 @@ def absolute_maximals_below(d: SemigroupDescription, alpha: IntTuple) -> set[Int
 def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
     """Riemann-Roch dimension of the coefficient vector alpha.
 
-    Counts the distinct last coordinates occurring in Gamma(alpha); the same
-    count is obtained for any coordinate (checked in the verification suite).
-    Per fundamental gamma the feasible last-level coefficients form one
-    contiguous range, reached by greedily maximizing each upper bound, so no
-    full enumeration is needed.
+    Counts the distinct last coordinates in Gamma(alpha) (on a valid
+    description, any coordinate gives that count).  alpha is reduced to its
+    region representative (r, t) by the carry loop of :func:`canonicalize`;
+    in class c mod a_{m-1} those coordinates run from the base B_c(r) of
+    ``d.class_bases`` up to t, so dim(r, t) = sum_c max(0, (t - B_c(r)) //
+    a_{m-1} + 1).  Table cost: O(prod(periods) * |gammas| * m), once.
     """
     if len(alpha) != d.m:
         raise ValueError(f"tuple of length {len(alpha)}, description has m={d.m}")
-    cache = d._caches["dim"]
-    hit = cache.get(alpha)
-    if hit is not None:
-        return hit
-    per = d.lattice.periods
-    m = d.m
-    a_last = per[m - 2]
-    values: set[int] = set()
-    for gamma in d.gamma_fundamental:
-        suf = _suffix_gaps(gamma, alpha)
-        prev = 0
-        lo = hi = 0
-        feasible = True
-        for idx in range(m - 1):
-            a = per[idx]
-            lo = ceildiv(suf[idx], a)
-            hi = (alpha[idx] - gamma[idx] + prev) // a
-            if hi < lo:
-                feasible = False
-                break
-            prev = hi * a
-        if feasible:
-            g_last = gamma[m - 1]
-            values.update(g_last - k * a_last for k in range(lo, hi + 1))
-    result = len(values)
-    cache[alpha] = result
-    return result
+    carry = row = 0
+    for x, a in zip(alpha, d.lattice.periods):
+        if type(x) is not int:
+            raise ValueError(f"coordinates must be integers, got {x!r}")
+        x += carry
+        carry = x // a * a
+        row = row * a + x - carry
+    if type(alpha[-1]) is not int:
+        raise ValueError(f"coordinates must be integers, got {alpha[-1]!r}")
+    t = alpha[-1] + carry
+    total = 0
+    for base in d.class_bases[row]:  # ascending; a is now a_{m-1}
+        if base > t:
+            break
+        total += (t - base) // a + 1
+    return total
 
 
 def dimension_jump(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:

@@ -86,7 +86,7 @@ def _cube_difference(fn: Callable[[IntTuple], int], alpha: IntTuple) -> int:
     """The unit-cube difference: sum over J subset of {1..m} of (-1)^|J| fn(alpha - 1_J)."""
     total = 0
     for corner in product((0, 1), repeat=len(alpha)):
-        value = fn(tuple([x - c for x, c in zip(alpha, corner)]))
+        value = fn(tuple(map(sub, alpha, corner)))
         total += -value if sum(corner) & 1 else value
     return total
 
@@ -114,12 +114,10 @@ def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list
     Exact for every description, valid or not: translating alpha by a lattice
     vector eta translates Gamma(alpha) by eta, which shifts every last
     coordinate by eta_m and keeps the count of distinct ones.  So each cell
-    takes the value at its :func:`canonicalize` representative, and
-    ``dimension`` (which never reduces a point itself) only sees, and
-    memoizes, fundamental-region points.  Along a row of the last axis the
-    representatives are those of the row's first cell with the last
-    coordinate counted up, so rows whose first cells share a representative
-    are equal and are built once.
+    takes the value at its :func:`canonicalize` representative, asked of
+    ``dimension`` once.  Along a row of the last axis the representatives are
+    those of the row's first cell with the last coordinate counted up, so
+    rows whose first cells share a representative are equal and built once.
     """
     lo, hi = lower[-1], upper[-1]
     values: dict[IntTuple, int] = {}
@@ -249,14 +247,16 @@ def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
 # functional equation of Q against P
 
 def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
-    """Points where the box engine's q(alpha) != p(alpha) - p(alpha - 1).
+    """Points where the engine's p or q differs from the per-point route.
 
-    p comes point by point from :func:`coeff_p`, so the engine is checked
-    against the independent per-point route.
+    That route, which never reads a dim grid, is p from :func:`coeff_p` and
+    q(alpha) = p(alpha) - p(alpha - 1).
     """
+    p = series_on_box(d, "P", box)
     q = series_on_box(d, "Q", box)
-    for alpha, value in zip(box.points(), q.values):
-        if value != coeff_p(d, alpha) - coeff_p(d, tsub(alpha, ones(d.m))):
+    for alpha, p_value, q_value in zip(box.points(), p.values, q.values):
+        here = coeff_p(d, alpha)
+        if p_value != here or q_value != here - coeff_p(d, tsub(alpha, ones(d.m))):
             yield alpha
 
 
@@ -275,16 +275,16 @@ def semigroup_polynomial(d: SemigroupDescription) -> dict[IntTuple, int]:
 
 
 def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
-    """Points where the region-representative lookup disagrees with coeff_p.
+    """Points where the region-representative lookup disagrees with the engine's P.
 
     The lattice-sum factorization of P collapses to a lookup because distinct
     lattice translates of the fundamental region are disjoint.
     """
-    require_box_dim(box, d.m)
+    p = series_on_box(d, "P", box)
     poly = semigroup_polynomial(d)
-    for alpha in box.points():
+    for alpha, value in zip(box.points(), p.values):
         rep, _ = canonicalize(d.lattice, alpha)
-        if coeff_p(d, alpha) != poly.get(rep, 0):
+        if value != poly.get(rep, 0):
             yield alpha
 
 

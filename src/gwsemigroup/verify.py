@@ -4,7 +4,7 @@ Each check returns its first counterexample (or None); the runner packs the
 outcomes into :class:`CheckResult` rows for reporting.  Everything here
 re-derives quantities through routes that are independent of the primary
 fast paths, so the suite doubles as the library's internal cross-validation:
-class counts come from full enumeration instead of the greedy range walk,
+class counts come from full enumeration instead of the class-base table,
 members come from a per-coordinate sweep over lubs of absolute maximal
 elements as well as from a membership scan, and so on.  A check that does
 not apply to the description raises :class:`_Skipped` with its reason.
@@ -38,6 +38,7 @@ from .series import (
     coeff_p,
     qp_violations,
     reconstruction_violations,
+    series_on_box,
     symmetry_report,
     symmetry_violations,
 )
@@ -63,7 +64,7 @@ def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | N
 
 def _check_class_counts(d: SemigroupDescription, box: Box) -> str | None:
     # dimension == number of classes of Gamma(alpha) under "equal coordinate
-    # i", for every i, from full enumeration.
+    # i", for every i; the independent route is full enumeration.
     for alpha in box.points():
         gam = absolute_maximals_below(d, alpha)
         counts = [len({b[i] for b in gam}) for i in range(d.m)]
@@ -83,8 +84,9 @@ def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_qp_identity(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: per-point coeff_p against the engine's P and Q
     alpha = next(qp_violations(d, box), None)
-    return None if alpha is None else f"q != p - shifted p at {alpha}"
+    return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 
 
 def _p_from_direction(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:
@@ -107,20 +109,20 @@ def _check_index_independence(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_poincare_support(d: SemigroupDescription, box: Box) -> str | None:
-    for alpha in box.points():
-        p = coeff_p(d, alpha)
-        if not is_member(d, alpha):
-            if p != 0:
-                return f"nonzero p({alpha}) = {p} at a non-member"
-        elif not is_maximal(d, alpha):
-            if p != 0:
-                return f"nonzero p({alpha}) = {p} at a non-maximal member"
-        elif is_absolute_maximal(d, alpha) and p != 1:
+    # independent route: per-point membership and maximality, against the engine's P
+    # (an absolute maximal element is maximal, so p == 0 needs only the last test)
+    for alpha, p in zip(box.points(), series_on_box(d, "P", box).values):
+        if p != 0 and not is_member(d, alpha):
+            return f"nonzero p({alpha}) = {p} at a non-member"
+        if p != 0 and not is_maximal(d, alpha):
+            return f"nonzero p({alpha}) = {p} at a non-maximal member"
+        if p != 1 and is_absolute_maximal(d, alpha):
             return f"p({alpha}) = {p} at an absolute maximal (expected 1)"
     return None
 
 
 def _check_reconstruction(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: coeff_p at the region's maxima, against the engine's P
     alpha = next(reconstruction_violations(d, box), None)
     return None if alpha is None else f"polynomial lookup disagrees with p at {alpha}"
 

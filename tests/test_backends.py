@@ -142,6 +142,21 @@ def test_is_prime_power():
     ]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hermitian_dimension(3.0, (1, 1)),
+        lambda: hermitian_dimension(3, (1.0, 1)),
+        lambda: is_prime_power(4.0),
+        lambda: hermitian_genus(2.5),
+        lambda: cross_validate(3, ((0, 0), (1, 1))),
+    ],
+)
+def test_backends_reject_non_int_input(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_descriptions_pass_validation(hermitian_q2, hermitian_q3, genus0_m4):
     for d in (hermitian_q2, hermitian_q3, genus0_m4):
         assert validate_description(d) == []

