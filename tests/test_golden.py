@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from gwsemigroup.cli import main
+from gwsemigroup.core import Lattice, SemigroupDescription, save_description
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,6 +59,7 @@ def _cases():
         ("h3-mutilated", "-5..5,-5..5"),
         ("h3-extra-gamma", "-6..6,-6..6"),
         ("h3-without-22", "-6..6,-6..6"),
+        ("m4-broken", "-5..-3,4..6,-4..-2,4..6"),
     )
     for key, box in verify_boxes:
         for fmt in ("json", "text"):
@@ -91,6 +93,14 @@ def _write_descriptions(directory: Path) -> dict[str, str]:
         paths[key] = str(directory / f"{key}.json")
         data = {**h3, "gamma_fundamental": variant}
         Path(paths[key]).write_text(json.dumps(data), encoding="utf-8")
+    # an invalid m = 4 description with a period > 1 below the last level:
+    # (1, 0, 1, 5) is not absolute maximal, and the class counts differ by
+    # coordinate, so its verify output holds a failing class-count row
+    broken = SemigroupDescription(
+        4, 3, Lattice((2, 1, 4)), ((0, 0, 0, 0), (1, 0, 1, 5), (1, 0, 3, -4))
+    )
+    paths["m4-broken"] = str(directory / "m4-broken.json")
+    save_description(broken, paths["m4-broken"])
     return paths
 
 
