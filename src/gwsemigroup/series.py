@@ -32,8 +32,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
-from operator import sub
+from itertools import accumulate, product
+from math import prod
+from operator import eq, sub
 from typing import Callable, Iterator
 
 from .core import (
@@ -140,14 +141,29 @@ def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list
 
 def _slab(values: list[int], shape: IntTuple, axis: int, start: int, count: int) -> list[int]:
     """The layers start .. start + count - 1 of the table along one axis."""
-    stride = 1
-    for n in shape[axis + 1:]:
-        stride *= n
+    stride = prod(shape[axis + 1:])
     block = shape[axis] * stride
     lo, hi = start * stride, (start + count) * stride
     out: list[int] = []
     for first in range(0, len(values), block):
         out += values[first + lo:first + hi]
+    return out
+
+
+def _running(
+    values: list[int], shape: IntTuple, axis: int, op: Callable[[int, int], int]
+) -> list[int]:
+    """The table with each cell along one axis replaced by op over it and the cells before."""
+    stride = prod(shape[axis + 1:])
+    block = shape[axis] * stride
+    out: list[int] = []
+    for first in range(0, len(values), block):
+        if stride == 1:
+            out += accumulate(values[first:first + block], op)
+            continue
+        layers = (values[lo:lo + stride] for lo in range(first, first + block, stride))
+        for layer in accumulate(layers, lambda below, here: list(map(op, below, here))):
+            out += layer
     return out
 
 
@@ -250,13 +266,24 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
     """Points where the engine's p or q differs from the per-point route.
 
     That route, which never reads a dim grid, is p from :func:`coeff_p` and
-    q(alpha) = p(alpha) - p(alpha - 1).
+    q(alpha) = p(alpha) - p(alpha - 1).  p is asked once per box point and
+    kept in ``Box.points()`` order, so p(alpha - 1) is the value kept ``back``
+    places earlier, the sum of the axis strides; only for alpha on a lower
+    face does alpha - 1 leave the box and need a call of its own.
     """
     p = series_on_box(d, "P", box)
     q = series_on_box(d, "Q", box)
+    size = [u - l + 1 for l, u in zip(box.lower, box.upper)]
+    back = sum(prod(size[axis + 1:]) for axis in range(d.m))
+    kept: list[int] = []
     for alpha, p_value, q_value in zip(box.points(), p.values, q.values):
         here = coeff_p(d, alpha)
-        if p_value != here or q_value != here - coeff_p(d, tsub(alpha, ones(d.m))):
+        if any(map(eq, alpha, box.lower)):
+            below = coeff_p(d, tsub(alpha, ones(d.m)))
+        else:
+            below = kept[-back]
+        kept.append(here)
+        if p_value != here or q_value != here - below:
             yield alpha
 
 

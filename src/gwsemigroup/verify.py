@@ -4,16 +4,20 @@ Each check returns its first counterexample (or None); the runner packs the
 outcomes into :class:`CheckResult` rows for reporting.  Everything here
 re-derives quantities through routes that are independent of the primary
 fast paths, so the suite doubles as the library's internal cross-validation:
-class counts come from full enumeration instead of the class-base table,
-members come from a per-coordinate sweep over lubs of absolute maximal
-elements as well as from a membership scan, and so on.  A check that does
-not apply to the description raises :class:`_Skipped` with its reason.
+class counts come from one enumeration of the absolute maximal elements below
+the box plus prefix tables instead of the class-base table, members come from
+a per-coordinate sweep over lubs of absolute maximal elements as well as from
+a membership scan, and so on; each check names its route in a comment.  A
+check that does not apply to the description raises :class:`_Skipped` with
+its reason.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
+from operator import add, or_
 
 from .core import (
     Box,
@@ -25,16 +29,19 @@ from .core import (
     validate_description,
 )
 from .semigroup import (
-    absolute_maximals_below,
     dimension,
     dimension_jump,
     is_absolute_maximal,
     is_maximal,
     is_member,
+    lattice_translates,
     members_from_lubs,
     two_point_profile,
 )
 from .series import (
+    _dim_grid,
+    _running,
+    _slab,
     coeff_p,
     qp_violations,
     reconstruction_violations,
@@ -58,23 +65,60 @@ class _Skipped(Exception):
 
 
 def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: the listed gammas against the slab scan for absolute
+    # maximal elements, and dimension against the Riemann-Roch regime
     violations = validate_description(d)
     return violations[0] if violations else None
 
 
+def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
+    """Table i holds |{beta_i : beta in Gamma(alpha)}| at every box point alpha.
+
+    One walk enumerates G, the absolute maximal elements below ``box.upper``;
+    Gamma(alpha) is the part of G below alpha.  Table i spans the box with
+    axis i reaching down to the least beta_i.  Each beta marks the cell
+    (beta_i, max(beta_j, lower_j) for j != i); a running OR along every other
+    axis leaves cell (v, x) marked when some beta has beta_i = v and
+    beta_j <= x_j for j != i, and a running sum along axis i then counts the
+    marked values v up to alpha_i.  Axis i is cut back to the box at the end.
+    """
+    lower, upper = box.lower, box.upper
+    gens = list(lattice_translates(d.lattice.periods, d.gamma_fundamental, upper))
+    tables = []
+    for i in range(d.m):
+        first = min([lower[i]] + [beta[i] for beta in gens])
+        origin = lower[:i] + (first,) + lower[i + 1:]
+        shape = tuple(u - o + 1 for o, u in zip(origin, upper))
+        marks = [0] * prod(shape)
+        for beta in gens:
+            k = 0
+            for b, o, n in zip(beta, origin, shape):
+                k = k * n + max(b, o) - o
+            marks[k] = 1
+        for axis in range(d.m):
+            if axis != i:
+                marks = _running(marks, shape, axis, or_)
+        counts = _running(marks, shape, i, add)
+        tables.append(_slab(counts, shape, i, lower[i] - first, upper[i] - lower[i] + 1))
+    return tables
+
+
 def _check_class_counts(d: SemigroupDescription, box: Box) -> str | None:
-    # dimension == number of classes of Gamma(alpha) under "equal coordinate
-    # i", for every i; the independent route is full enumeration.
-    for alpha in box.points():
-        gam = absolute_maximals_below(d, alpha)
-        counts = [len({b[i] for b in gam}) for i in range(d.m)]
-        want = dimension(d, alpha)
+    # independent route: classes of Gamma(alpha) counted from one enumeration
+    # of the absolute maximal elements, never from the class-base table of
+    # dimension.  dimension counts by the last coordinate, and every other
+    # coordinate gives the same count on a valid description, so unequal
+    # counts also flag a broken one, which description-consistency reports first.
+    dims = _dim_grid(d, box.lower, box.upper)
+    for alpha, want, *counts in zip(box.points(), dims, *_class_count_tables(d, box)):
         if any(c != want for c in counts):
             return f"at {alpha}: class counts {counts} vs dimension {want}"
     return None
 
 
 def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: members as lubs of absolute maximal elements, a sweep
+    # that never calls dimension, against per-point is_member
     swept = members_from_lubs(d, box)
     scanned = {a for a in box.points() if is_member(d, a)}
     if swept != scanned:
@@ -101,6 +145,8 @@ def _p_from_direction(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:
 
 
 def _check_index_independence(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: the paper's p from the jumps in each direction, against
+    # the unit-cube difference of coeff_p, on a spread sample of the box
     for alpha in spread_sample(list(box.points()), 400):
         vals = {coeff_p(d, alpha)} | {_p_from_direction(d, alpha, i) for i in range(1, d.m + 1)}
         if len(vals) != 1:
@@ -128,6 +174,8 @@ def _check_reconstruction(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: each per-point query at alpha and at alpha + eta, two
+    # raw points that the grid fills from one class value
     for alpha in spread_sample(list(box.points()), 150):
         for eta in d.lattice.generators:
             shifted = tadd(alpha, eta)
@@ -145,6 +193,7 @@ def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_riemann_roch_regime(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: the genus alone fixes dim off the slab 0 <= |alpha| < 2g - 1
     lo = 2 * d.genus - 1
     for alpha in box.points():
         s = sum(alpha)
@@ -159,6 +208,8 @@ def _check_riemann_roch_regime(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_symmetry(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: the grid at the reflected box s - alpha, against the
+    # grid at the box, through the three symmetry identities
     report = symmetry_report(d)
     if not report.symmetric:
         raise _Skipped("not symmetric")
@@ -170,6 +221,7 @@ def _check_symmetry(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_two_point_profile(d: SemigroupDescription, box: Box) -> str | None:
+    # independent route: the staircase from column and row scans of is_member
     if d.m != 2:
         raise _Skipped("m != 2")
     try:

@@ -1,11 +1,15 @@
 import dataclasses
+import random
 
 import pytest
 
 from gwsemigroup import (
     Box,
+    Lattice,
     SemigroupDescription,
     TwoPointProfile,
+    absolute_maximals_below,
+    dimension,
     genus0_description,
     hermitian_description,
     is_absolute_maximal,
@@ -21,7 +25,8 @@ from gwsemigroup import (
     symmetry_report,
     symmetry_violations,
 )
-from gwsemigroup import series, verify
+from gwsemigroup import semigroup, series, verify
+from gwsemigroup.core import validate_description
 from gwsemigroup.verify import CHECK_NAMES
 
 
@@ -206,3 +211,101 @@ def test_two_point_profile_check_flags_a_member_below_the_staircase(monkeypatch,
     monkeypatch.setattr(verify, "two_point_profile", lambda d: TwoPointProfile(4, (0, 9, 2, -1)))
     detail = verify._check_two_point_profile(hermitian_q3, Box((0, 0), (1, 1)))
     assert detail == "(1, 8) is a member below the staircase"
+
+
+def _per_point_class_counts(d, box):
+    # the per-point route the dense tables replace: Gamma(alpha) enumerated
+    # afresh at every box point
+    for alpha in box.points():
+        gam = absolute_maximals_below(d, alpha)
+        yield alpha, [len({b[i] for b in gam}) for i in range(d.m)]
+
+
+def _class_count_corpus():
+    broken_m4 = SemigroupDescription(
+        4, 3, Lattice((2, 1, 4)), ((0, 0, 0, 0), (1, 0, 1, 5), (1, 0, 3, -4))
+    )
+    periodic_m3 = SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1)))
+    cases = [
+        (hermitian_description(2), Box((-4, -4), (5, 6))),
+        (hermitian_description(3), Box((-6, -6), (8, 8))),
+        (hermitian_description(4), Box((-3, -7), (12, 5))),
+        (genus0_description(3), Box((-2, -2, -2), (2, 2, 2))),
+        (genus0_description(4), Box((-1, -2, -1, -1), (1, 1, 1, 1))),
+        (periodic_m3, Box((-4, -3, -5), (3, 4, 3))),
+        (broken_m4, Box((-5, 4, -4, 4), (-3, 6, -2, 6))),
+    ]
+    # zero plus up to five random gammas in the fundamental region, periods
+    # 1-4; most are not valid descriptions
+    rng = random.Random(2718)
+    for n in range(300):
+        m = 2 + n % 3
+        periods = tuple(rng.randint(1, 4) for _ in range(m - 1))
+        genus = rng.randint(0, 3)
+        gammas = {(0,) * m}
+        for _ in range(rng.randint(0, 5)):
+            head = tuple(rng.randrange(a) for a in periods)
+            gammas.add(head + (rng.randint(0, 2 * genus - 2 + m) - sum(head),))
+        d = SemigroupDescription(m, genus, Lattice(periods), tuple(gammas))
+        lower = tuple(rng.randint(-4, 2) for _ in range(m))
+        width = {2: 6, 3: 3, 4: 2}[m]
+        cases.append((d, Box(lower, tuple(x + rng.randint(0, width) for x in lower))))
+    return cases
+
+
+def test_dense_class_counts_equal_per_point_enumeration():
+    failing = invalid = 0
+    for d, box in _class_count_corpus():
+        tables = verify._class_count_tables(d, box)
+        want = None
+        for k, (alpha, counts) in enumerate(_per_point_class_counts(d, box)):
+            assert [t[k] for t in tables] == counts, (d, box, alpha)
+            dim = dimension(d, alpha)
+            if want is None and any(c != dim for c in counts):
+                want = f"at {alpha}: class counts {counts} vs dimension {dim}"
+        assert verify._check_class_counts(d, box) == want, (d, box)
+        failing += want is not None
+        invalid += bool(validate_description(d))
+    assert failing >= 5 and invalid >= 100
+
+
+def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4):
+    walks = []
+    original = verify.lattice_translates
+
+    def counting(*args):
+        walks.append(args)
+        return original(*args)
+
+    def forbidden(*args):
+        raise AssertionError("absolute_maximals_below called")
+
+    monkeypatch.setattr(verify, "lattice_translates", counting)
+    monkeypatch.setattr(semigroup, "absolute_maximals_below", forbidden)
+    for d, box in [
+        (hermitian_q3, Box((-6, -6), (8, 8))),
+        (genus0_m4, Box((-3,) * 4, (3,) * 4)),
+    ]:
+        walks.clear()
+        assert verify._check_class_counts(d, box) is None
+        assert len(walks) == 1
+
+
+def test_qp_identity_asks_p_once_per_point_and_once_more_on_lower_faces(
+    monkeypatch, hermitian_q3, genus0_m3
+):
+    calls = []
+    original = series.coeff_p
+
+    def counting(d, alpha):
+        calls.append(alpha)
+        return original(d, alpha)
+
+    monkeypatch.setattr(series, "coeff_p", counting)
+    assert list(qp_violations(hermitian_q3, Box((-4, -4), (6, 6)))) == []
+    assert len(calls) == 121 + 21  # 242 with two calls per point
+    for box in [Box((-2, 0, -1), (1, 0, 2)), Box((-2, -2, -2), (2, 2, 2))]:
+        calls.clear()
+        assert list(qp_violations(genus0_m3, box)) == []
+        on_face = sum(any(x == l for x, l in zip(a, box.lower)) for a in box.points())
+        assert len(calls) == box.point_count() + on_face
