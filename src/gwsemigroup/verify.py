@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterable
 from math import prod
 from operator import add, or_
 
@@ -71,35 +72,62 @@ def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | N
     return violations[0] if violations else None
 
 
+def _flat(offsets: list[int], shape: IntTuple) -> int:
+    """Row-major index of the cell at these offsets in a table of this shape."""
+    k = 0
+    for x, n in zip(offsets, shape):
+        k = k * n + x
+    return k
+
+
+def _reached(cells: list[int], shape: IntTuple, axes: Iterable[int]) -> list[int]:
+    """The table marked at the given flat cells, then running-ORed along the axes."""
+    marks = [0] * prod(shape)
+    for k in cells:
+        marks[k] = 1
+    for axis in axes:
+        marks = _running(marks, shape, axis, or_)
+    return marks
+
+
 def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
     """Table i holds |{beta_i : beta in Gamma(alpha)}| at every box point alpha.
 
     One walk enumerates G, the absolute maximal elements below ``box.upper``;
-    Gamma(alpha) is the part of G below alpha.  Table i spans the box with
-    axis i reaching down to the least beta_i.  Each beta marks the cell
-    (beta_i, max(beta_j, lower_j) for j != i); a running OR along every other
-    axis leaves cell (v, x) marked when some beta has beta_i = v and
-    beta_j <= x_j for j != i, and a running sum along axis i then counts the
-    marked values v up to alpha_i.  Axis i is cut back to the box at the end.
+    Gamma(alpha) is the part of G below alpha.  Table i is the box grown by
+    one layer below along axis i.  Each beta with beta_i in the box marks the
+    cell (beta_i, max(beta_j, lower_j) for j != i); a running OR along every
+    other axis leaves cell (v, x) marked when some beta has beta_i = v and
+    beta_j <= x_j for j != i.  The extra layer counts the values v below
+    lower_i reached that way, one OR table over the other axes per value, so
+    the table never grows with the distance from the box down to the least
+    beta_i.  A running sum along axis i then counts the values up to alpha_i,
+    and the extra layer is cut off.
     """
     lower, upper = box.lower, box.upper
+    size = tuple(u - l + 1 for l, u in zip(lower, upper))
     gens = list(lattice_translates(d.lattice.periods, d.gamma_fundamental, upper))
     tables = []
     for i in range(d.m):
-        first = min([lower[i]] + [beta[i] for beta in gens])
-        origin = lower[:i] + (first,) + lower[i + 1:]
-        shape = tuple(u - o + 1 for o, u in zip(origin, upper))
-        marks = [0] * prod(shape)
+        shape = size[:i] + (size[i] + 1,) + size[i + 1:]
+        others = size[:i] + size[i + 1:]
+        inside: list[int] = []
+        below: dict[int, list[int]] = {}
         for beta in gens:
-            k = 0
-            for b, o, n in zip(beta, origin, shape):
-                k = k * n + max(b, o) - o
-            marks[k] = 1
-        for axis in range(d.m):
-            if axis != i:
-                marks = _running(marks, shape, axis, or_)
-        counts = _running(marks, shape, i, add)
-        tables.append(_slab(counts, shape, i, lower[i] - first, upper[i] - lower[i] + 1))
+            cell = [max(b, l) - l for b, l in zip(beta, lower)]
+            if beta[i] < lower[i]:
+                below.setdefault(beta[i], []).append(_flat(cell[:i] + cell[i + 1:], others))
+            else:
+                cell[i] += 1
+                inside.append(_flat(cell, shape))
+        marks = _reached(inside, shape, [axis for axis in range(d.m) if axis != i])
+        first_layer = [0] * prod(others)
+        for cells in below.values():
+            first_layer = list(map(add, first_layer, _reached(cells, others, range(d.m - 1))))
+        stride = prod(size[i + 1:])
+        for n, first in enumerate(range(0, len(marks), shape[i] * stride)):
+            marks[first:first + stride] = first_layer[n * stride:(n + 1) * stride]
+        tables.append(_slab(_running(marks, shape, i, add), shape, i, 1, size[i]))
     return tables
 
 
