@@ -65,6 +65,13 @@ def _cases():
         for fmt in ("json", "text"):
             argv = ["verify", "--box", box, "--format", fmt]
             cases.append((f"{key}-verify.{fmt}", key, argv))
+    # basis points where many translates share a last coordinate, so the
+    # lexicographically least one per class is pinned; one needs a nonzero
+    # lower carry
+    for key, alpha in (("m4-broken", "2,2,2,6"), ("m4-broken", "3,2,1,5"), ("g4", "2,1,0,3")):
+        for fmt in ("json", "text"):
+            argv = ["query", "basis", alpha, "--format", fmt]
+            cases.append((f"{key}-basis-{alpha.replace(',', '_')}.{fmt}", key, argv))
     cases.append(("h3-plot.svg", "h3", ["plot", "--box", "-8..9,-8..10"]))
     cases.append(("h3-plot-row.svg", "h3", ["plot", "--box", "-4..6,1..1"]))
     return cases
