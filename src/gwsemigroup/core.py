@@ -141,6 +141,14 @@ def require_box_dim(box: Box, m: int) -> None:
         raise ValueError("box dimension disagrees with description")
 
 
+def require_point(alpha: Iterable[int], m: int) -> IntTuple:
+    """alpha as a tuple; ValueError unless it is m integers."""
+    alpha = int_tuple(alpha, "coordinates")
+    if len(alpha) != m:
+        raise ValueError(f"tuple of length {len(alpha)}, description has m={m}")
+    return alpha
+
+
 # ---------------------------------------------------------------------------
 # the period lattice and its fundamental region
 

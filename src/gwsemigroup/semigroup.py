@@ -35,6 +35,7 @@ from .core import (
     SemigroupDescription,
     ceildiv,
     require_box_dim,
+    require_point,
     int_tuple,
     ones,
     tsub,
@@ -111,9 +112,7 @@ def lattice_translates(
 
 def absolute_maximals_below(d: SemigroupDescription, alpha: IntTuple) -> set[IntTuple]:
     """All absolute maximal elements beta with beta <= alpha (a finite set)."""
-    alpha = int_tuple(alpha, "coordinates")
-    if len(alpha) != d.m:
-        raise ValueError(f"tuple of length {len(alpha)}, description has m={d.m}")
+    alpha = require_point(alpha, d.m)
     return set(lattice_translates(d.lattice.periods, d.gamma_fundamental, alpha))
 
 
@@ -191,7 +190,7 @@ def nabla_im_set(d: SemigroupDescription, alpha: IntTuple, i: int) -> set[IntTup
     """
     if type(i) is not int or not 1 <= i <= d.m:
         raise ValueError(f"coordinate index {i!r} is not an integer in 1..{d.m}")
-    return _capped_members(d, list(alpha), {i - 1})
+    return _capped_members(d, list(require_point(alpha, d.m)), {i - 1})
 
 
 def nabla_set(d: SemigroupDescription, alpha: IntTuple, J: Iterable[int]) -> set[IntTuple]:
@@ -199,6 +198,7 @@ def nabla_set(d: SemigroupDescription, alpha: IntTuple, J: Iterable[int]) -> set
 
     J must be a nonempty proper subset of {1..m}.
     """
+    alpha = require_point(alpha, d.m)
     Js = frozenset(int_tuple(J, "J"))
     m = d.m
     if not Js or not Js < frozenset(range(1, m + 1)):
@@ -290,14 +290,41 @@ def riemann_roch_basis(d: SemigroupDescription, alpha: IntTuple) -> list[IntTupl
     the lexicographically least element of each class; the list has length
     dim(alpha) and pairwise distinct last coordinates, and is returned in
     lexicographic order.
+
+    Built without enumerating Gamma(alpha).  With 0-based coordinates
+    0..m-1 and periods a_0..a_{m-2}, a translate of gamma has
+    beta_i = gamma_i + c_i - c_{i-1}, with carries c_i = k_i a_i and
+    c_{-1} = c_{m-1} = 0.  The greedily largest carries (the loop of
+    ``d.class_bases``) give the least last coordinate of a translate below
+    alpha, and every v from there up to alpha_{m-1} in steps of a_{m-2} is
+    reached.  For one v, c_{m-2} = gamma_{m-1} - v, and beta_i <= alpha_i
+    asks c_{i-1} >= ceil((gamma_i + c_i - alpha_i) / a_{i-1}) a_{i-1}; these
+    least carries grow with c_i, so taken from level m-2 down they give the
+    lexicographically least translate with last coordinate v, and the greedy
+    carries dominate them, so it lies below alpha.  Cost:
+    O(dim(alpha) * |gammas| * m), against the size of Gamma(alpha) for
+    :func:`absolute_maximals_below`.
     """
-    reps: dict[int, IntTuple] = {}
-    for beta in absolute_maximals_below(d, alpha):
-        key = beta[-1]
-        cur = reps.get(key)
-        if cur is None or beta < cur:
-            reps[key] = beta
-    return sorted(reps.values())
+    alpha = require_point(alpha, d.m)
+    per = d.lattice.periods
+    least: dict[int, IntTuple] = {}
+    for gamma in d.gamma_fundamental:
+        greedy = 0
+        for x, g, a in zip(alpha, gamma, per):
+            greedy = (x - g + greedy) // a * a
+        for last_carry in range(greedy, gamma[-1] - alpha[-1] - 1, -per[-1]):
+            carry = last_carry
+            beta = [gamma[-1] - carry]
+            for i in range(d.m - 2, 0, -1):
+                below = ceildiv(gamma[i] + carry - alpha[i], per[i - 1]) * per[i - 1]
+                beta.append(gamma[i] + carry - below)
+                carry = below
+            beta.append(gamma[0] + carry)
+            bt = tuple(reversed(beta))
+            cur = least.get(bt[-1])
+            if cur is None or bt < cur:
+                least[bt[-1]] = bt
+    return sorted(least.values())
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .core import (
     SemigroupDescription,
     canonicalize,
     require_box_dim,
+    require_point,
     ones,
     tadd,
     tsub,
@@ -94,7 +95,7 @@ def _cube_difference(fn: Callable[[IntTuple], int], alpha: IntTuple) -> int:
 
 def coeff_q(d: SemigroupDescription, alpha: IntTuple) -> int:
     """Alternating sum of filtration coefficients over all 2^m corner shifts."""
-    return _cube_difference(partial(coeff_l, d), alpha)
+    return _cube_difference(partial(coeff_l, d), require_point(alpha, d.m))
 
 
 def coeff_p(d: SemigroupDescription, alpha: IntTuple) -> int:
@@ -103,7 +104,7 @@ def coeff_p(d: SemigroupDescription, alpha: IntTuple) -> int:
     The paper's route from the jumps in one direction i gives the same value
     for every i (a verification-suite check).
     """
-    return _cube_difference(partial(dimension, d), alpha)
+    return _cube_difference(partial(dimension, d), require_point(alpha, d.m))
 
 
 # ---------------------------------------------------------------------------

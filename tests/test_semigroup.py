@@ -7,6 +7,9 @@ from gwsemigroup import (
     Box,
     TwoPointProfile,
     absolute_maximals_below,
+    coeff_l,
+    coeff_p,
+    coeff_q,
     dimension,
     dimension_jump,
     fundamental_maximals,
@@ -143,9 +146,21 @@ def test_dimension_equals_class_counts_on_random_descriptions():
     assert nonzero >= 300
 
 
-@pytest.mark.parametrize("query", [dimension, is_member, riemann_roch_basis])
+@pytest.mark.parametrize(
+    "query",
+    [
+        dimension,
+        is_member,
+        riemann_roch_basis,
+        coeff_l,
+        coeff_p,
+        coeff_q,
+        pytest.param(lambda d, alpha: nabla_im_set(d, alpha, 1), id="nabla_im_set"),
+        pytest.param(lambda d, alpha: nabla_set(d, alpha, [1]), id="nabla_set"),
+    ],
+)
 def test_point_queries_accept_only_int_coordinates(hermitian_q3, query):
-    for bad in [(True, 2), (0.0, 0), (2.5, 2), (0, "1")]:
+    for bad in [(True, 2), (0.0, 0), (2.5, 2), (0, "1"), (0,)]:
         with pytest.raises(ValueError):
             query(hermitian_q3, bad)
     assert query(hermitian_q3, [0, 0]) == query(hermitian_q3, (0, 0))
@@ -425,6 +440,68 @@ def test_riemann_roch_basis_shape(hermitian_q3, genus0_m3):
             last_coords = [b[-1] for b in basis]
             assert len(set(last_coords)) == len(last_coords)
             assert basis == sorted(basis)
+
+
+def _least_per_last_coordinate(d, alpha):
+    """The reference route: all of Gamma(alpha), then the least beta per last coordinate."""
+    least = {}
+    for beta in sorted(absolute_maximals_below(d, alpha), reverse=True):
+        least[beta[-1]] = beta
+    return sorted(least.values())
+
+
+def _random_description(rng, m):
+    # zero plus up to five random gammas in the fundamental region, periods
+    # 1-5; most are not valid descriptions
+    periods = tuple(rng.randint(1, 5) for _ in range(m - 1))
+    genus = rng.randint(0, 4)
+    gammas = {(0,) * m}
+    for _ in range(rng.randint(0, 5)):
+        head = tuple(rng.randrange(a) for a in periods)
+        gammas.add(head + (rng.randint(0, 2 * genus - 2 + m) - sum(head),))
+    return SemigroupDescription(m, genus, Lattice(periods), tuple(gammas))
+
+
+def test_riemann_roch_basis_matches_enumeration(
+    hermitian_q2, hermitian_q3, genus0_m3, genus0_m4, broken_m4
+):
+    # the direct construction against the lex-least element per class of the
+    # enumerated Gamma(alpha), on fixtures and on seeded raw descriptions
+    for d, box in [
+        (hermitian_q2, Box((-4, -4), (6, 6))),
+        (hermitian_q3, Box((-5, -5), (8, 8))),
+        (genus0_m3, Box((-2, -2, -2), (3, 3, 3))),
+        (genus0_m4, Box((-1, -1, -1, -1), (2, 2, 2, 2))),
+        (broken_m4, Box((-1, 0, -1, 2), (3, 2, 2, 6))),
+    ]:
+        for alpha in box.points():
+            assert riemann_roch_basis(d, alpha) == _least_per_last_coordinate(d, alpha), alpha
+    rng = random.Random(1313)
+    ties = 0
+    for n in range(320):
+        d = _random_description(rng, 2 + n % 4)
+        for _ in range(6):
+            alpha = tuple(rng.randint(-3, 5) for _ in range(d.m))
+            want = _least_per_last_coordinate(d, alpha)
+            assert riemann_roch_basis(d, alpha) == want, (d, alpha)
+            ties += len(absolute_maximals_below(d, alpha)) > len(want)
+    # most points have several translates per class, so the least one is pinned
+    assert ties >= 600
+
+
+def test_riemann_roch_basis_does_not_enumerate(monkeypatch, hermitian_q3, genus0_m4, broken_m4):
+    def walk(*args):
+        raise AssertionError("riemann_roch_basis walked the lattice")
+
+    monkeypatch.setattr(semigroup, "absolute_maximals_below", walk)
+    monkeypatch.setattr(semigroup, "lattice_translates", walk)
+    for d, alpha in [
+        (hermitian_q3, (9, 10)),
+        (genus0_m4, (2, 1, 0, 3)),
+        (broken_m4, (2, 2, 2, 6)),
+        (broken_m4, (1, 2, 3, 4)),
+    ]:
+        assert len(riemann_roch_basis(d, alpha)) == dimension(d, alpha) > 0
 
 
 # ---------------------------------------------------------------------------
