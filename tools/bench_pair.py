@@ -18,8 +18,11 @@ side's fail_ratio and, per end-to-end metric, every run's value, the median,
 the quartiles and their distance (the spread), and the pairs the change won
 (ties count for neither side).  ``gain`` is true when the change won at
 least nine tenths of the pairs and its median beats the parent's by more
-than the parent's spread.  Nothing is written unless every run completes.
-Only the standard library is used.
+than the parent's spread.  ``worse`` is true when the change's median is
+worse than the parent's by more than the metric's ``bound`` from
+BENCHMARK.json, taken as a fraction of the parent's median; the top-level
+``worse`` lists those (workload, metric) pairs.  Nothing is written unless
+every run completes.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -63,26 +66,59 @@ def side_summary(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3, "spread": q3 - q1}
 
 
-def metric_summary(parent: list[float], change: list[float], better: str) -> dict:
-    """Both sides of one metric over paired runs, with pairs won and the gain rule."""
+def metric_summary(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Both sides of one metric over paired runs, with pairs won, the gain and worse rules."""
     sign = 1 if better == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change, strict=True))
     old, new = side_summary(parent), side_summary(change)
-    gain = 10 * won >= 9 * len(parent) and sign * (new["median"] - old["median"]) > old["spread"]
+    delta = sign * (new["median"] - old["median"])
+    gain = 10 * won >= 9 * len(parent) and delta > old["spread"]
     return {
         "better": better,
+        "bound": bound,
         "parent": old,
         "change": new,
         "ratio": new["median"] / old["median"] if old["median"] else None,
         "pairs_won": won,
         "pairs": len(parent),
         "gain": gain,
+        "worse": -delta > bound * abs(old["median"]),
     }
 
 
 def fail_ratio(results: list[dict]) -> float:
     attempted = sum(r["attempted"] for r in results)
     return sum(r["failed"] for r in results) / attempted if attempted else 1.0
+
+
+def summarize(runs: dict[str, dict[str, list[dict]]], end_to_end: list[dict]) -> tuple[dict, list]:
+    """Per workload, each side's fail_ratio and every end-to-end metric's
+    summary; and the [workload, metric] pairs flagged worse."""
+    workloads = {}
+    for workload, sides in runs.items():
+        metrics = {
+            m["name"]: {
+                "unit": m["unit"],
+                **metric_summary(
+                    [r["metrics"][m["name"]]["value"] for r in sides["parent"]],
+                    [r["metrics"][m["name"]]["value"] for r in sides["change"]],
+                    m["better"],
+                    m["bound"],
+                ),
+            }
+            for m in end_to_end
+        }
+        workloads[workload] = {
+            "fail_ratio": {side: fail_ratio(results) for side, results in sides.items()},
+            "metrics": metrics,
+        }
+    worse = [
+        [workload, name]
+        for workload, summary in workloads.items()
+        for name, metric in summary["metrics"].items()
+        if metric["worse"]
+    ]
+    return workloads, worse
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,25 +154,8 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "seeds": args.seeds,
         "order": "parent first on the 1st, 3rd, ... seed; change first on the others",
-        "workloads": {},
     }
-    for workload, sides in runs.items():
-        metrics = {
-            m["name"]: {
-                "unit": m["unit"],
-                "bound": m["bound"],
-                **metric_summary(
-                    [r["metrics"][m["name"]]["value"] for r in sides["parent"]],
-                    [r["metrics"][m["name"]]["value"] for r in sides["change"]],
-                    m["better"],
-                ),
-            }
-            for m in bench["end_to_end"]
-        }
-        out["workloads"][workload] = {
-            "fail_ratio": {side: fail_ratio(results) for side, results in sides.items()},
-            "metrics": metrics,
-        }
+    out["workloads"], out["worse"] = summarize(runs, bench["end_to_end"])
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)
