@@ -20,7 +20,11 @@ to k_i * a_i, which gives
 
 The last-level bound is exactly the constraint beta_m <= alpha_m, so every
 leaf of the walk is a genuine element of Gamma(alpha).  A lower corner
-bounds the walk the same way with the inequalities reversed.
+bounds the walk the same way with the inequalities reversed.  The walk
+serves only :func:`absolute_maximals_below` and the lub sweep of
+:func:`members_from_lubs`: :func:`dimension` reads a class-base table, and
+:func:`riemann_roch_basis` builds one least translate per last coordinate
+from the same carry bounds without walking Gamma(alpha).
 """
 
 from __future__ import annotations
@@ -307,23 +311,23 @@ def riemann_roch_basis(d: SemigroupDescription, alpha: IntTuple) -> list[IntTupl
     """
     alpha = require_point(alpha, d.m)
     per = d.lattice.periods
+    levels = range(d.m - 2, 0, -1)
+    top, step = alpha[-1], per[-1]
     least: dict[int, IntTuple] = {}
     for gamma in d.gamma_fundamental:
         greedy = 0
         for x, g, a in zip(alpha, gamma, per):
             greedy = (x - g + greedy) // a * a
-        for last_carry in range(greedy, gamma[-1] - alpha[-1] - 1, -per[-1]):
-            carry = last_carry
-            beta = [gamma[-1] - carry]
-            for i in range(d.m - 2, 0, -1):
+        for last in range(greedy, gamma[-1] - top - 1, -step):
+            carry, beta = last, (gamma[-1] - last,)
+            for i in levels:
                 below = ceildiv(gamma[i] + carry - alpha[i], per[i - 1]) * per[i - 1]
-                beta.append(gamma[i] + carry - below)
+                beta = (gamma[i] + carry - below,) + beta
                 carry = below
-            beta.append(gamma[0] + carry)
-            bt = tuple(reversed(beta))
-            cur = least.get(bt[-1])
-            if cur is None or bt < cur:
-                least[bt[-1]] = bt
+            beta = (gamma[0] + carry,) + beta
+            cur = least.get(beta[-1])
+            if cur is None or beta < cur:
+                least[beta[-1]] = beta
     return sorted(least.values())
 
 
