@@ -130,8 +130,12 @@ def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
     ``d.class_bases`` up to t, so dim(r, t) = sum_c max(0, (t - B_c(r)) //
     a_{m-1} + 1).  Table cost: O(prod(periods) * |gammas| * m), once.
     """
-    if len(alpha) != d.m:
-        raise ValueError(f"tuple of length {len(alpha)}, description has m={d.m}")
+    try:
+        n = len(alpha)
+    except TypeError:
+        raise ValueError(f"coordinates must be a sequence of integers, got {alpha!r}") from None
+    if n != d.m:
+        raise ValueError(f"tuple of length {n}, description has m={d.m}")
     carry = row = 0
     for x, a in zip(alpha, d.lattice.periods):
         if type(x) is not int:

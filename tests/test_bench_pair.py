@@ -71,3 +71,24 @@ def test_summarize_lists_the_worse_pairs(bench_pair):
     assert worse == [["slower", "queries_per_s"], ["slower", "peak_rss_mb"]]
     assert workloads["steady"]["fail_ratio"] == {"parent": 0.0, "change": 0.0}
     assert workloads["slower"]["metrics"]["peak_rss_mb"]["bound"] == 0.15
+
+
+
+def test_summarize_flags_a_higher_fail_ratio_and_voids_its_gains(bench_pair):
+    def runs(base, failed):
+        return [
+            {"attempted": 100, "failed": failed, "metrics": {"queries_per_s": {"value": base + k}}}
+            for k in range(4)
+        ]
+
+    end_to_end = [{"name": "queries_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+    # equal fail ratios flag nothing, and the twice-as-fast change keeps its gain
+    sides = {"parent": runs(100.0, 1), "change": runs(200.0, 1)}
+    workloads, worse = bench_pair.summarize({"w": sides}, end_to_end)
+    assert worse == [] and workloads["w"]["metrics"]["queries_per_s"]["gain"]
+    # more failures than the parent: flagged, and the same speed-up claims no gain
+    sides = {"parent": runs(100.0, 0), "change": runs(200.0, 1)}
+    workloads, worse = bench_pair.summarize({"w": sides}, end_to_end)
+    assert worse == [["w", "fail_ratio"]]
+    assert workloads["w"]["fail_ratio"] == {"parent": 0.0, "change": 0.01}
+    assert workloads["w"]["metrics"]["queries_per_s"]["gain"] is False

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,49 @@ def test_plot_rejects_higher_dimensions(capsys, tmp_path):
     main(["gen", "genus0", "--m", "3", "--out", str(path)])
     code, _, err = run_cli(capsys, ["plot", "--desc", str(path), "--box", "-2..2,-2..2"])
     assert code == 2 and "two-point" in err
+
+
+# ---------------------------------------------------------------------------
+# the request path shared by every subcommand
+
+# one valid request per subcommand; DESC stands for the h3 description file
+REQUESTS = {
+    "gen": ["gen", "hermitian", "--q", "3"],
+    "query": ["query", "dim", "2,2", "--desc", "DESC"],
+    "series": ["series", "P", "--desc", "DESC", "--box", "-2..2,-2..2"],
+    "verify": ["verify", "--desc", "DESC", "--box", "-2..2,-2..2"],
+    "plot": ["plot", "--desc", "DESC", "--box", "-2..2,-2..2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REQUESTS))
+def test_unwritable_out_is_a_usage_error(capsys, q3_file, command):
+    argv = [q3_file if a == "DESC" else a for a in REQUESTS[command]]
+    code, out, err = run_cli(capsys, [*argv, "--out", "/nonexistent/dir/x"])
+    assert code == 2 and out == ""
+    assert "cannot write" in err and "Traceback" not in err
+
+
+def test_box_commands_require_box(capsys, q3_file):
+    for argv in (["verify"], ["plot"], ["series", "L"]):
+        code, _, err = run_cli(capsys, [*argv, "--desc", q3_file])
+        assert code == 2 and "--box" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("gen", {"--q", "--m", "--out"}),
+        ("query", {"--desc", "--out", "--format"}),
+        ("series", {"--desc", "--box", "--out", "--format", "--cap"}),
+        ("verify", {"--desc", "--box", "--out", "--format", "--cap"}),
+        ("plot", {"--desc", "--box", "--out", "--cap"}),
+    ],
+)
+def test_help_lists_each_subcommands_flags(capsys, command, flags):
+    code, out, _ = run_cli(capsys, [command, "--help"])
+    assert code == 0
+    assert set(re.findall(r"--[a-z]+", out)) == flags | {"--help"}
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,9 @@ def test_dimension_equals_class_counts_on_random_descriptions():
     [
         dimension,
         is_member,
+        is_maximal,
+        is_absolute_maximal,
+        pytest.param(lambda d, alpha: dimension_jump(d, alpha, 1), id="dimension_jump"),
         riemann_roch_basis,
         coeff_l,
         coeff_p,
@@ -160,7 +163,7 @@ def test_dimension_equals_class_counts_on_random_descriptions():
     ],
 )
 def test_point_queries_accept_only_int_coordinates(hermitian_q3, query):
-    for bad in [(True, 2), (0.0, 0), (2.5, 2), (0, "1"), (0,)]:
+    for bad in [(True, 2), (0.0, 0), (2.5, 2), (0, "1"), (0,), 5]:
         with pytest.raises(ValueError):
             query(hermitian_q3, bad)
     assert query(hermitian_q3, [0, 0]) == query(hermitian_q3, (0, 0))

@@ -21,7 +21,9 @@ least nine tenths of the pairs and its median beats the parent's by more
 than the parent's spread.  ``worse`` is true when the change's median is
 worse than the parent's by more than the metric's ``bound`` from
 BENCHMARK.json, taken as a fraction of the parent's median; the top-level
-``worse`` lists those (workload, metric) pairs.  Nothing is written unless
+``worse`` lists those (workload, metric) pairs, and (workload, "fail_ratio")
+where the change fails a larger share of operations than the parent, which
+also voids every ``gain`` of that workload.  Nothing is written unless
 every run completes.  Only the standard library is used.
 """
 
@@ -93,9 +95,13 @@ def fail_ratio(results: list[dict]) -> float:
 
 def summarize(runs: dict[str, dict[str, list[dict]]], end_to_end: list[dict]) -> tuple[dict, list]:
     """Per workload, each side's fail_ratio and every end-to-end metric's
-    summary; and the [workload, metric] pairs flagged worse."""
-    workloads = {}
+    summary; and the [workload, metric] pairs flagged worse.  A workload
+    where the change fails a larger share of operations than the parent adds
+    [workload, "fail_ratio"] and claims no gain on any metric."""
+    workloads, worse = {}, []
     for workload, sides in runs.items():
+        ratios = {side: fail_ratio(results) for side, results in sides.items()}
+        more_failures = ratios["change"] > ratios["parent"]
         metrics = {
             m["name"]: {
                 "unit": m["unit"],
@@ -108,16 +114,13 @@ def summarize(runs: dict[str, dict[str, list[dict]]], end_to_end: list[dict]) ->
             }
             for m in end_to_end
         }
-        workloads[workload] = {
-            "fail_ratio": {side: fail_ratio(results) for side, results in sides.items()},
-            "metrics": metrics,
-        }
-    worse = [
-        [workload, name]
-        for workload, summary in workloads.items()
-        for name, metric in summary["metrics"].items()
-        if metric["worse"]
-    ]
+        for name, metric in metrics.items():
+            metric["gain"] = metric["gain"] and not more_failures
+            if metric["worse"]:
+                worse.append([workload, name])
+        if more_failures:
+            worse.append([workload, "fail_ratio"])
+        workloads[workload] = {"fail_ratio": ratios, "metrics": metrics}
     return workloads, worse
 
 
