@@ -222,6 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _merge_flag_values(argv: list[str]) -> list[str]:
     # Every option but --help takes one value: glue '--box -8..9,...' into
     # '--box=-8..9,...' and wrap a bare tuple '-1,5' as '(-1,5)', so argparse
@@ -239,7 +242,7 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(_merge_flag_values(sys.argv[1:] if argv is None else argv))
+        args = _PARSER.parse_args(_merge_flag_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:

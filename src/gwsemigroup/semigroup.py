@@ -21,17 +21,19 @@ to k_i * a_i, which gives
 The last-level bound is exactly the constraint beta_m <= alpha_m, so every
 leaf of the walk is a genuine element of Gamma(alpha).  A lower corner
 bounds the walk the same way with the inequalities reversed.  The walk
-serves only :func:`absolute_maximals_below` and the lub sweep of
-:func:`members_from_lubs`: :func:`dimension` reads a class-base table, and
-:func:`riemann_roch_basis` builds one least translate per last coordinate
-from the same carry bounds without walking Gamma(alpha).
+serves only :func:`absolute_maximals_below` and the reach tables of
+:func:`members_from_lubs` and the class counts: :func:`dimension` reads a
+class-base table, and :func:`riemann_roch_basis` builds one least translate
+per last coordinate from the same carry bounds without walking Gamma(alpha).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterable, Iterator
+from itertools import accumulate, product
+from math import prod
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Box,
@@ -112,6 +114,41 @@ def lattice_translates(
                     yield from walk(idx + 1, k * a, prefix + (seed[idx] + k * a - prev,))
 
         yield from walk(0, 0, ())
+
+
+def _flat(offsets: list[int], shape: IntTuple) -> int:
+    """Row-major index of the cell at these offsets in a table of this shape."""
+    k = 0
+    for x, n in zip(offsets, shape):
+        k = k * n + x
+    return k
+
+
+def _running(
+    values: list[int], shape: IntTuple, axis: int, op: Callable[[int, int], int]
+) -> list[int]:
+    """The table with each cell along one axis replaced by op over it and the cells before."""
+    stride = prod(shape[axis + 1:])
+    block = shape[axis] * stride
+    out: list[int] = []
+    for first in range(0, len(values), block):
+        if stride == 1:
+            out += accumulate(values[first:first + block], op)
+            continue
+        layers = (values[lo:lo + stride] for lo in range(first, first + block, stride))
+        for layer in accumulate(layers, lambda below, here: list(map(op, below, here))):
+            out += layer
+    return out
+
+
+def _reached(cells: list[int], shape: IntTuple, axes: Iterable[int]) -> list[int]:
+    """The table marked at the given flat cells, then running-ORed along the axes."""
+    marks = [0] * prod(shape)
+    for k in cells:
+        marks[k] = 1
+    for axis in axes:
+        marks = _running(marks, shape, axis, or_)
+    return marks
 
 
 def absolute_maximals_below(d: SemigroupDescription, alpha: IntTuple) -> set[IntTuple]:
@@ -268,27 +305,24 @@ def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:
 
     A point z is the lub of m absolute maximal elements (repetition allowed)
     exactly when, for every coordinate i, one absolute maximal beta <= z has
-    beta_i = z_i.  Those beta are dominated by ``box.upper``, so with G the
-    absolute maximal elements below it, the lubs inside the box are the
-    intersection over i of the union, over beta in G with
-    beta_i >= box.lower_i, of the sub-boxes from max(beta, box.lower) to
-    box.upper with coordinate i set to beta_i.  The sweep never consults
-    :func:`dimension`; equality with the direct membership scan is a
-    verification-suite check, not an assumption here.
+    beta_i = z_i.  Such beta lie below ``box.upper``, so one walk enumerates
+    them as G.  The reach table of coordinate i marks max(beta, box.lower)
+    for every beta in G with beta_i >= box.lower_i, then ORs along the other
+    axes, so it holds at z exactly when some beta <= z has beta_i = z_i.  The
+    members are the box points where the m reach tables, ANDed, all hold.
+    The sweep never consults :func:`dimension`; equality with the direct
+    membership scan is a verification-suite check, not an assumption here.
     """
     require_box_dim(box, d.m)
     lower, upper = box.lower, box.upper
-    gens = absolute_maximals_below(d, upper)
-
-    def lubs_attaining(i: int) -> set[IntTuple]:
-        out: set[IntTuple] = set()
-        for beta in gens:
-            if beta[i] >= lower[i]:
-                corner = tuple(max(b, l) for b, l in zip(beta, lower))
-                out.update(Box(corner, upper[:i] + (beta[i],) + upper[i + 1:]).points())
-        return out
-
-    return set.intersection(*(lubs_attaining(i) for i in range(d.m)))
+    shape = tuple(u - l + 1 for l, u in zip(lower, upper))
+    gens = list(lattice_translates(d.lattice.periods, d.gamma_fundamental, upper))
+    cells = [_flat([max(b, l) - l for b, l in zip(beta, lower)], shape) for beta in gens]
+    reach = [1] * prod(shape)
+    for i in range(d.m):
+        attaining = [k for beta, k in zip(gens, cells) if beta[i] >= lower[i]]
+        reach = list(map(and_, reach, _reached(attaining, shape, [j for j in range(d.m) if j != i])))
+    return {alpha for alpha, hit in zip(box.points(), reach) if hit}
 
 
 def riemann_roch_basis(d: SemigroupDescription, alpha: IntTuple) -> list[IntTuple]:

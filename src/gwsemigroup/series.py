@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, product
+from itertools import product
 from math import prod
 from operator import eq, sub
 from typing import Callable, Iterator
@@ -148,23 +148,6 @@ def _slab(values: list[int], shape: IntTuple, axis: int, start: int, count: int)
     out: list[int] = []
     for first in range(0, len(values), block):
         out += values[first + lo:first + hi]
-    return out
-
-
-def _running(
-    values: list[int], shape: IntTuple, axis: int, op: Callable[[int, int], int]
-) -> list[int]:
-    """The table with each cell along one axis replaced by op over it and the cells before."""
-    stride = prod(shape[axis + 1:])
-    block = shape[axis] * stride
-    out: list[int] = []
-    for first in range(0, len(values), block):
-        if stride == 1:
-            out += accumulate(values[first:first + block], op)
-            continue
-        layers = (values[lo:lo + stride] for lo in range(first, first + block, stride))
-        for layer in accumulate(layers, lambda below, here: list(map(op, below, here))):
-            out += layer
     return out
 
 

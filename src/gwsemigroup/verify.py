@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable
 from math import prod
-from operator import add, or_
+from operator import add
 
 from .core import (
     Box,
@@ -30,6 +29,9 @@ from .core import (
     validate_description,
 )
 from .semigroup import (
+    _flat,
+    _reached,
+    _running,
     dimension,
     dimension_jump,
     is_absolute_maximal,
@@ -41,7 +43,6 @@ from .semigroup import (
 )
 from .series import (
     _dim_grid,
-    _running,
     _slab,
     coeff_p,
     qp_violations,
@@ -70,24 +71,6 @@ def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | N
     # maximal elements, and dimension against the Riemann-Roch regime
     violations = validate_description(d)
     return violations[0] if violations else None
-
-
-def _flat(offsets: list[int], shape: IntTuple) -> int:
-    """Row-major index of the cell at these offsets in a table of this shape."""
-    k = 0
-    for x, n in zip(offsets, shape):
-        k = k * n + x
-    return k
-
-
-def _reached(cells: list[int], shape: IntTuple, axes: Iterable[int]) -> list[int]:
-    """The table marked at the given flat cells, then running-ORed along the axes."""
-    marks = [0] * prod(shape)
-    for k in cells:
-        marks[k] = 1
-    for axis in axes:
-        marks = _running(marks, shape, axis, or_)
-    return marks
 
 
 def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:

@@ -67,7 +67,7 @@ def test_summarize_lists_the_worse_pairs(bench_pair):
         "steady": {"parent": [run(100.0, 50.0)] * 2, "change": [run(90.0, 56.0)] * 2},
         "slower": {"parent": [run(100.0, 50.0)] * 2, "change": [run(70.0, 58.0)] * 2},
     }
-    workloads, worse = bench_pair.summarize(runs, end_to_end)
+    workloads, worse, _ = bench_pair.summarize(runs, end_to_end)
     assert worse == [["slower", "queries_per_s"], ["slower", "peak_rss_mb"]]
     assert workloads["steady"]["fail_ratio"] == {"parent": 0.0, "change": 0.0}
     assert workloads["slower"]["metrics"]["peak_rss_mb"]["bound"] == 0.15
@@ -84,11 +84,40 @@ def test_summarize_flags_a_higher_fail_ratio_and_voids_its_gains(bench_pair):
     end_to_end = [{"name": "queries_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
     # equal fail ratios flag nothing, and the twice-as-fast change keeps its gain
     sides = {"parent": runs(100.0, 1), "change": runs(200.0, 1)}
-    workloads, worse = bench_pair.summarize({"w": sides}, end_to_end)
+    workloads, worse, _ = bench_pair.summarize({"w": sides}, end_to_end)
     assert worse == [] and workloads["w"]["metrics"]["queries_per_s"]["gain"]
     # more failures than the parent: flagged, and the same speed-up claims no gain
     sides = {"parent": runs(100.0, 0), "change": runs(200.0, 1)}
-    workloads, worse = bench_pair.summarize({"w": sides}, end_to_end)
+    workloads, worse, _ = bench_pair.summarize({"w": sides}, end_to_end)
     assert worse == [["w", "fail_ratio"]]
     assert workloads["w"]["fail_ratio"] == {"parent": 0.0, "change": 0.01}
     assert workloads["w"]["metrics"]["queries_per_s"]["gain"] is False
+
+
+def test_unresolved_when_the_parent_spread_exceeds_the_bound(bench_pair):
+    # parent quartiles 90 and 110: a spread of 20, past 0.1 of the median 100
+    parent = [80.0, 90.0, 100.0, 110.0, 120.0]
+    s = bench_pair.metric_summary(parent, [100.0] * 5, "lower", 0.1)
+    assert s["parent"]["spread"] == 20.0 and s["unresolved"] and not s["worse"]
+    assert not bench_pair.metric_summary(parent, [100.0] * 5, "lower", 0.25)["unresolved"]
+    # every change run better than every parent run resolves it, in the
+    # metric's own direction
+    assert not bench_pair.metric_summary(parent, [70.0, 75.0] * 2 + [79.0], "lower", 0.1)["unresolved"]
+    assert bench_pair.metric_summary(parent, [125.0] * 5, "lower", 0.1)["unresolved"]
+    assert not bench_pair.metric_summary(parent, [125.0] * 5, "higher", 0.1)["unresolved"]
+    assert bench_pair.metric_summary(parent, [70.0] * 5, "higher", 0.1)["unresolved"]
+
+
+def test_summarize_lists_the_unresolved_pairs(bench_pair):
+    def runs(values):
+        return [{"attempted": 1, "failed": 0, "metrics": {"plot_s": {"value": v}}} for v in values]
+
+    end_to_end = [{"name": "plot_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    sides = {
+        "steady": {"parent": runs([1.0, 1.0, 1.0, 1.0]), "change": runs([1.0, 1.1, 1.0, 1.1])},
+        "noisy": {"parent": runs([1.0, 2.0, 1.0, 2.0]), "change": runs([1.5] * 4)},
+        "faster": {"parent": runs([1.0, 2.0, 1.0, 2.0]), "change": runs([0.5] * 4)},
+    }
+    workloads, worse, unresolved = bench_pair.summarize(sides, end_to_end)
+    assert worse == [] and unresolved == [["noisy", "plot_s"]]
+    assert workloads["noisy"]["metrics"]["plot_s"]["unresolved"]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gwsemigroup
+from gwsemigroup import cli
 from gwsemigroup.cli import UsageError, main, parse_box, parse_tuple
 from gwsemigroup.core import Box
 
@@ -284,6 +285,21 @@ def test_help_lists_each_subcommands_flags(capsys, command, flags):
     code, out, _ = run_cli(capsys, [command, "--help"])
     assert code == 0
     assert set(re.findall(r"--[a-z]+", out)) == flags | {"--help"}
+
+
+def test_requests_reuse_the_parser_built_at_import(monkeypatch, capsys, q3_file):
+    # main never builds the parser again, and a flag one request gives does
+    # not carry over to the next
+    text = run_cli(capsys, ["query", "dim", "2,2", "--desc", q3_file])
+
+    def rebuilt():
+        raise AssertionError("main built the parser again")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    code, out, _ = run_cli(capsys, ["query", "dim", "2,2", "--desc", q3_file, "--format", "json"])
+    assert code == 0 and json.loads(out)
+    assert run_cli(capsys, ["query", "dim", "2,2", "--desc", q3_file]) == text
+    assert text[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from gwsemigroup import (
     two_point_profile,
 )
 from gwsemigroup import semigroup
-from gwsemigroup.core import Lattice, SemigroupDescription, tadd, tsub, unit
+from gwsemigroup.core import Lattice, SemigroupDescription, tadd, tsub, unit, validate_description
 
 from window_data import MAXIMALS_Q3_WINDOW, MEMBERS_Q3_WINDOW
 
@@ -402,8 +402,17 @@ def test_lattice_invariance(hermitian_q3, genus0_m3):
 # ---------------------------------------------------------------------------
 # lub generation
 
+def _lubs_by_point(d, box):
+    # the lub definition point by point: for every coordinate i, some absolute
+    # maximal beta <= z has beta_i = z_i
+    return {
+        z for z in box.points()
+        if all(any(b[i] == z[i] for b in absolute_maximals_below(d, z)) for i in range(d.m))
+    }
+
+
 def test_members_from_lubs_equals_membership_scan(
-    hermitian_q3, genus0_m2, genus0_m3, genus0_m4
+    hermitian_q3, genus0_m2, genus0_m3, genus0_m4, broken_m4
 ):
     cases = [
         (hermitian_q3, Box((-8, -8), (9, 10))),
@@ -417,6 +426,28 @@ def test_members_from_lubs_equals_membership_scan(
     for d, box in cases:
         swept = members_from_lubs(d, box)
         assert swept == {a for a in box.points() if is_member(d, a)}
+    # on invalid descriptions the sweep and the scan may differ (the verify
+    # golden of broken_m4 reports the first such point); there the sweep is
+    # held to the lub definition, and to the scan wherever validation passes
+    box = Box((-5, 4, -4, 4), (-3, 6, -2, 6))
+    swept = members_from_lubs(broken_m4, box)
+    assert swept == _lubs_by_point(broken_m4, box)
+    assert min(swept ^ {a for a in box.points() if is_member(broken_m4, a)}) == (-5, 4, -2, 4)
+    rng = random.Random(1515)
+    valid = differing = 0
+    for n in range(240):
+        d = _random_description(rng, 2 + n % 3)
+        lower = tuple(rng.randint(-4, 3) for _ in range(d.m))
+        box = Box(lower, tuple(x + rng.randint(0, 3) for x in lower))
+        swept = members_from_lubs(d, box)
+        assert swept == _lubs_by_point(d, box), (d, box)
+        scanned = {a for a in box.points() if is_member(d, a)}
+        if validate_description(d):
+            differing += swept != scanned
+        else:
+            valid += 1
+            assert swept == scanned, (d, box)
+    assert valid >= 5 and differing >= 20
 
 
 def test_members_from_lubs_empty_below_zero_sum(hermitian_q3):

@@ -270,6 +270,8 @@ def test_dense_class_counts_equal_per_point_enumeration():
 
 
 def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4):
+    # the class counts and the lub sweep each make one walk, and the sweep
+    # asks neither dimension nor membership
     walks = []
     original = verify.lattice_translates
 
@@ -278,16 +280,21 @@ def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4
         return original(*args)
 
     def forbidden(*args):
-        raise AssertionError("absolute_maximals_below called")
+        raise AssertionError("a per-point query was called")
 
     monkeypatch.setattr(verify, "lattice_translates", counting)
-    monkeypatch.setattr(semigroup, "absolute_maximals_below", forbidden)
+    monkeypatch.setattr(semigroup, "lattice_translates", counting)
+    for name in ("absolute_maximals_below", "dimension", "is_member"):
+        monkeypatch.setattr(semigroup, name, forbidden)
     for d, box in [
         (hermitian_q3, Box((-6, -6), (8, 8))),
         (genus0_m4, Box((-3,) * 4, (3,) * 4)),
     ]:
         walks.clear()
         assert verify._check_class_counts(d, box) is None
+        assert len(walks) == 1
+        walks.clear()
+        assert members_from_lubs(d, box)
         assert len(walks) == 1
 
 
@@ -302,7 +309,9 @@ def test_class_count_tables_stay_box_sized(monkeypatch, hermitian_q3):
         sizes.append(len(values))
         return original(values, shape, axis, op)
 
+    # the running sums are called from verify, the running ORs from _reached
     monkeypatch.setattr(verify, "_running", recording)
+    monkeypatch.setattr(semigroup, "_running", recording)
     box = Box((0, 0), (0, 400))
     assert verify._check_class_counts(hermitian_q3, box) is None
     assert 0 < max(sizes) <= 2 * box.point_count()

@@ -23,8 +23,13 @@ worse than the parent's by more than the metric's ``bound`` from
 BENCHMARK.json, taken as a fraction of the parent's median; the top-level
 ``worse`` lists those (workload, metric) pairs, and (workload, "fail_ratio")
 where the change fails a larger share of operations than the parent, which
-also voids every ``gain`` of that workload.  Nothing is written unless
-every run completes.  Only the standard library is used.
+also voids every ``gain`` of that workload.  ``unresolved`` is true when the
+parent's spread exceeds the bound times the parent's median, so the runs
+cannot tell a change within the bound from one past it, unless every run of
+the change is better than every run of the parent; the top-level
+``unresolved`` lists those (workload, metric) pairs beside ``worse``.
+Nothing is written unless every run completes.  Only the standard library
+is used.
 """
 
 from __future__ import annotations
@@ -69,12 +74,14 @@ def side_summary(values: list[float]) -> dict:
 
 
 def metric_summary(parent: list[float], change: list[float], better: str, bound: float) -> dict:
-    """Both sides of one metric over paired runs, with pairs won, the gain and worse rules."""
+    """Both sides of one metric over paired runs, with pairs won and the
+    gain, worse and unresolved rules."""
     sign = 1 if better == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change, strict=True))
     old, new = side_summary(parent), side_summary(change)
     delta = sign * (new["median"] - old["median"])
     gain = 10 * won >= 9 * len(parent) and delta > old["spread"]
+    separated = min(sign * c for c in change) > max(sign * p for p in parent)
     return {
         "better": better,
         "bound": bound,
@@ -85,6 +92,7 @@ def metric_summary(parent: list[float], change: list[float], better: str, bound:
         "pairs": len(parent),
         "gain": gain,
         "worse": -delta > bound * abs(old["median"]),
+        "unresolved": old["spread"] > bound * abs(old["median"]) and not separated,
     }
 
 
@@ -93,12 +101,15 @@ def fail_ratio(results: list[dict]) -> float:
     return sum(r["failed"] for r in results) / attempted if attempted else 1.0
 
 
-def summarize(runs: dict[str, dict[str, list[dict]]], end_to_end: list[dict]) -> tuple[dict, list]:
+def summarize(
+    runs: dict[str, dict[str, list[dict]]], end_to_end: list[dict]
+) -> tuple[dict, list, list]:
     """Per workload, each side's fail_ratio and every end-to-end metric's
-    summary; and the [workload, metric] pairs flagged worse.  A workload
-    where the change fails a larger share of operations than the parent adds
-    [workload, "fail_ratio"] and claims no gain on any metric."""
-    workloads, worse = {}, []
+    summary; the [workload, metric] pairs flagged worse; and those flagged
+    unresolved.  A workload where the change fails a larger share of
+    operations than the parent adds [workload, "fail_ratio"] to worse and
+    claims no gain on any metric."""
+    workloads, worse, unresolved = {}, [], []
     for workload, sides in runs.items():
         ratios = {side: fail_ratio(results) for side, results in sides.items()}
         more_failures = ratios["change"] > ratios["parent"]
@@ -118,10 +129,12 @@ def summarize(runs: dict[str, dict[str, list[dict]]], end_to_end: list[dict]) ->
             metric["gain"] = metric["gain"] and not more_failures
             if metric["worse"]:
                 worse.append([workload, name])
+            if metric["unresolved"]:
+                unresolved.append([workload, name])
         if more_failures:
             worse.append([workload, "fail_ratio"])
         workloads[workload] = {"fail_ratio": ratios, "metrics": metrics}
-    return workloads, worse
+    return workloads, worse, unresolved
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -158,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         "seeds": args.seeds,
         "order": "parent first on the 1st, 3rd, ... seed; change first on the others",
     }
-    out["workloads"], out["worse"] = summarize(runs, bench["end_to_end"])
+    out["workloads"], out["worse"], out["unresolved"] = summarize(runs, bench["end_to_end"])
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(path)
