@@ -30,6 +30,7 @@ from .core import (
     int_tuple,
     ones,
     require_box_dim,
+    require_point,
     tsub,
     unit,
 )
@@ -68,9 +69,7 @@ def is_prime_power(n: int) -> bool:
 
 def genus0_dimension(m: int, alpha: IntTuple) -> int:
     """Closed-form dimension on the projective line: max(0, |alpha| + 1)."""
-    if len(alpha) != m:
-        raise ValueError(f"tuple of length {len(alpha)}, expected {m}")
-    return max(0, sum(alpha) + 1)
+    return max(0, sum(require_point(alpha, m)) + 1)
 
 
 def genus0_description(m: int) -> SemigroupDescription:

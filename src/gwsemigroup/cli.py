@@ -9,7 +9,8 @@ Each handler returns its text and exit code; :func:`main` writes the text to
 stdout or ``--out`` and maps every error to its exit code, in one place.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (an ``--out`` that
-cannot be written included), 3 resource cap.
+cannot be written included), 3 resource cap (a box above ``--cap``, or a
+``query basis`` of more than ``DEFAULT_CAP`` points).
 All outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -94,7 +95,9 @@ def _box(args: argparse.Namespace, d: SemigroupDescription) -> Box:
         raise UsageError(f"box dimension {box.dim} disagrees with description m={d.m}")
     n = box.point_count()
     if n > args.cap:
-        raise _CapExceeded(f"box holds {n} points, above the cap of {args.cap}")
+        raise _CapExceeded(
+            f"box holds {n} points, above the cap of {args.cap} (raise --cap to override)"
+        )
     return box
 
 
@@ -140,6 +143,10 @@ def _cmd_query(args: argparse.Namespace) -> tuple[str, int]:
     alpha = parse_tuple(args.alpha)
     if len(alpha) != d.m:
         raise UsageError(f"tuple {alpha} has length {len(alpha)}, description has m={d.m}")
+    # a basis lists dim(alpha) points, so its size is known before it is built
+    if args.op == "basis" and dimension(d, alpha) > DEFAULT_CAP:
+        n = dimension(d, alpha)
+        raise _CapExceeded(f"a basis of {n} points is above the cap of {DEFAULT_CAP}")
     result = _QUERIES[args.op](d, alpha)
     if args.format == "json":
         return _json({"op": args.op, "alpha": alpha, "result": result}), EXIT_OK
@@ -259,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _CapExceeded as exc:
-        print(f"error: {exc} (raise --cap to override)", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     return code
 

@@ -218,10 +218,7 @@ def canonicalize(lattice: Lattice, alpha: IntTuple) -> tuple[IntTuple, tuple[int
     coordinate i+1 before the next step.
     """
     per = lattice.periods
-    m = lattice.m
-    if len(alpha) != m:
-        raise ValueError(f"tuple of length {len(alpha)}, lattice has m={m}")
-    v = list(alpha)
+    v = list(require_point(alpha, lattice.m))
     coeffs = []
     for i, a in enumerate(per):
         c = v[i] // a

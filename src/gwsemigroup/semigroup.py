@@ -30,6 +30,7 @@ per last coordinate from the same carry bounds without walking Gamma(alpha).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, product
 from math import prod
 from operator import and_, or_
@@ -38,6 +39,7 @@ from typing import Callable, Iterable, Iterator
 from .core import (
     Box,
     IntTuple,
+    Lattice,
     SemigroupDescription,
     ceildiv,
     require_box_dim,
@@ -92,10 +94,15 @@ def lattice_translates(
     increasing coefficient order, which for a single seed is also the
     lexicographic order of the translates.  Without ``lower`` only the upper
     corner bounds the walk; it stays finite because the suffix-sum bound
-    caps each coefficient from below.
+    caps each coefficient from below.  The periods must be positive ints and
+    every point m = len(periods) + 1 ints, else ValueError (when iterated).
     """
-    last = len(periods) - 1
-    for seed in seeds:
+    periods = Lattice(periods).periods
+    m = len(periods) + 1
+    upper = require_point(upper, m)
+    lower = None if lower is None else require_point(lower, m)
+    last = m - 2
+    for seed in map(partial(require_point, m=m), seeds):
         gap_hi = _suffix_gaps(seed, upper)
         gap_lo = None if lower is None else _suffix_gaps(seed, lower)
 
@@ -153,7 +160,6 @@ def _reached(cells: list[int], shape: IntTuple, axes: Iterable[int]) -> list[int
 
 def absolute_maximals_below(d: SemigroupDescription, alpha: IntTuple) -> set[IntTuple]:
     """All absolute maximal elements beta with beta <= alpha (a finite set)."""
-    alpha = require_point(alpha, d.m)
     return set(lattice_translates(d.lattice.periods, d.gamma_fundamental, alpha))
 
 

@@ -13,7 +13,7 @@ On a box the same operators act on whole tables.  The box engine fills one
 flat ``dim`` grid (:func:`_dim_grid`) on the box grown below by one layer
 (two for Q), reads L as the grid minus its diagonal shift, and applies
 ``prod_i (1 - shift_i)`` as m axis passes (:func:`_axis_differences`), each
-a slice difference that drops the first layer along its axis.  dim is
+a window difference that drops the first layer along its axis.  dim is
 periodic under the period lattice, so the grid copies one value to every
 cell of a lattice class: a box request costs one ``dimension`` call per
 lattice class among its cells instead of 2^m per point, and the flat
@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from math import prod
-from operator import eq, sub
+from operator import eq, iadd, sub
 from typing import Callable, Iterator
 
 from .core import (
@@ -140,23 +140,19 @@ def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list
     return out
 
 
-def _slab(values: list[int], shape: IntTuple, axis: int, start: int, count: int) -> list[int]:
-    """The layers start .. start + count - 1 of the table along one axis."""
-    stride = prod(shape[axis + 1:])
-    block = shape[axis] * stride
-    lo, hi = start * stride, (start + count) * stride
-    out: list[int] = []
-    for first in range(0, len(values), block):
-        out += values[first + lo:first + hi]
-    return out
-
-
 def _window(values: list[int], shape: IntTuple, start: IntTuple, size: IntTuple) -> list[int]:
-    """The sub-table of the given size whose first cell has index offsets start."""
-    for axis, (first, count) in enumerate(zip(start, size)):
-        values = _slab(values, shape, axis, first, count)
-        shape = shape[:axis] + (count,) + shape[axis + 1:]
-    return values
+    """The sub-table of the given size whose first cell has index offsets start.
+
+    Slices only the axes it narrows: one contiguous run per index of the axes before the last.
+    """
+    last = max((axis for axis, (n, c) in enumerate(zip(shape, size)) if c != n), default=0)
+    stride = prod(shape[last + 1:])
+    run, firsts = size[last] * stride, [start[last] * stride]
+    for axis in reversed(range(last)):
+        stride *= shape[axis + 1]
+        span = range(start[axis] * stride, (start[axis] + size[axis]) * stride, stride)
+        firsts = [k + f for k in span for f in firsts]
+    return reduce(iadd, (values[first:first + run] for first in firsts), [])
 
 
 def _window_difference(
@@ -173,15 +169,15 @@ def _diagonal_difference(values: list[int], shape: IntTuple) -> tuple[list[int],
 
 
 def _axis_differences(values: list[int], shape: IntTuple) -> tuple[list[int], IntTuple]:
-    """prod_i (1 - shift_i) applied to the table: one slice pass per axis.
+    """prod_i (1 - shift_i) applied to the table: one window difference per axis.
 
     The pass along axis i subtracts each layer from the next, so the result
     drops the first layer along that axis.
     """
+    m = len(shape)
     for axis, n in enumerate(shape):
-        upper = _slab(values, shape, axis, 1, n - 1)
-        values = list(map(sub, upper, _slab(values, shape, axis, 0, n - 1)))
-        shape = shape[:axis] + (n - 1,) + shape[axis + 1:]
+        size = shape[:axis] + (n - 1,) + shape[axis + 1:]
+        values, shape = _window_difference(values, shape, unit(m, axis + 1), zeros(m), size), size
     return values, shape
 
 

@@ -5,11 +5,11 @@ outcomes into :class:`CheckResult` rows for reporting.  Everything here
 re-derives quantities through routes that are independent of the primary
 fast paths, so the suite doubles as the library's internal cross-validation:
 class counts come from one enumeration of the absolute maximal elements below
-the box plus prefix tables instead of the class-base table, members come from
-a per-coordinate sweep over lubs of absolute maximal elements as well as from
-a membership scan, and so on; each check names its route in a comment.  A
-check that does not apply to the description raises :class:`_Skipped` with
-its reason.
+the box plus prefix tables of the box's shape, never the class-base table,
+members from a per-coordinate sweep over lubs of absolute maximal elements as
+well as from a membership scan, and so on; each check names its route in a
+comment.  A check that does not apply to the description raises
+:class:`_Skipped` with its reason.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .semigroup import (
 )
 from .series import (
     _dim_grid,
-    _slab,
     coeff_p,
     qp_violations,
     reconstruction_violations,
@@ -77,22 +76,21 @@ def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
     """Table i holds |{beta_i : beta in Gamma(alpha)}| at every box point alpha.
 
     One walk enumerates G, the absolute maximal elements below ``box.upper``;
-    Gamma(alpha) is the part of G below alpha.  Table i is the box grown by
-    one layer below along axis i.  Each beta with beta_i in the box marks the
-    cell (beta_i, max(beta_j, lower_j) for j != i); a running OR along every
-    other axis leaves cell (v, x) marked when some beta has beta_i = v and
-    beta_j <= x_j for j != i.  The extra layer counts the values v below
-    lower_i reached that way, one OR table over the other axes per value, so
-    the table never grows with the distance from the box down to the least
-    beta_i.  A running sum along axis i then counts the values up to alpha_i,
-    and the extra layer is cut off.
+    Gamma(alpha) is the part of G below alpha.  Every table has the box's own
+    shape.  Each beta with beta_i in the box marks the cell
+    max(beta, lower) - lower; a running OR along every other axis leaves cell
+    (v, x) marked when some beta has beta_i = lower_i + v and beta_j <=
+    lower_j + x_j for j != i.  The values v below lower_i reached that way
+    are counted with one OR table over the other axes per value, so the
+    table never grows with the distance from the box down to the least
+    beta_i; those counts are added into the box's first layer along axis i,
+    and a running sum along axis i then counts the values up to alpha_i.
     """
     lower, upper = box.lower, box.upper
     size = tuple(u - l + 1 for l, u in zip(lower, upper))
     gens = list(lattice_translates(d.lattice.periods, d.gamma_fundamental, upper))
     tables = []
     for i in range(d.m):
-        shape = size[:i] + (size[i] + 1,) + size[i + 1:]
         others = size[:i] + size[i + 1:]
         inside: list[int] = []
         below: dict[int, list[int]] = {}
@@ -101,16 +99,16 @@ def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
             if beta[i] < lower[i]:
                 below.setdefault(beta[i], []).append(_flat(cell[:i] + cell[i + 1:], others))
             else:
-                cell[i] += 1
-                inside.append(_flat(cell, shape))
-        marks = _reached(inside, shape, [axis for axis in range(d.m) if axis != i])
+                inside.append(_flat(cell, size))
+        marks = _reached(inside, size, [axis for axis in range(d.m) if axis != i])
         first_layer = [0] * prod(others)
         for cells in below.values():
             first_layer = list(map(add, first_layer, _reached(cells, others, range(d.m - 1))))
         stride = prod(size[i + 1:])
-        for n, first in enumerate(range(0, len(marks), shape[i] * stride)):
-            marks[first:first + stride] = first_layer[n * stride:(n + 1) * stride]
-        tables.append(_slab(_running(marks, shape, i, add), shape, i, 1, size[i]))
+        for n, first in enumerate(range(0, len(marks), size[i] * stride)):
+            layer = first_layer[n * stride:(n + 1) * stride]
+            marks[first:first + stride] = map(add, marks[first:first + stride], layer)
+        tables.append(_running(marks, size, i, add))
     return tables
 
 

@@ -150,6 +150,9 @@ def test_is_prime_power():
         lambda: is_prime_power(4.0),
         lambda: hermitian_genus(2.5),
         lambda: cross_validate(3, ((0, 0), (1, 1))),
+        lambda: genus0_dimension(2, (1.5, 2)),
+        lambda: genus0_dimension(2, (True, 2)),
+        lambda: genus0_dimension(2, 5),
     ],
 )
 def test_backends_reject_non_int_input(call):

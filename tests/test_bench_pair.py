@@ -1,6 +1,9 @@
 """The summary rules of ``tools/bench_pair.py`` on hand-made paired runs."""
 
 import importlib.util
+import os
+import platform
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,13 @@ def test_summarize_lists_the_unresolved_pairs(bench_pair):
     workloads, worse, unresolved = bench_pair.summarize(sides, end_to_end)
     assert worse == [] and unresolved == [["noisy", "plot_s"]]
     assert workloads["noisy"]["metrics"]["plot_s"]["unresolved"]
+
+
+def test_host_names_the_interpreter_the_machine_and_the_cpus(bench_pair):
+    info = bench_pair.host(sys.executable)
+    assert info == {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+    assert info["cpus"] >= 1 and info["python"].count(".") == 2

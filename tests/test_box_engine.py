@@ -94,6 +94,21 @@ def test_engine_cases_cover_width_one_axes_and_broken_descriptions():
     assert sum(bool(validate_description(d)) for d, _ in ENGINE_CASES) >= 30
 
 
+def test_window_equals_indexing_the_box_points():
+    # a table whose cells are the points of a box, in Box.points() order,
+    # cut by _window, against the points of the sub-box
+    rng = random.Random(4242)
+    for m in range(1, 6):
+        for _ in range(40):
+            shape = tuple(rng.randint(1, 4) for _ in range(m))
+            # each axis kept whole, cut to width 1, or cut to a random width
+            size = tuple(rng.choice([n, 1, rng.randint(1, n)]) for n in shape)
+            start = tuple(rng.randint(0, n - c) for n, c in zip(shape, size))
+            table = list(Box((0,) * m, tuple(n - 1 for n in shape)).points())
+            sub = Box(start, tuple(s + c - 1 for s, c in zip(start, size)))
+            assert series._window(table, shape, start, size) == list(sub.points())
+
+
 def _periodic_m3():
     # m = 3 with period 2 at the first, non-last level; it passes
     # validate_description, which no m >= 3 fixture with a period > 1 does

@@ -138,6 +138,17 @@ def test_query_usage_errors(capsys, q3_file, tmp_path):
     assert code == 2
 
 
+def test_query_basis_above_the_cap_exits_3_before_building(capsys, q3_file, monkeypatch):
+    def unbounded(d, alpha):
+        raise AssertionError("the basis was built")
+
+    monkeypatch.setitem(cli._QUERIES, "basis", unbounded)
+    code, out, err = run_cli(capsys, ["query", "basis", "99999999999,0", "--desc", q3_file])
+    assert code == 3 and out == ""
+    assert "99999999997" in err and str(cli.DEFAULT_CAP) in err
+    assert "--cap" not in err and "Traceback" not in err
+
+
 def test_query_rejects_generators_without_period_shape(capsys, q3_file, tmp_path):
     data = json.loads(Path(q3_file).read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"

@@ -28,7 +28,15 @@ from gwsemigroup import (
     two_point_profile,
 )
 from gwsemigroup import semigroup
-from gwsemigroup.core import Lattice, SemigroupDescription, tadd, tsub, unit, validate_description
+from gwsemigroup.core import (
+    Lattice,
+    SemigroupDescription,
+    canonicalize,
+    tadd,
+    tsub,
+    unit,
+    validate_description,
+)
 
 from window_data import MAXIMALS_Q3_WINDOW, MEMBERS_Q3_WINDOW
 
@@ -76,6 +84,40 @@ def test_lattice_translates_match_box_scan():
         assert set(scanned) <= below
         assert all(a <= u for b in below for a, u in zip(b, box.upper))
         assert all(_in_lattice(periods, tsub(b, seed)) for b in below)
+
+
+@pytest.mark.parametrize(
+    "periods, seeds, upper, lower",
+    [
+        ((4,), [(0, 0, 0)], (5, 5), None),
+        ((4,), [(0, 0)], (1,), None),
+        ((4,), [(0, 0)], (5, 5), (0,)),
+        ((4,), [(0, 0)], (True, 5), None),
+        ((4,), [(0, 0)], (1.5, 2), None),
+        ((4,), [(0, 0)], (5, 5), (0.0, 0)),
+        ((4,), [(0, False)], (5, 5), None),
+        ((4,), [5], (5, 5), None),
+        ((0,), [(0, 0)], (5, 5), None),
+        ((-4,), [(0, 0)], (5, 5), None),
+        ((4.0,), [(0, 0)], (5, 5), None),
+    ],
+    ids=[
+        "long-seed",
+        "short-upper",
+        "short-lower",
+        "bool-upper",
+        "float-upper",
+        "float-lower",
+        "bool-seed",
+        "int-seed",
+        "zero-period",
+        "negative-period",
+        "float-period",
+    ],
+)
+def test_lattice_translates_rejects_bad_arguments(periods, seeds, upper, lower):
+    with pytest.raises(ValueError):
+        list(lattice_translates(periods, seeds, upper, lower))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +202,7 @@ def test_dimension_equals_class_counts_on_random_descriptions():
         coeff_q,
         pytest.param(lambda d, alpha: nabla_im_set(d, alpha, 1), id="nabla_im_set"),
         pytest.param(lambda d, alpha: nabla_set(d, alpha, [1]), id="nabla_set"),
+        pytest.param(lambda d, alpha: canonicalize(d.lattice, alpha), id="canonicalize"),
     ],
 )
 def test_point_queries_accept_only_int_coordinates(hermitian_q3, query):

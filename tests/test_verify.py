@@ -300,8 +300,8 @@ def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4
 
 def test_class_count_tables_stay_box_sized(monkeypatch, hermitian_q3):
     # a thin box far above the least beta_1: G has 397 distinct first
-    # coordinates below the box, yet every table the passes touch has at most
-    # twice the box's cells
+    # coordinates below the box, yet no table the passes touch has more
+    # cells than the box
     sizes = []
     original = verify._running
 
@@ -314,7 +314,7 @@ def test_class_count_tables_stay_box_sized(monkeypatch, hermitian_q3):
     monkeypatch.setattr(semigroup, "_running", recording)
     box = Box((0, 0), (0, 400))
     assert verify._check_class_counts(hermitian_q3, box) is None
-    assert 0 < max(sizes) <= 2 * box.point_count()
+    assert 0 < max(sizes) <= box.point_count()
 
 
 def test_qp_identity_asks_p_once_per_point_and_once_more_on_lower_faces(

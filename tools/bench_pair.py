@@ -13,7 +13,9 @@ declared workload and seed.  The two commits run back to back on each
 (seed, workload) pair, the parent first on the 1st, 3rd, ... seed and the
 change first on the others, so a drift in host speed hits both sides alike.
 
-The file records the commit ids, seeds, run length and, per workload, each
+The file records the commit ids, seeds, run length, the host (the version
+of the interpreter that runs the benchmark command, the machine and the CPU
+count) and, per workload, each
 side's fail_ratio and, per end-to-end metric, every run's value, the median,
 the quartiles and their distance (the spread), and the pairs the change won
 (ties count for neither side).  ``gain`` is true when the change won at
@@ -36,6 +38,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -66,6 +70,15 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int, secon
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def host(python: str) -> dict:
+    """The version of the interpreter python, the machine and its CPU count."""
+    version = subprocess.run(
+        [python, "-c", "import platform; print(platform.python_version())"],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    return {"python": version, "machine": platform.machine(), "cpus": os.cpu_count()}
 
 
 def side_summary(values: list[float]) -> dict:
@@ -169,6 +182,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": bench["command"],
         "seconds": args.seconds,
         "seeds": args.seeds,
+        "host": host(bench["command"][0]),
         "order": "parent first on the 1st, 3rd, ... seed; change first on the others",
     }
     out["workloads"], out["worse"], out["unresolved"] = summarize(runs, bench["end_to_end"])
