@@ -27,12 +27,8 @@ from .core import (
     Lattice,
     SemigroupDescription,
     ceildiv,
-    int_tuple,
-    ones,
     require_box_dim,
     require_point,
-    tsub,
-    unit,
 )
 from .semigroup import dimension
 
@@ -106,10 +102,7 @@ def hermitian_dimension(q: int, alpha: IntTuple) -> int:
     search is involved.
     """
     _require_int(q, "q")
-    alpha = int_tuple(alpha, "coordinates")
-    if len(alpha) != 2:
-        raise ValueError("Hermitian oracle takes length-2 tuples")
-    a1, a2 = alpha
+    a1, a2 = require_point(alpha, 2)
     period = q + 1
     count = 0
     for a in range(q + 1):
@@ -120,40 +113,37 @@ def hermitian_dimension(q: int, alpha: IntTuple) -> int:
     return count
 
 
-def _oracle_member(q: int, alpha: IntTuple) -> bool:
-    la = hermitian_dimension(q, alpha)
-    if la == 0:
-        return False
-    return all(hermitian_dimension(q, tsub(alpha, unit(2, i))) == la - 1 for i in (1, 2))
-
-
 def hermitian_description(q: int) -> SemigroupDescription:
     """Build the two-point Hermitian description entirely from the oracle.
 
-    Scans the fundamental-region slab 0 <= |alpha| <= 2g and keeps the
-    elements that the monomial-count oracle declares absolute maximal; the
-    combinatorial dimension machinery is never consulted, which is what
-    makes the resulting fixture an independent reference.
+    Scans the fundamental-region slab 0 <= |alpha| <= 2g, as
+    :meth:`Lattice.sum_slab` lists it, and keeps the elements that the
+    monomial-count oracle declares absolute maximal: dim(alpha) >= 1 drops by
+    exactly 1 at alpha - e_1, at alpha - e_2 and at alpha - (1, 1), so each
+    point costs at most 4 oracle calls.  The combinatorial dimension
+    machinery is never consulted, which is what makes the resulting fixture
+    an independent reference.
     """
     if type(q) is not int or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
     if not is_prime_power(q):
         raise ValueError(f"q must be a prime power, got {q}")
     g = hermitian_genus(q)
-    period = q + 1
+    lattice = Lattice((q + 1,))
     gammas = []
-    for a1 in range(period):
-        for a2 in range(-a1, 2 * g - a1 + 1):
-            alpha = (a1, a2)
-            if not _oracle_member(q, alpha):
-                continue
-            drop = hermitian_dimension(q, alpha) - hermitian_dimension(q, tsub(alpha, ones(2)))
-            if drop == 1:
-                gammas.append(alpha)
+    for a1, a2 in lattice.sum_slab(0, 2 * g):
+        below = hermitian_dimension(q, (a1, a2)) - 1
+        if (
+            below >= 0
+            and hermitian_dimension(q, (a1 - 1, a2)) == below
+            and hermitian_dimension(q, (a1, a2 - 1)) == below
+            and hermitian_dimension(q, (a1 - 1, a2 - 1)) == below
+        ):
+            gammas.append((a1, a2))
     return SemigroupDescription(
         m=2,
         genus=g,
-        lattice=Lattice((period,)),
+        lattice=lattice,
         gamma_fundamental=tuple(gammas),
         label=f"hermitian q={q} (Qinf,P00)",
     )

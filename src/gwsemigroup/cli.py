@@ -7,6 +7,8 @@ two-point descriptions).
 
 Each handler returns its text and exit code; :func:`main` writes the text to
 stdout or ``--out`` and maps every error to its exit code, in one place.
+Input faults are the library's to find: every ``ValueError`` it raises on a
+request is one, and :func:`main` maps it to exit 2 with the library's text.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (an ``--out`` that
 cannot be written included), 3 resource cap (a box above ``--cap``, or a
@@ -22,7 +24,7 @@ import sys
 from typing import Iterable
 
 from .backends import genus0_description, hermitian_description
-from .core import Box, IntTuple, SemigroupDescription, load_description
+from .core import Box, IntTuple, SemigroupDescription, load_description, require_box_dim
 from .plotting import render_membership_svg
 from .semigroup import (
     dimension,
@@ -44,7 +46,7 @@ EXIT_CAP = 3
 DEFAULT_CAP = 10_000_000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -91,8 +93,7 @@ def _box(args: argparse.Namespace, d: SemigroupDescription) -> Box:
     if args.box is None:
         raise UsageError(f"{args.command} requires --box")
     box = parse_box(args.box)
-    if box.dim != d.m:
-        raise UsageError(f"box dimension {box.dim} disagrees with description m={d.m}")
+    require_box_dim(box, d.m)
     n = box.point_count()
     if n > args.cap:
         raise _CapExceeded(
@@ -132,20 +133,14 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
     value = getattr(args, flag)
     if value is None:
         raise UsageError(f"gen {args.family} requires --{flag}")
-    try:
-        return build(value).dumps(), EXIT_OK
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return build(value).dumps(), EXIT_OK
 
 
 def _cmd_query(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
     alpha = parse_tuple(args.alpha)
-    if len(alpha) != d.m:
-        raise UsageError(f"tuple {alpha} has length {len(alpha)}, description has m={d.m}")
     # a basis lists dim(alpha) points, so its size is known before it is built
-    if args.op == "basis" and dimension(d, alpha) > DEFAULT_CAP:
-        n = dimension(d, alpha)
+    if args.op == "basis" and (n := dimension(d, alpha)) > DEFAULT_CAP:
         raise _CapExceeded(f"a basis of {n} points is above the cap of {DEFAULT_CAP}")
     result = _QUERIES[args.op](d, alpha)
     if args.format == "json":
@@ -188,6 +183,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_plot(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
+    # before _box, so that a box above --cap on such a description is still a usage error
     if d.m != 2:
         raise UsageError("plot is available for two-point descriptions only")
     return render_membership_svg(d, _box(args, d)), EXIT_OK
@@ -262,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
                     fh.write(text)
             except OSError as exc:
                 raise UsageError(f"cannot write {args.out!r}: {exc}") from None
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _CapExceeded as exc:

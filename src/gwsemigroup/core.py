@@ -138,14 +138,14 @@ def require_box_dim(box: Box, m: int) -> None:
     if not isinstance(box, Box):
         raise ValueError(f"expected a Box, got {box!r}")
     if box.dim != m:
-        raise ValueError("box dimension disagrees with description")
+        raise ValueError(f"box dimension disagrees with description ({box.dim} against m={m})")
 
 
 def require_point(alpha: Iterable[int], m: int) -> IntTuple:
     """alpha as a tuple; ValueError unless it is m integers."""
     alpha = int_tuple(alpha, "coordinates")
     if len(alpha) != m:
-        raise ValueError(f"tuple of length {len(alpha)}, description has m={m}")
+        raise ValueError(f"tuple of length {len(alpha)}, expected m={m}")
     return alpha
 
 

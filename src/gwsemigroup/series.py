@@ -53,6 +53,7 @@ from .core import (
 from .semigroup import (
     dimension,
     fundamental_maximals,
+    is_maximal,
     is_member,
     lattice_translates,
 )
@@ -366,7 +367,8 @@ def symmetry_violations(
     """Failures of the three symmetry identities over the box.
 
     Yields (identity name, point).  Identities, with s the distinguished
-    maximal element of sum 2g-2+m and sign (-1)^m:
+    maximal element of sum 2g-2+m (``report.sigma``; ValueError unless it is
+    one of d) and sign (-1)^m:
 
     * ``p(alpha) = (-1)^m p(s - alpha)``
     * ``q(alpha) = (-1)^{m-1} q(s - alpha + 1)``
@@ -380,9 +382,11 @@ def symmetry_violations(
     require_box_dim(box, d.m)
     if report is None:
         report = symmetry_report(d)
-    if not report.symmetric or report.sigma is None:
-        raise ValueError("symmetry identities need a symmetric description")
-    sigma = report.sigma
+    if not isinstance(report, SymmetryReport) or not report.symmetric:
+        raise ValueError(f"symmetry identities need a symmetric description, got {report!r}")
+    sigma = require_point(report.sigma, d.m)
+    if sum(sigma) != d.maximal_sum_bound or not is_maximal(d, sigma):
+        raise ValueError(f"sigma {sigma} is not a maximal element of sum {d.maximal_sum_bound}")
     m = d.m
     sign_m = 1 if m % 2 == 0 else -1
     size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))

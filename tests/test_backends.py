@@ -1,5 +1,6 @@
 import pytest
 
+from gwsemigroup import backends
 from gwsemigroup import (
     Box,
     cross_validate,
@@ -117,6 +118,43 @@ def test_hermitian_description_fixtures(hermitian_q2, hermitian_q3):
     d4 = hermitian_description(4)
     assert d4.genus == 6 and d4.lattice.periods == (5,)
     assert len(d4.gamma_fundamental) == 5
+
+
+def _double_loop_gammas(q):
+    # the slab 0 <= |alpha| <= 2g of the region, scanned column by column,
+    # keeping the oracle's members whose dimension drops by 1 at alpha - (1, 1)
+    g = hermitian_genus(q)
+    gammas = []
+    for a1 in range(q + 1):
+        for a2 in range(-a1, 2 * g - a1 + 1):
+            la = hermitian_dimension(q, (a1, a2))
+            member = la > 0 and all(
+                hermitian_dimension(q, below) == la - 1 for below in ((a1 - 1, a2), (a1, a2 - 1))
+            )
+            if member and la - hermitian_dimension(q, (a1 - 1, a2 - 1)) == 1:
+                gammas.append((a1, a2))
+    return tuple(gammas)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_hermitian_description_equals_the_double_loop_scan(q):
+    d = hermitian_description(q)
+    assert d.gamma_fundamental == _double_loop_gammas(q)
+    assert (d.genus, d.lattice.periods) == (hermitian_genus(q), (q + 1,))
+
+
+@pytest.mark.parametrize("q", [2, 3, 9, 16])
+def test_hermitian_description_asks_the_oracle_at_most_4_times_per_slab_point(monkeypatch, q):
+    calls = []
+
+    def counting(q, alpha):
+        calls.append(alpha)
+        return hermitian_dimension(q, alpha)
+
+    monkeypatch.setattr(backends, "hermitian_dimension", counting)
+    hermitian_description(q)
+    slab_points = (q + 1) * (2 * hermitian_genus(q) + 1)
+    assert slab_points <= len(calls) <= 4 * slab_points
 
 
 @pytest.mark.parametrize(

@@ -224,21 +224,30 @@ def test_series_results_make_no_containment_scan():
 
 
 def test_box_paths_make_no_per_point_calls(monkeypatch):
+    # the one per-point call on a box path is symmetry_violations' check that
+    # the report's sigma is a maximal element of d: once, whatever the box
     h3 = hermitian_description(3)
     report = symmetry_report(h3)
+    calls = []
 
-    def forbidden(*args):
-        raise AssertionError("per-point call on a box path")
+    def recording(name, real):
+        def call(d, alpha):
+            calls.append((name, alpha))
+            return real(d, alpha)
+
+        return call
 
     for module in (series, plotting, semigroup):
         for name in ("coeff_l", "coeff_q", "coeff_p", "is_member", "is_maximal"):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, forbidden)
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     box = Box((-4, -4), (6, 6))
     for kind in ("L", "Q", "P"):
         series_on_box(h3, kind, box)
-    list(symmetry_violations(h3, box, report))
     render_membership_svg(h3, box)
+    assert calls == []
+    list(symmetry_violations(h3, box, report))
+    assert calls == [("is_maximal", report.sigma), ("is_member", report.sigma)]
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,50 @@ def test_requests_reuse_the_parser_built_at_import(monkeypatch, capsys, q3_file)
 
 
 # ---------------------------------------------------------------------------
+# input faults: the library finds them, main maps them to exit 2
+
+# (argv, the library's phrase); DESC stands for the h3 description file
+INPUT_FAULTS = [
+    *(
+        (["query", op, "1,2,3", "--desc", "DESC"], "tuple of length 3")
+        for op in ("member", "dim", "basis", "maximal", "absmaximal")
+    ),
+    *(
+        ([*argv, "--desc", "DESC", "--box", "0..1,0..1,0..1"],
+         "box dimension disagrees with description (3 against m=2)")
+        for argv in (["series", "P"], ["verify"], ["plot"])
+    ),
+    (["gen", "hermitian", "--q", "6"], "q must be a prime power, got 6"),
+    (["gen", "hermitian", "--q", "1"], "q must be an integer >= 2, got 1"),
+    (["gen", "genus0", "--m", "1"], "m must be an integer >= 2, got 1"),
+    # the box dimension is checked before the cap
+    (["series", "P", "--desc", "DESC", "--box", "0..9,0..9,0..9", "--cap", "5"],
+     "box dimension disagrees with description"),
+]
+
+
+@pytest.mark.parametrize("argv, phrase", INPUT_FAULTS, ids=[" ".join(a) for a, _ in INPUT_FAULTS])
+def test_input_faults_exit_2_with_the_librarys_text(capsys, q3_file, argv, phrase):
+    code, out, err = run_cli(capsys, [q3_file if a == "DESC" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and phrase in err and "Traceback" not in err
+
+
+def test_plot_of_more_points_is_a_usage_error_before_the_cap(capsys, tmp_path):
+    path = tmp_path / "g3.json"
+    assert main(["gen", "genus0", "--m", "3", "--out", str(path)]) == 0
+    argv = ["plot", "--desc", str(path), "--box", "0..9,0..9,0..9", "--cap", "5"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "two-point" in err
+
+
+def test_usage_errors_are_value_errors():
+    # so that main maps both with its one ValueError clause
+    assert issubclass(UsageError, ValueError)
+
+
+# ---------------------------------------------------------------------------
 # determinism
 
 def test_outputs_are_byte_identical(tmp_path, q3_file):

@@ -5,6 +5,7 @@ import pytest
 from gwsemigroup import (
     Box,
     BoxSeries,
+    SymmetryReport,
     coeff_l,
     coeff_p,
     coeff_q,
@@ -295,6 +296,31 @@ def test_symmetry_equations_require_symmetric_description(hermitian_q3):
     )
     with pytest.raises(ValueError):
         list(symmetry_violations(hermitian_q3, Box((0, 0), (1, 1)), broken))
+
+
+@pytest.mark.parametrize(
+    "make_report, message",
+    [
+        (lambda: 42, "symmetric description, got 42"),
+        (lambda: symmetry_report(genus0_description(3)), "tuple of length 3, expected m=2"),
+        (
+            lambda: symmetry_report(hermitian_description(2)),
+            r"sigma \(1, 1\) is not a maximal element of sum 6",
+        ),
+        (
+            lambda: SymmetryReport(symmetric=True, sigma=(2, 4), gamma_witness=None),
+            r"sigma \(2, 4\) is not a maximal element of sum 6",
+        ),
+    ],
+    ids=["not-a-report", "sigma-of-another-m", "sigma-of-another-sum", "sigma-not-maximal"],
+)
+def test_symmetry_equations_reject_a_report_that_is_not_the_descriptions(
+    hermitian_q3, make_report, message
+):
+    # a sigma that is not a maximal element of sum 2g-2+m of d would read
+    # the identities at the wrong reflection, and fail or pass by chance
+    with pytest.raises(ValueError, match=message):
+        list(symmetry_violations(hermitian_q3, Box((-6, -6), (6, 6)), make_report()))
 
 
 def test_poincare_support_law(hermitian_q3, genus0_m3, genus0_m4):
