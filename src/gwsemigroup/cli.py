@@ -11,8 +11,8 @@ Input faults are the library's to find: every ``ValueError`` it raises on a
 request is one, and :func:`main` maps it to exit 2 with the library's text.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (an ``--out`` that
-cannot be written included), 3 resource cap (a box above ``--cap``, or a
-``query basis`` of more than ``DEFAULT_CAP`` points).
+cannot be written included), 3 resource cap (a box above ``--cap``; a ``query
+basis`` or ``gen genus0`` listing more than ``DEFAULT_CAP`` points or entries).
 All outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -133,6 +133,9 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
     value = getattr(args, flag)
     if value is None:
         raise UsageError(f"gen {args.family} requires --{flag}")
+    # a genus-0 description lists m(m - 1) generator entries; m < 2 is the builder's to refuse
+    if args.family == "genus0" and value > 1 and (n := value * (value - 1)) > DEFAULT_CAP:
+        raise _CapExceeded(f"{n} lattice generator entries are above the cap of {DEFAULT_CAP}")
     return build(value).dumps(), EXIT_OK
 
 

@@ -380,10 +380,13 @@ def validate_description(d: SemigroupDescription) -> list[str]:
        |alpha| >= 2g-1 (consistency with the claimed genus);
     d. dim(alpha) == 0 on a sample with |alpha| < 0.
 
-    (a) and (b) compare the list with the absolute maximal elements that
-    :func:`semigroup.fundamental_maximals` finds in its slab scan; every
-    listed gamma lies in that slab by construction.  (b) cannot fire while
-    ``dimension`` counts the set V(alpha) of last coordinates of the
+    (a) and (b) compare the list with the absolute maximal elements of one
+    scan of the slab 0 <= |alpha| <= 2g-2+m of the region.  The slab holds
+    every listed gamma by construction, and every absolute maximal element,
+    since for m >= 2 that implies maximal: dim is monotone, and both ends of
+    alpha - 1 <= alpha - 1 + e_i <= alpha - e_j (j != i) have dim(alpha) - 1,
+    so dim(alpha - 1 + e_i) = dim(alpha - 1) for every i.  (b) cannot fire
+    while ``dimension`` counts the set V(alpha) of last coordinates of the
     translates beta <= alpha of listed gammas.  For alpha absolute maximal,
     V(alpha - 1) is inside V(alpha - e_i), which is inside V(alpha), and both
     drops are 1, so V(alpha - e_i) is V(alpha) without alpha_m: every
@@ -394,7 +397,8 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     from . import semigroup  # deferred: semigroup builds on this module
 
     listed = set(d.gamma_fundamental)
-    absolute = set(semigroup.fundamental_maximals(d)[1])
+    slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
+    absolute = {a for a in slab if semigroup.is_absolute_maximal(d, a)}
     violations = [
         f"(a) listed gamma {g} is not absolute maximal" for g in sorted(listed - absolute)
     ]

@@ -5,7 +5,9 @@ of the divisor with coefficient vector ``alpha``), computed as the number of
 equivalence classes of ``Gamma(alpha) = {beta absolute maximal : beta <= alpha}``
 under "equal last coordinate".  Membership, nabla-set emptiness (a vanishing
 :func:`dimension_jump`), and both maximality notions all reduce to dimension
-differences, so they share one correctness burden.
+differences, so they share one correctness burden.  Scans of the fundamental
+region for maximal elements live with their callers in ``series`` and ``core``,
+each asking only the predicate it reads.
 
 Enumeration of Gamma(alpha) walks lattice coefficients k_1, ..., k_{m-1}
 with exact per-level integer bounds (:func:`lattice_translates`).  Writing
@@ -60,7 +62,6 @@ __all__ = [
     "nabla_set",
     "is_maximal",
     "is_absolute_maximal",
-    "fundamental_maximals",
     "members_from_lubs",
     "riemann_roch_basis",
     "TwoPointProfile",
@@ -284,26 +285,6 @@ def is_maximal(d: SemigroupDescription, alpha: IntTuple) -> bool:
 def is_absolute_maximal(d: SemigroupDescription, alpha: IntTuple) -> bool:
     """Member whose dimension drops by exactly 1 when all coordinates drop by 1."""
     return is_member(d, alpha) and dimension(d, alpha) == dimension(d, tsub(alpha, ones(d.m))) + 1
-
-
-def fundamental_maximals(
-    d: SemigroupDescription,
-) -> tuple[tuple[IntTuple, ...], tuple[IntTuple, ...]]:
-    """(maximal, absolute maximal) elements inside the fundamental region.
-
-    Scans the finite slab 0 <= |alpha| <= 2g-2+m of the region in
-    lexicographic order, so both tuples are sorted; outside that slab no
-    maximal element can exist.  For a valid description the second
-    component reproduces ``gamma_fundamental``.
-    """
-    maxima: list[IntTuple] = []
-    absolute: list[IntTuple] = []
-    for alpha in d.lattice.sum_slab(0, d.maximal_sum_bound):
-        if is_maximal(d, alpha):
-            maxima.append(alpha)
-            if is_absolute_maximal(d, alpha):
-                absolute.append(alpha)
-    return tuple(maxima), tuple(absolute)
 
 
 def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:

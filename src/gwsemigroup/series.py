@@ -13,7 +13,7 @@ On a box the same operators act on whole tables.  The box engine fills one
 flat ``dim`` grid (:func:`_dim_grid`) on the box grown below by one layer
 (two for Q), reads L as the grid minus its diagonal shift, and applies
 ``prod_i (1 - shift_i)`` as m axis passes (:func:`_axis_differences`), each
-a window difference that drops the first layer along its axis.  dim is
+a slice difference that drops the first layer along its axis.  dim is
 periodic under the period lattice, so the grid copies one value to every
 cell of a lattice class: a box request costs one ``dimension`` call per
 lattice class among its cells instead of 2^m per point, and the flat
@@ -52,7 +52,6 @@ from .core import (
 )
 from .semigroup import (
     dimension,
-    fundamental_maximals,
     is_maximal,
     is_member,
     lattice_translates,
@@ -170,16 +169,16 @@ def _diagonal_difference(values: list[int], shape: IntTuple) -> tuple[list[int],
 
 
 def _axis_differences(values: list[int], shape: IntTuple) -> tuple[list[int], IntTuple]:
-    """prod_i (1 - shift_i) applied to the table: one window difference per axis.
+    """prod_i (1 - shift_i) applied to the table: one slice difference per block along each axis.
 
-    The pass along axis i subtracts each layer from the next, so the result
-    drops the first layer along that axis.
+    In each block c of the axes from i on, ``map(sub, c[stride:], c)`` subtracts each
+    layer from the next and stops at the shorter, dropping the first layer along axis i.
     """
-    m = len(shape)
-    for axis, n in enumerate(shape):
-        size = shape[:axis] + (n - 1,) + shape[axis + 1:]
-        values, shape = _window_difference(values, shape, unit(m, axis + 1), zeros(m), size), size
-    return values, shape
+    for axis in range(len(shape)):
+        stride, block = prod(shape[axis + 1:]), prod(shape[axis:])
+        cuts = (values[k:k + block] for k in range(0, len(values), block))
+        values = reduce(iadd, (map(sub, c[stride:], c) for c in cuts), [])
+    return values, tuple(n - 1 for n in shape)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +274,12 @@ def semigroup_polynomial(d: SemigroupDescription) -> dict[IntTuple, int]:
     """Finitely supported part of P: its nonzero coefficients on the fundamental region.
 
     Keyed by the maximal elements inside the region, in lexicographic order;
-    every absolute maximal element carries coefficient 1.
+    every absolute maximal element carries coefficient 1.  p vanishes off the
+    maximal elements, and none lies outside the slab 0 <= |alpha| <= 2g-2+m,
+    so one scan of that slab asks ``coeff_p`` only at maximal points.
     """
-    maxima, _ = fundamental_maximals(d)
-    coeffs = {alpha: coeff_p(d, alpha) for alpha in maxima}
-    return {alpha: c for alpha, c in coeffs.items() if c != 0}
+    slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
+    return {a: c for a in slab if is_maximal(d, a) and (c := coeff_p(d, a))}
 
 
 def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
@@ -319,32 +319,35 @@ class SymmetryReport:
     search_window: tuple[int, int] | None = None
 
 
+def _top_maximals(d: SemigroupDescription) -> Iterator[IntTuple]:
+    """The maximal elements of sum 2g-2+m in the fundamental region, in lexicographic order.
+
+    The semigroup is symmetric exactly when some maximal class has coordinate
+    sum 2g-2+m; since sums are invariant under the lattice, this scan of the
+    region decides it soundly and completely, and its first item is sigma.
+    """
+    t = d.maximal_sum_bound
+    return (a for a in d.lattice.sum_slab(t, t) if is_maximal(d, a))
+
+
 def symmetry_report(d: SemigroupDescription) -> SymmetryReport:
     """Decide symmetry and collect witnesses.
 
-    The semigroup is symmetric exactly when some maximal class has coordinate
-    sum 2g-2+m; since sums are invariant under the lattice, scanning the
-    fundamental region decides this soundly and completely.  The non-member
-    witness of sum 2g-1 is searched over region representatives in
-    lexicographic order of the constrained coordinates (membership is lattice
-    periodic, so region representatives suffice).
+    ``sigma`` is the first of :func:`_top_maximals`.  The non-member witness
+    of sum 2g-1 is searched over region representatives in lexicographic
+    order of the constrained coordinates (membership is lattice periodic, so
+    region representatives suffice).  The full-support search window is
+    read from every maximal element of the region, so for a symmetric d the
+    slab below sum 2g-2+m is scanned as well.
     """
-    maxima, _ = fundamental_maximals(d)
-    target = d.maximal_sum_bound
-    candidates = [a for a in maxima if sum(a) == target]
-    symmetric = bool(candidates)
-    sigma = candidates[0] if symmetric else None
+    candidates = list(_top_maximals(d))
+    layer = d.lattice.sum_slab(2 * d.genus - 1, 2 * d.genus - 1)
+    gamma_witness = next((a for a in layer if not is_member(d, a)), None)
 
-    gamma_witness = None
-    for alpha in d.lattice.sum_slab(2 * d.genus - 1, 2 * d.genus - 1):
-        if not is_member(d, alpha):
-            gamma_witness = alpha
-            break
-
-    full_support_witness = None
-    window = None
-    if symmetric:
-        coords = [x for a in maxima for x in a]
+    full_support_witness = window = None
+    if candidates:
+        below = [a for a in d.lattice.sum_slab(0, d.maximal_sum_bound - 1) if is_maximal(d, a)]
+        coords = [x for a in below + candidates for x in a]
         bound = sum(d.lattice.periods)
         window = (min(coords) - bound, max(coords) + bound)
         translates = lattice_translates(
@@ -353,22 +356,20 @@ def symmetry_report(d: SemigroupDescription) -> SymmetryReport:
         full_support_witness = min((b for b in translates if 1 not in b), default=None)
 
     return SymmetryReport(
-        symmetric=symmetric,
-        sigma=sigma,
+        symmetric=bool(candidates),
+        sigma=candidates[0] if candidates else None,
         gamma_witness=gamma_witness,
         full_support_witness=full_support_witness,
         search_window=window,
     )
 
 
-def symmetry_violations(
-    d: SemigroupDescription, box: Box, report: SymmetryReport | None = None
-) -> Iterator[tuple[str, IntTuple]]:
+def symmetry_violations(d: SemigroupDescription, box: Box) -> Iterator[tuple[str, IntTuple]]:
     """Failures of the three symmetry identities over the box.
 
-    Yields (identity name, point).  Identities, with s the distinguished
-    maximal element of sum 2g-2+m (``report.sigma``; ValueError unless it is
-    one of d) and sign (-1)^m:
+    Yields (identity name, point).  Identities, with s = sigma the first
+    maximal element of sum 2g-2+m of d (:func:`_top_maximals`; ValueError if
+    d has none, that is, if it is not symmetric) and sign (-1)^m:
 
     * ``p(alpha) = (-1)^m p(s - alpha)``
     * ``q(alpha) = (-1)^{m-1} q(s - alpha + 1)``
@@ -380,13 +381,9 @@ def symmetry_violations(
     reflected points backwards, so box point k pairs with entry -1 - k.
     """
     require_box_dim(box, d.m)
-    if report is None:
-        report = symmetry_report(d)
-    if not isinstance(report, SymmetryReport) or not report.symmetric:
-        raise ValueError(f"symmetry identities need a symmetric description, got {report!r}")
-    sigma = require_point(report.sigma, d.m)
-    if sum(sigma) != d.maximal_sum_bound or not is_maximal(d, sigma):
-        raise ValueError(f"sigma {sigma} is not a maximal element of sum {d.maximal_sum_bound}")
+    sigma = next(_top_maximals(d), None)
+    if sigma is None:
+        raise ValueError(f"symmetry identities need a maximal element of sum {d.maximal_sum_bound}")
     m = d.m
     sign_m = 1 if m % 2 == 0 else -1
     size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))

@@ -53,7 +53,7 @@ def test_package_exports_the_public_names():
         "SemigroupDescription", "SymmetryReport", "TwoPointProfile",
         "absolute_maximals_below", "canonicalize", "coeff_l", "coeff_p",
         "coeff_q", "cross_validate", "dimension", "dimension_jump",
-        "fundamental_maximals", "genus0_description", "genus0_dimension",
+        "genus0_description", "genus0_dimension",
         "hermitian_description", "hermitian_dimension", "hermitian_genus",
         "is_absolute_maximal", "is_maximal", "is_member", "is_prime_power",
         "lattice_translates", "load_description", "members_from_lubs",
@@ -78,6 +78,10 @@ def test_removed_names_stay_gone():
         assert not hasattr(module, "nabla_im_empty")
     assert list(inspect.signature(series.coeff_p).parameters) == ["d", "alpha"]
     assert list(inspect.signature(series.reconstruction_violations).parameters) == ["d", "box"]
+    # sigma is worked out from the description, not passed in
+    assert list(inspect.signature(series.symmetry_violations).parameters) == ["d", "box"]
+    for module in (gwsemigroup, semigroup):
+        assert not hasattr(module, "fundamental_maximals")
     # the boolean wrappers of the violation iterators
     for attr in ("check_qp_identity", "check_reconstruction", "check_symmetry_equations"):
         for module in (gwsemigroup, series):

@@ -186,7 +186,7 @@ def test_plot_and_symmetry_dimension_calls_are_one_per_class(dimension_calls):
     # two grids of the box's shape plus 2: near [lower - 2, upper] and the
     # reflection far [s - upper - 1, s - lower + 1]
     dimension_calls.clear()
-    list(symmetry_violations(h3, box, report))
+    list(symmetry_violations(h3, box))
     s = report.sigma
     near = (tsub(box.lower, (2, 2)), box.upper)
     far = (tsub(tsub(s, box.upper), (1, 1)), tadd(tsub(s, box.lower), (1, 1)))
@@ -224,10 +224,13 @@ def test_series_results_make_no_containment_scan():
 
 
 def test_box_paths_make_no_per_point_calls(monkeypatch):
-    # the one per-point call on a box path is symmetry_violations' check that
-    # the report's sigma is a maximal element of d: once, whatever the box
+    # the only per-point calls on a box path are symmetry_violations' scan
+    # for sigma: is_maximal (and its is_member) at the region points of sum
+    # 2g-2+m up to sigma, whatever the box
     h3 = hermitian_description(3)
-    report = symmetry_report(h3)
+    sigma = symmetry_report(h3).sigma
+    t = h3.maximal_sum_bound
+    scanned = [a for a in h3.lattice.sum_slab(t, t) if a <= sigma]
     calls = []
 
     def recording(name, real):
@@ -246,8 +249,10 @@ def test_box_paths_make_no_per_point_calls(monkeypatch):
         series_on_box(h3, kind, box)
     render_membership_svg(h3, box)
     assert calls == []
-    list(symmetry_violations(h3, box, report))
-    assert calls == [("is_maximal", report.sigma), ("is_member", report.sigma)]
+    for box in (box, Box((-9, 0), (-8, 0))):
+        calls.clear()
+        list(symmetry_violations(h3, box))
+        assert calls == [(name, a) for a in scanned for name in ("is_maximal", "is_member")]
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +298,7 @@ def test_symmetry_violations_equal_per_point_reference():
     nonempty = 0
     for d, box in _symmetry_cases():
         report = symmetry_report(d)
-        got = list(symmetry_violations(d, box, report))
+        got = list(symmetry_violations(d, box))
         assert got == _per_point_symmetry_violations(d, box, report.sigma), (d.label, box)
         nonempty += bool(got)
     assert nonempty >= 2

@@ -149,6 +149,27 @@ def test_query_basis_above_the_cap_exits_3_before_building(capsys, q3_file, monk
     assert "--cap" not in err and "Traceback" not in err
 
 
+def test_gen_genus0_above_the_cap_exits_3_before_building(capsys, monkeypatch):
+    # the JSON lists m(m - 1) generator entries: 3162 * 3161 = 9995082 fits
+    # the cap, 3163 * 3162 = 10001406 does not
+    built = []
+
+    def recording(m):
+        built.append(m)
+        return gwsemigroup.genus0_description(2)
+
+    monkeypatch.setitem(cli._FAMILIES, "genus0", ("m", recording))
+    code, out, err = run_cli(capsys, ["gen", "genus0", "--m", "3163"])
+    assert (code, out, built) == (3, "", [])
+    assert "10001406" in err and str(cli.DEFAULT_CAP) in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, ["gen", "genus0", "--m", "3162"])
+    assert (code, built) == (0, [3162]) and json.loads(out)["m"] == 2
+    # below 2 the builder refuses, whatever m(m - 1) is
+    monkeypatch.undo()
+    code, _, err = run_cli(capsys, ["gen", "genus0", "--m", "-5000"])
+    assert code == 2 and "m must be" in err
+
+
 def test_query_rejects_generators_without_period_shape(capsys, q3_file, tmp_path):
     data = json.loads(Path(q3_file).read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"

@@ -265,13 +265,12 @@ def test_validate_trivial_two_point_genus0(genus0_m2):
 def test_validate_reports_an_unlisted_absolute_maximal(monkeypatch, hermitian_q3):
     # (b) cannot fire while dimension counts last-coordinate classes (see
     # validate_description), so the slab scan is made to report one extra
-    original = semigroup.fundamental_maximals
+    original = semigroup.is_absolute_maximal
 
-    def with_extra(d):
-        maxima, absolute = original(d)
-        return maxima, tuple(sorted(absolute + ((1, 1),)))
+    def with_extra(d, alpha):
+        return alpha == (1, 1) or original(d, alpha)
 
-    monkeypatch.setattr(semigroup, "fundamental_maximals", with_extra)
+    monkeypatch.setattr(semigroup, "is_absolute_maximal", with_extra)
     assert validate_description(hermitian_q3) == [
         "(b) absolute maximal (1, 1) missing from the list"
     ]
@@ -295,8 +294,8 @@ _Q3_RR_VIOLATIONS = [
 
 
 def test_validate_mutant_violation_lists(hermitian_q3, genus0_m3):
-    # Exact lists, order included: (a) and (b) come from the slab scan of
-    # fundamental_maximals, (c) and (d) from the Riemann-Roch probes.
+    # Exact lists, order included: (a) and (b) come from the slab scan for
+    # absolute maximal elements, (c) and (d) from the Riemann-Roch probes.
     gammas = hermitian_q3.gamma_fundamental
     dropped = _replace_gammas(hermitian_q3, [g for g in gammas if g != (2, 2)])
     assert validate_description(dropped) == _Q3_RR_VIOLATIONS

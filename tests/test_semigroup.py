@@ -12,7 +12,6 @@ from gwsemigroup import (
     coeff_q,
     dimension,
     dimension_jump,
-    fundamental_maximals,
     genus0_description,
     genus0_dimension,
     hermitian_description,
@@ -404,6 +403,16 @@ def test_absolute_maximality_equivalent_to_empty_nablas(hermitian_q3, genus0_m3)
                 not nabla_set(d, alpha, J) for J in subsets[d.m]
             )
             assert via_nablas == is_absolute_maximal(d, alpha)
+
+
+def fundamental_maximals(d):
+    # (maximal, absolute maximal) elements of the region, from one scan of
+    # the slab 0 <= |alpha| <= 2g-2+m in lexicographic order
+    slab = tuple(d.lattice.sum_slab(0, d.maximal_sum_bound))
+    return (
+        tuple(a for a in slab if is_maximal(d, a)),
+        tuple(a for a in slab if is_absolute_maximal(d, a)),
+    )
 
 
 def test_fundamental_maximals(hermitian_q3, genus0_m2, genus0_m3):

@@ -5,7 +5,8 @@ import pytest
 from gwsemigroup import (
     Box,
     BoxSeries,
-    SymmetryReport,
+    Lattice,
+    SemigroupDescription,
     coeff_l,
     coeff_p,
     coeff_q,
@@ -22,7 +23,7 @@ from gwsemigroup import (
     symmetry_report,
     symmetry_violations,
 )
-from gwsemigroup.core import canonicalize, tadd, tsub, unit
+from gwsemigroup.core import canonicalize, tadd, tsub, unit, validate_description
 from gwsemigroup.verify import _p_from_direction
 
 from window_data import MAXIMALS_Q3_WINDOW
@@ -190,16 +191,54 @@ def test_semigroup_polynomial_fixtures(hermitian_q3, genus0_m2, genus0_m3):
     assert semigroup_polynomial(genus0_m2) == {(0, 0): 1}
 
 
-def test_semigroup_polynomial_support_law(hermitian_q2, genus0_m3, genus0_m4):
-    from gwsemigroup import fundamental_maximals
+def _slab_maximals(d):
+    # the two-pass scan: every maximal element of the slab 0 <= |alpha| <=
+    # 2g-2+m of the region, and the absolute maximal ones among them
+    slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
+    maxima = tuple(a for a in slab if is_maximal(d, a))
+    return maxima, tuple(a for a in maxima if is_absolute_maximal(d, a))
 
+
+def test_semigroup_polynomial_support_law(hermitian_q2, genus0_m3, genus0_m4):
     for d in (hermitian_q2, genus0_m3, genus0_m4):
         poly = semigroup_polynomial(d)
-        maxima, absolute = fundamental_maximals(d)
+        maxima, absolute = _slab_maximals(d)
         assert set(poly) <= set(maxima)
         assert list(poly) == sorted(poly)
         for gamma in absolute:
             assert poly[gamma] == 1
+
+
+def _seeded_description(rng):
+    # zero plus up to four random gammas in the region; mostly invalid
+    m = rng.randint(2, 4)
+    periods = [rng.randint(1, 4) for _ in range(m - 1)]
+    genus = rng.randint(0, 3)
+    bound = 2 * genus - 2 + m
+    gammas = {(0,) * m}
+    for _ in range(rng.randint(0, 4)):
+        head = [rng.randrange(a) for a in periods]
+        gammas.add((*head, rng.randint(0, bound) - sum(head)))
+    return SemigroupDescription(m, genus, Lattice(periods), tuple(sorted(gammas)))
+
+
+def test_one_pass_slab_scans_equal_the_two_pass_scan():
+    # the polynomial asks coeff_p only at maximal points and the description
+    # check asks only is_absolute_maximal; both must read as the two-pass scan
+    rng = random.Random(18)
+    for _ in range(160):
+        d = _seeded_description(rng)
+        maxima, absolute = _slab_maximals(d)
+        coeffs = {a: coeff_p(d, a) for a in maxima}
+        want = {a: c for a, c in coeffs.items() if c != 0}
+        got = semigroup_polynomial(d)
+        assert (got, list(got)) == (want, list(want)), d
+        listed = set(d.gamma_fundamental)
+        want_ab = [f"(a) listed gamma {g} is not absolute maximal"
+                   for g in sorted(listed - set(absolute))]
+        want_ab += [f"(b) absolute maximal {a} missing from the list"
+                    for a in sorted(set(absolute) - listed)]
+        assert [v for v in validate_description(d) if v[:3] in ("(a)", "(b)")] == want_ab, d
 
 
 def test_reconstruction(hermitian_q3, genus0_m3):
@@ -288,39 +327,12 @@ def test_symmetry_equation_at_distinguished_point(hermitian_q3, genus0_m3):
 
 
 def test_symmetry_equations_require_symmetric_description(hermitian_q3):
-    report = symmetry_report(hermitian_q3)
-    broken = type(report)(
-        symmetric=False,
-        sigma=None,
-        gamma_witness=None,
-    )
-    with pytest.raises(ValueError):
-        list(symmetry_violations(hermitian_q3, Box((0, 0), (1, 1)), broken))
-
-
-@pytest.mark.parametrize(
-    "make_report, message",
-    [
-        (lambda: 42, "symmetric description, got 42"),
-        (lambda: symmetry_report(genus0_description(3)), "tuple of length 3, expected m=2"),
-        (
-            lambda: symmetry_report(hermitian_description(2)),
-            r"sigma \(1, 1\) is not a maximal element of sum 6",
-        ),
-        (
-            lambda: SymmetryReport(symmetric=True, sigma=(2, 4), gamma_witness=None),
-            r"sigma \(2, 4\) is not a maximal element of sum 6",
-        ),
-    ],
-    ids=["not-a-report", "sigma-of-another-m", "sigma-of-another-sum", "sigma-not-maximal"],
-)
-def test_symmetry_equations_reject_a_report_that_is_not_the_descriptions(
-    hermitian_q3, make_report, message
-):
-    # a sigma that is not a maximal element of sum 2g-2+m of d would read
-    # the identities at the wrong reflection, and fail or pass by chance
-    with pytest.raises(ValueError, match=message):
-        list(symmetry_violations(hermitian_q3, Box((-6, -6), (6, 6)), make_report()))
+    # without (1, 5) no maximal element has sum 2g-2+m (verify skips it)
+    gammas = tuple(g for g in hermitian_q3.gamma_fundamental if g != (1, 5))
+    d = SemigroupDescription(2, hermitian_q3.genus, hermitian_q3.lattice, gammas)
+    assert not symmetry_report(d).symmetric
+    with pytest.raises(ValueError, match="need a maximal element of sum 6"):
+        list(symmetry_violations(d, Box((0, 0), (1, 1))))
 
 
 def test_poincare_support_law(hermitian_q3, genus0_m3, genus0_m4):

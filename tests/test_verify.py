@@ -42,6 +42,30 @@ def test_verification_passes_on_fixtures(hermitian_q3, genus0_m3):
         assert failed == [], failed
 
 
+def test_verification_never_builds_a_symmetry_report(monkeypatch, hermitian_q3, genus0_m4):
+    # symmetry-equations reads only sigma; the report's non-member search and
+    # window walk are not asked for, and the rows stay what they were
+    def refuse(d):
+        raise AssertionError("symmetry_report called")
+
+    without = SemigroupDescription(
+        2, hermitian_q3.genus, hermitian_q3.lattice,
+        tuple(g for g in hermitian_q3.gamma_fundamental if g != (1, 5)),
+    )
+    cases = [
+        (hermitian_q3, Box((-6, -6), (8, 8))),
+        (without, Box((-4, -4), (5, 5))),
+        (hermitian_description(16), Box((-5, -5), (6, 6))),
+        (genus0_m4, Box((-2,) * 4, (2,) * 4)),
+    ]
+    want = [run_verification(d, box) for d, box in cases]
+    for module in (series, verify):
+        monkeypatch.setattr(module, "symmetry_report", refuse, raising=False)
+    assert [run_verification(d, box) for d, box in cases] == want
+    skipped = {r.name: r.detail for r in want[1]}["symmetry-equations"]
+    assert skipped == "skipped: not symmetric"
+
+
 def test_verification_is_deterministic(hermitian_q2):
     box = Box((-4, -4), (5, 5))
     first = run_verification(hermitian_q2, box)
@@ -199,7 +223,8 @@ def test_violation_iterators_yield_every_failure(hermitian_q3):
     )
     box = Box((-6, -6), (8, 8))
     points = list(box.points())
-    failures = list(symmetry_violations(mutant, box, symmetry_report(hermitian_q3)))
+    assert symmetry_report(mutant).sigma == (1, 5)
+    failures = list(symmetry_violations(mutant, box))
     assert len(failures) > 1
     assert sorted(failures, key=lambda f: points.index(f[1])) == failures
     assert list(qp_violations(mutant, box)) == []
