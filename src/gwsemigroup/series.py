@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
 from math import prod
-from operator import eq, iadd, sub
+from operator import iadd, sub
 from typing import Callable, Iterator
 
 from .core import (
@@ -51,6 +51,7 @@ from .core import (
     zeros,
 )
 from .semigroup import (
+    _flat,
     dimension,
     is_maximal,
     is_member,
@@ -245,24 +246,28 @@ def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
 def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
     """Points where the engine's p or q differs from the per-point route.
 
-    That route, which never reads a dim grid, is p from :func:`coeff_p` and
-    q(alpha) = p(alpha) - p(alpha - 1).  p is asked once per box point and
-    kept in ``Box.points()`` order, so p(alpha - 1) is the value kept ``back``
-    places earlier, the sum of the axis strides; only for alpha on a lower
-    face does alpha - 1 leave the box and need a call of its own.
+    That route never reads a dim grid: ``dimension`` is asked once at every
+    raw point of [lower - 2, upper], with no lattice reduction, and kept in
+    ``Box.points()`` order.  p(alpha) is the signed sum of the 2^m cells at
+    fixed offsets below alpha's cell, the offset of corner J being the sum of
+    the strides of the axes in J, and q(alpha) = p(alpha) - p(alpha - 1),
+    whose cube lies one diagonal step further down the same table.
     """
     p = series_on_box(d, "P", box)
     q = series_on_box(d, "Q", box)
-    size = [u - l + 1 for l, u in zip(box.lower, box.upper)]
-    back = sum(prod(size[axis + 1:]) for axis in range(d.m))
-    kept: list[int] = []
+    lower = tuple(x - 2 for x in box.lower)
+    dims = [dimension(d, a) for a in Box(lower, box.upper).points()]
+    shape = tuple(u - l + 1 for l, u in zip(lower, box.upper))
+    strides = [prod(shape[axis + 1:]) for axis in range(d.m)]
+    corners = [
+        (sum(s for s, c in zip(strides, corner) if c), -1 if sum(corner) & 1 else 1)
+        for corner in product((0, 1), repeat=d.m)
+    ]
+    back = sum(strides)
     for alpha, p_value, q_value in zip(box.points(), p.values, q.values):
-        here = coeff_p(d, alpha)
-        if any(map(eq, alpha, box.lower)):
-            below = coeff_p(d, tsub(alpha, ones(d.m)))
-        else:
-            below = kept[-back]
-        kept.append(here)
+        k = _flat(list(map(sub, alpha, lower)), shape)
+        here = sum(sign * dims[k - offset] for offset, sign in corners)
+        below = sum(sign * dims[k - back - offset] for offset, sign in corners)
         if p_value != here or q_value != here - below:
             yield alpha
 
@@ -286,14 +291,19 @@ def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[Int
     """Points where the region-representative lookup disagrees with the engine's P.
 
     The lattice-sum factorization of P collapses to a lookup because distinct
-    lattice translates of the fundamental region are disjoint.
+    lattice translates of the fundamental region are disjoint.  Along a row of
+    the last axis the representatives are those of the row's first cell with
+    the last coordinate counted up, so each row asks :func:`canonicalize` once.
     """
-    p = series_on_box(d, "P", box)
+    p = series_on_box(d, "P", box).values
     poly = semigroup_polynomial(d)
-    for alpha, value in zip(box.points(), p.values):
-        rep, _ = canonicalize(d.lattice, alpha)
-        if value != poly.get(rep, 0):
-            yield alpha
+    lo, width = box.lower[-1], box.upper[-1] - box.lower[-1] + 1
+    heads = product(*(range(l, u + 1) for l, u in zip(box.lower[:-1], box.upper[:-1])))
+    for n, head in enumerate(heads):
+        first, _ = canonicalize(d.lattice, head + (lo,))
+        for k in range(width):
+            if p[n * width + k] != poly.get(first[:-1] + (first[-1] + k,), 0):
+                yield head + (lo + k,)
 
 
 # ---------------------------------------------------------------------------

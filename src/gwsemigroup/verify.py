@@ -15,9 +15,11 @@ comment.  A check that does not apply to the description raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 from math import prod
 from operator import add
+from typing import Callable
 
 from .core import (
     Box,
@@ -26,6 +28,8 @@ from .core import (
     require_box_dim,
     spread_sample,
     tadd,
+    tsub,
+    unit,
     validate_description,
 )
 from .semigroup import (
@@ -33,7 +37,6 @@ from .semigroup import (
     _reached,
     _running,
     dimension,
-    dimension_jump,
     is_absolute_maximal,
     is_maximal,
     is_member,
@@ -137,27 +140,35 @@ def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_qp_identity(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: per-point coeff_p against the engine's P and Q
+    # independent route: dimension once at each raw point of the box grown by
+    # two below, no lattice reduction, and each p and q the unit-cube
+    # difference of its own 2^m corners there, against the engine's P and Q
     alpha = next(qp_violations(d, box), None)
     return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 
 
-def _p_from_direction(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:
+def _p_from_direction(dim: Callable[[IntTuple], int], alpha: IntTuple, i: int) -> int:
     # The paper's route to p(alpha) from direction i alone: the jumps
-    # d_i(alpha - 1_K) over the subsets K of the other directions, signed (-1)^|K|.
+    # d_i(x) = dim(x) - dim(x - e_i) at x = alpha - 1_K over the subsets K of
+    # the other directions, signed (-1)^|K|.
+    e_i = unit(len(alpha), i)
     total = 0
-    for corner in product((0, 1), repeat=d.m):
+    for corner in product((0, 1), repeat=len(alpha)):
         if not corner[i - 1]:
-            jump = dimension_jump(d, tuple([x - c for x, c in zip(alpha, corner)]), i)
+            x = tsub(alpha, corner)
+            jump = dim(x) - dim(tsub(x, e_i))
             total += -jump if sum(corner) & 1 else jump
     return total
 
 
 def _check_index_independence(d: SemigroupDescription, box: Box) -> str | None:
     # independent route: the paper's p from the jumps in each direction, against
-    # the unit-cube difference of coeff_p, on a spread sample of the box
+    # the unit-cube difference of coeff_p, on a spread sample of the box; the
+    # jumps of all m directions share one memo of dimension at raw points,
+    # which dies with the check
+    dim = cache(partial(dimension, d))
     for alpha in spread_sample(list(box.points()), 400):
-        vals = {coeff_p(d, alpha)} | {_p_from_direction(d, alpha, i) for i in range(1, d.m + 1)}
+        vals = {coeff_p(d, alpha)} | {_p_from_direction(dim, alpha, i) for i in range(1, d.m + 1)}
         if len(vals) != 1:
             return f"p at {alpha} depends on the direction: {sorted(vals)}"
     return None

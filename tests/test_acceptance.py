@@ -6,6 +6,7 @@ failure) and enforces its runtime budget.
 
 import random
 import time
+from functools import partial
 
 from gwsemigroup import (
     Box,
@@ -96,7 +97,7 @@ def test_criterion_4_series_identities():
                 assert p == 1, (d.label, alpha)
         for alpha in pts[:: max(1, len(pts) // 500)]:
             p = coeff_p(d, alpha)
-            assert all(_p_from_direction(d, alpha, i) == p for i in range(1, ms + 1))
+            assert all(_p_from_direction(partial(dimension, d), alpha, i) == p for i in range(1, ms + 1))
     _report(4, "series identities on all seven fixtures", started, 30.0)
 
 

@@ -342,21 +342,98 @@ def test_class_count_tables_stay_box_sized(monkeypatch, hermitian_q3):
     assert 0 < max(sizes) <= box.point_count()
 
 
-def test_qp_identity_asks_p_once_per_point_and_once_more_on_lower_faces(
-    monkeypatch, hermitian_q3, genus0_m3
-):
+def test_qp_identity_asks_dimension_once_per_raw_point(monkeypatch, hermitian_q3, genus0_m3):
+    # work bound: with the engine's P and Q held fixed, the per-point route asks
+    # dimension exactly once at each point of the box grown by two below, in
+    # Box.points() order, and never coeff_p (asking coeff_p per point made 568
+    # dimension calls on the h3 box)
     calls = []
-    original = series.coeff_p
+    original = series.dimension
 
     def counting(d, alpha):
         calls.append(alpha)
         return original(d, alpha)
 
-    monkeypatch.setattr(series, "coeff_p", counting)
-    assert list(qp_violations(hermitian_q3, Box((-4, -4), (6, 6)))) == []
-    assert len(calls) == 121 + 21  # 242 with two calls per point
-    for box in [Box((-2, 0, -1), (1, 0, 2)), Box((-2, -2, -2), (2, 2, 2))]:
+    def no_coeff_p(d, alpha):
+        raise AssertionError(f"coeff_p asked at {alpha}")
+
+    monkeypatch.setattr(series, "dimension", counting)
+    monkeypatch.setattr(series, "coeff_p", no_coeff_p)
+    cases = [
+        (hermitian_q3, Box((-4, -4), (6, 6))),
+        (genus0_m3, Box((-2, 0, -1), (1, 0, 2))),
+        (genus0_m3, Box((-2, -2, -2), (2, 2, 2))),
+    ]
+    counts = []
+    for d, box in cases:
+        held = {kind: series_on_box(d, kind, box) for kind in "PQ"}
+        monkeypatch.setattr(series, "series_on_box", lambda d, kind, box: held[kind])
         calls.clear()
-        assert list(qp_violations(genus0_m3, box)) == []
-        on_face = sum(any(x == l for x, l in zip(a, box.lower)) for a in box.points())
-        assert len(calls) == box.point_count() + on_face
+        assert list(qp_violations(d, box)) == []
+        assert calls == list(Box(tuple(x - 2 for x in box.lower), box.upper).points())
+        counts.append(len(calls))
+    assert counts == [13 ** 2, 6 * 3 * 6, 7 ** 3]
+
+
+def test_qp_identity_reaches_two_layers_below_the_box(monkeypatch, hermitian_q3, genus0_m3):
+    # dimension wrong only at lower - 2, a point off the fundamental region
+    # that no dim grid asks: only q(lower) reads it, through p(lower - 1)
+    original = series.dimension
+    for d, box in [
+        (hermitian_q3, Box((-4, -4), (6, 6))),
+        (genus0_m3, Box((-2, -1, -2), (1, 1, 1))),
+    ]:
+        bottom = tuple(x - 2 for x in box.lower)
+
+        def faulty(d, alpha, bottom=bottom):
+            return original(d, alpha) + (1 if tuple(alpha) == bottom else 0)
+
+        monkeypatch.setattr(series, "dimension", faulty)
+        assert list(qp_violations(d, box)) == [box.lower]
+
+
+def test_index_independence_asks_dimension_once_per_raw_point(monkeypatch, genus0_m4):
+    # the jumps of all four directions share one memo of verify.dimension
+    calls = []
+    original = verify.dimension
+
+    def counting(d, alpha):
+        calls.append(alpha)
+        return original(d, alpha)
+
+    monkeypatch.setattr(verify, "dimension", counting)
+    assert verify._check_index_independence(genus0_m4, Box((-3,) * 4, (3,) * 4)) is None
+    assert calls and len(set(calls)) == len(calls)
+
+
+def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
+    # work gate in place of a wall-clock one: the exact dimension calls of each
+    # check, counted at every module binding of dimension.  A change that
+    # moves a count updates it here and says why in CHANGES.md.
+    calls = [0]
+    original = semigroup.dimension
+
+    def counting(d, alpha):
+        calls[0] += 1
+        return original(d, alpha)
+
+    for module in (semigroup, series, verify):
+        monkeypatch.setattr(module, "dimension", counting)
+    want = {
+        (hermitian_q3, Box((-6, -6), (8, 8))): [
+            115, 104, 461, 521, 1156, 809, 223, 2976, 156, 262, 72,
+        ],
+        (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
+            27, 9, 281, 655, 1552, 866, 91, 15330, 81, 54, 0,
+        ],
+    }
+    for (d, box), counts in want.items():
+        got = []
+        for _, check in verify._CHECKS:
+            calls[0] = 0
+            try:
+                check(d, box)
+            except verify._Skipped:
+                pass
+            got.append(calls[0])
+        assert dict(zip(CHECK_NAMES, got)) == dict(zip(CHECK_NAMES, counts)), d.label
