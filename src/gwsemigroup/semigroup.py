@@ -23,16 +23,16 @@ to k_i * a_i, which gives
 The last-level bound is exactly the constraint beta_m <= alpha_m, so every
 leaf of the walk is a genuine element of Gamma(alpha).  A lower corner
 bounds the walk the same way with the inequalities reversed.  The walk
-serves only :func:`absolute_maximals_below` and the reach tables of
-:func:`members_from_lubs` and the class counts: :func:`dimension` reads a
-class-base table, and :func:`riemann_roch_basis` builds one least translate
-per last coordinate from the same carry bounds without walking Gamma(alpha).
+serves only :func:`absolute_maximals_below` and :func:`_reach_tables`:
+:func:`dimension` reads a class-base table, and :func:`riemann_roch_basis`
+builds one least translate per last coordinate from the same carry bounds
+without walking Gamma(alpha).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, product
 from math import prod
 from operator import and_, or_
@@ -103,6 +103,10 @@ def lattice_translates(
     upper = require_point(upper, m)
     lower = None if lower is None else require_point(lower, m)
     last = m - 2
+    try:
+        seeds = iter(seeds)
+    except TypeError:
+        raise ValueError(f"seeds must be an iterable of points, got {seeds!r}") from None
     for seed in map(partial(require_point, m=m), seeds):
         gap_hi = _suffix_gaps(seed, upper)
         gap_lo = None if lower is None else _suffix_gaps(seed, lower)
@@ -287,28 +291,36 @@ def is_absolute_maximal(d: SemigroupDescription, alpha: IntTuple) -> bool:
     return is_member(d, alpha) and dimension(d, alpha) == dimension(d, tsub(alpha, ones(d.m))) + 1
 
 
+def _reach_tables(d: SemigroupDescription, box: Box) -> tuple[list, list, list[list[int]]]:
+    """The reach tables of the lub sweep and the class counts, from one walk.
+
+    Returns G, the absolute maximal elements below ``box.upper``, the flat
+    index of each one's cell max(beta, lower) - lower, and per coordinate i
+    the reach table: the cells of the beta with beta_i >= lower_i, ORed along
+    the other axes, so it holds at z when some beta <= z has beta_i = z_i.
+    """
+    lower = box.lower
+    shape = tuple(u - l + 1 for l, u in zip(lower, box.upper))
+    gens = list(lattice_translates(d.lattice.periods, d.gamma_fundamental, box.upper))
+    flats = [_flat([max(b, l) - l for b, l in zip(beta, lower)], shape) for beta in gens]
+    tables = []
+    for i in range(d.m):
+        attaining = [k for beta, k in zip(gens, flats) if beta[i] >= lower[i]]
+        tables.append(_reached(attaining, shape, [j for j in range(d.m) if j != i]))
+    return gens, flats, tables
+
+
 def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:
     """Members inside the box, generated as least upper bounds.
 
     A point z is the lub of m absolute maximal elements (repetition allowed)
     exactly when, for every coordinate i, one absolute maximal beta <= z has
-    beta_i = z_i.  Such beta lie below ``box.upper``, so one walk enumerates
-    them as G.  The reach table of coordinate i marks max(beta, box.lower)
-    for every beta in G with beta_i >= box.lower_i, then ORs along the other
-    axes, so it holds at z exactly when some beta <= z has beta_i = z_i.  The
-    members are the box points where the m reach tables, ANDed, all hold.
-    The sweep never consults :func:`dimension`; equality with the direct
-    membership scan is a verification-suite check, not an assumption here.
+    beta_i = z_i: the box points where the m tables of :func:`_reach_tables`,
+    ANDed, all hold.  The sweep never consults :func:`dimension`; equality
+    with the direct membership scan is a verification-suite check.
     """
     require_box_dim(box, d.m)
-    lower, upper = box.lower, box.upper
-    shape = tuple(u - l + 1 for l, u in zip(lower, upper))
-    gens = list(lattice_translates(d.lattice.periods, d.gamma_fundamental, upper))
-    cells = [_flat([max(b, l) - l for b, l in zip(beta, lower)], shape) for beta in gens]
-    reach = [1] * prod(shape)
-    for i in range(d.m):
-        attaining = [k for beta, k in zip(gens, cells) if beta[i] >= lower[i]]
-        reach = list(map(and_, reach, _reached(attaining, shape, [j for j in range(d.m) if j != i])))
+    reach = reduce(partial(map, and_), _reach_tables(d, box)[2])
     return {alpha for alpha, hit in zip(box.points(), reach) if hit}
 
 

@@ -4,9 +4,9 @@ Each check returns its first counterexample (or None); the runner packs the
 outcomes into :class:`CheckResult` rows for reporting.  Everything here
 re-derives quantities through routes that are independent of the primary
 fast paths, so the suite doubles as the library's internal cross-validation:
-class counts come from one enumeration of the absolute maximal elements below
-the box plus prefix tables of the box's shape, never the class-base table,
-members from a per-coordinate sweep over lubs of absolute maximal elements as
+class counts come from the reach tables of one walk of the absolute maximal
+elements below the box (``semigroup._reach_tables``) plus prefix sums, never
+the class-base table, members from the lub sweep over the same tables as
 well as from a membership scan, and so on; each check names its route in a
 comment.  A check that does not apply to the description raises
 :class:`_Skipped` with its reason.
@@ -33,14 +33,13 @@ from .core import (
     validate_description,
 )
 from .semigroup import (
-    _flat,
+    _reach_tables,
     _reached,
     _running,
     dimension,
     is_absolute_maximal,
     is_maximal,
     is_member,
-    lattice_translates,
     members_from_lubs,
     two_point_profile,
 )
@@ -78,37 +77,32 @@ def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | N
 def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
     """Table i holds |{beta_i : beta in Gamma(alpha)}| at every box point alpha.
 
-    One walk enumerates G, the absolute maximal elements below ``box.upper``;
-    Gamma(alpha) is the part of G below alpha.  Every table has the box's own
-    shape.  Each beta with beta_i in the box marks the cell
-    max(beta, lower) - lower; a running OR along every other axis leaves cell
-    (v, x) marked when some beta has beta_i = lower_i + v and beta_j <=
-    lower_j + x_j for j != i.  The values v below lower_i reached that way
-    are counted with one OR table over the other axes per value, so the
-    table never grows with the distance from the box down to the least
-    beta_i; those counts are added into the box's first layer along axis i,
-    and a running sum along axis i then counts the values up to alpha_i.
+    Gamma(alpha) is the part of G below alpha.  Cell (v, x) of reach table i
+    from ``semigroup._reach_tables`` is marked when some beta in G has
+    beta_i = lower_i + v and beta_j <= lower_j + x_j for j != i.  The values
+    below lower_i are counted with one OR table over the other axes per
+    value, so no table grows with the distance from the box down to the
+    least beta_i; those counts are added into the box's first layer along
+    axis i, and a running sum along axis i counts the values up to alpha_i.
     """
-    lower, upper = box.lower, box.upper
-    size = tuple(u - l + 1 for l, u in zip(lower, upper))
-    gens = list(lattice_translates(d.lattice.periods, d.gamma_fundamental, upper))
+    lower = box.lower
+    size = tuple(u - l + 1 for l, u in zip(lower, box.upper))
+    gens, flats, reach = _reach_tables(d, box)
     tables = []
-    for i in range(d.m):
+    for i, marks in enumerate(reach):
         others = size[:i] + size[i + 1:]
-        inside: list[int] = []
+        stride = prod(size[i + 1:])
+        block = size[i] * stride
         below: dict[int, list[int]] = {}
-        for beta in gens:
-            cell = [max(b, l) - l for b, l in zip(beta, lower)]
+        for beta, k in zip(gens, flats):
+            # beta_i below the box puts beta's cell in the first layer along
+            # axis i, so dropping axis i from k gives its cell in others
             if beta[i] < lower[i]:
-                below.setdefault(beta[i], []).append(_flat(cell[:i] + cell[i + 1:], others))
-            else:
-                inside.append(_flat(cell, size))
-        marks = _reached(inside, size, [axis for axis in range(d.m) if axis != i])
+                below.setdefault(beta[i], []).append(k // block * stride + k % block)
         first_layer = [0] * prod(others)
         for cells in below.values():
             first_layer = list(map(add, first_layer, _reached(cells, others, range(d.m - 1))))
-        stride = prod(size[i + 1:])
-        for n, first in enumerate(range(0, len(marks), size[i] * stride)):
+        for n, first in enumerate(range(0, len(marks), block)):
             layer = first_layer[n * stride:(n + 1) * stride]
             marks[first:first + stride] = map(add, marks[first:first + stride], layer)
         tables.append(_running(marks, size, i, add))
@@ -195,20 +189,22 @@ def _check_reconstruction(d: SemigroupDescription, box: Box) -> str | None:
 
 def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
     # independent route: each per-point query at alpha and at alpha + eta, two
-    # raw points that the grid fills from one class value
+    # raw points that the grid fills from one class value.  The table is built
+    # per call, so a query rebound at module level is the one asked.
+    queries = [
+        ("membership", is_member),
+        ("dimension", dimension),
+        ("maximality", is_maximal),
+        ("absolute maximality", is_absolute_maximal),
+        ("p", coeff_p),
+    ]
     for alpha in spread_sample(list(box.points()), 150):
+        here = [query(d, alpha) for _, query in queries]
         for eta in d.lattice.generators:
             shifted = tadd(alpha, eta)
-            if is_member(d, alpha) != is_member(d, shifted):
-                return f"membership not periodic at {alpha} + {eta}"
-            if dimension(d, alpha) != dimension(d, shifted):
-                return f"dimension not periodic at {alpha} + {eta}"
-            if is_maximal(d, alpha) != is_maximal(d, shifted):
-                return f"maximality not periodic at {alpha} + {eta}"
-            if is_absolute_maximal(d, alpha) != is_absolute_maximal(d, shifted):
-                return f"absolute maximality not periodic at {alpha} + {eta}"
-            if coeff_p(d, alpha) != coeff_p(d, shifted):
-                return f"p not periodic at {alpha} + {eta}"
+            for (name, query), value in zip(queries, here):
+                if query(d, shifted) != value:
+                    return f"{name} not periodic at {alpha} + {eta}"
     return None
 
 

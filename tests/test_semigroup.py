@@ -99,6 +99,7 @@ def test_lattice_translates_match_box_scan():
         ((0,), [(0, 0)], (5, 5), None),
         ((-4,), [(0, 0)], (5, 5), None),
         ((4.0,), [(0, 0)], (5, 5), None),
+        ((3,), None, (1, 1), None),
     ],
     ids=[
         "long-seed",
@@ -112,6 +113,7 @@ def test_lattice_translates_match_box_scan():
         "zero-period",
         "negative-period",
         "float-period",
+        "none-seeds",
     ],
 )
 def test_lattice_translates_rejects_bad_arguments(periods, seeds, upper, lower):

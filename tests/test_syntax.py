@@ -1,11 +1,14 @@
-"""Every Python file of the project parses as Python 3.10.
+"""Every Python file parses as Python 3.10; the package imports only the stdlib.
 
 ``pyproject.toml`` admits Python 3.10, so no file may use newer syntax.
 ``ast.parse`` with ``feature_version=(3, 10)`` rejects most, not all, newer
 grammar (``except*`` is caught); it does not check standard-library APIs.
+``pyproject.toml`` also declares no runtime dependency, so every absolute
+import under ``src/gwsemigroup`` must name a ``sys.stdlib_module_names`` entry.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,3 +25,15 @@ def test_every_python_file_parses_as_python_3_10():
         except SyntaxError as exc:
             failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
     assert failures == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    names = set()
+    for path in sorted((ROOT / "src" / "gwsemigroup").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    assert "functools" in names
+    assert sorted(names - sys.stdlib_module_names) == []

@@ -26,7 +26,7 @@ from gwsemigroup import (
     symmetry_violations,
 )
 from gwsemigroup import semigroup, series, verify
-from gwsemigroup.core import validate_description
+from gwsemigroup.core import spread_sample, tadd, validate_description
 from gwsemigroup.verify import CHECK_NAMES
 
 
@@ -298,7 +298,7 @@ def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4
     # the class counts and the lub sweep each make one walk, and the sweep
     # asks neither dimension nor membership
     walks = []
-    original = verify.lattice_translates
+    original = semigroup.lattice_translates
 
     def counting(*args):
         walks.append(args)
@@ -307,7 +307,6 @@ def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4
     def forbidden(*args):
         raise AssertionError("a per-point query was called")
 
-    monkeypatch.setattr(verify, "lattice_translates", counting)
     monkeypatch.setattr(semigroup, "lattice_translates", counting)
     for name in ("absolute_maximals_below", "dimension", "is_member"):
         monkeypatch.setattr(semigroup, name, forbidden)
@@ -340,6 +339,52 @@ def test_class_count_tables_stay_box_sized(monkeypatch, hermitian_q3):
     box = Box((0, 0), (0, 400))
     assert verify._check_class_counts(hermitian_q3, box) is None
     assert 0 < max(sizes) <= box.point_count()
+
+
+def test_far_boxes_follow_riemann_roch(genus0_m3, hermitian_q3):
+    # boxes far from the origin, where most of G lies below the box: every
+    # sum is at least 2g - 1 + m, so each class count is |alpha| + 1 - g and
+    # every point is a member, answers that do not depend on the code under test
+    for d, box in [
+        (genus0_m3, Box((40,) * 3, (41,) * 3)),
+        (hermitian_q3, Box((200, -190), (202, -188))),
+    ]:
+        points = list(box.points())
+        assert min(map(sum, points)) >= 2 * d.genus - 1 + d.m
+        want = [sum(alpha) + 1 - d.genus for alpha in points]
+        assert verify._class_count_tables(d, box) == [want] * d.m
+        assert members_from_lubs(d, box) == set(points)
+
+
+def test_periodicity_reports_the_first_query_that_differs(monkeypatch, genus0_m4):
+    # queries made wrong one by one, last first, only at alpha + eta for the
+    # first sample point and the last generator: the report names the first
+    # wrong query in the order membership, dimension, maximality, absolute
+    # maximality, p
+    box = Box((-1,) * 4, (1,) * 4)
+    alpha = spread_sample(list(box.points()), 150)[0]
+    eta = genus0_m4.lattice.generators[-1]
+    target = tadd(alpha, eta)
+    queries = [
+        ("is_member", "membership"),
+        ("dimension", "dimension"),
+        ("is_maximal", "maximality"),
+        ("is_absolute_maximal", "absolute maximality"),
+        ("coeff_p", "p"),
+    ]
+    assert verify._check_periodicity(genus0_m4, box) is None
+    for name, word in reversed(queries):
+        original = getattr(verify, name)
+
+        def faulty(d, point, original=original):
+            value = original(d, point)
+            if tuple(point) != target:
+                return value
+            return not value if type(value) is bool else value + 1
+
+        monkeypatch.setattr(verify, name, faulty)
+        want = f"{word} not periodic at {alpha} + {eta}"
+        assert verify._check_periodicity(genus0_m4, box) == want
 
 
 def test_qp_identity_asks_dimension_once_per_raw_point(monkeypatch, hermitian_q3, genus0_m3):
@@ -424,7 +469,7 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
             115, 104, 461, 521, 1156, 809, 223, 2976, 156, 262, 72,
         ],
         (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
-            27, 9, 281, 655, 1552, 866, 91, 15330, 81, 54, 0,
+            27, 9, 281, 655, 1552, 866, 91, 10220, 81, 54, 0,
         ],
     }
     for (d, box), counts in want.items():
