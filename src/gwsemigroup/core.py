@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import lcm
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -289,25 +290,59 @@ class SemigroupDescription:
         """
         return 2 * self.genus - 2 + self.m
 
+    def _bases(self, r: IntTuple) -> list[int]:
+        """Per gamma, gamma_m minus the greedily largest carry below the region
+        prefix r: the last coordinates of its translates below (r, t) run from
+        this base up to t in steps of a_{m-1}.
+        """
+        per = self.lattice.periods
+        bases = []
+        for gamma in self.gamma_fundamental:
+            carry = 0
+            for x, g, a in zip(r, gamma, per):
+                carry = (x - g + carry) // a * a
+            bases.append(gamma[-1] - carry)
+        return bases
+
     @cached_property
     def class_bases(self) -> tuple[tuple[int, ...], ...]:
         """Row k: the least base per last-coordinate class, ascending, for the
         k-th region prefix r in ``product`` order (mixed-radix digits of k).
-        The translates of gamma below (r, t) have last coordinates congruent to
-        gamma_m mod a_{m-1}, from gamma_m minus the greedily largest carry up to t.
         """
         per = self.lattice.periods
         rows = []
         for r in product(*(range(a) for a in per)):
             least: dict[int, int] = {}
-            for gamma in self.gamma_fundamental:
-                carry = 0
-                for x, g, a in zip(r, gamma, per):
-                    carry = (x - g + carry) // a * a
-                base = gamma[-1] - carry
+            for base in self._bases(r):
                 c = base % per[-1]
                 least[c] = min(base, least.get(c, base))
             rows.append(tuple(sorted(least.values())))
+        return tuple(rows)
+
+    @cached_property
+    def least_translates(self) -> tuple[tuple[IntTuple, tuple[IntTuple, ...], int], ...]:
+        """Row k (prefix r as in :attr:`class_bases`): (the reachable last
+        coordinates v of the window [least base, largest base + lcm(periods)),
+        ascending; the least translate E(r, v) of each, by the least carries of
+        :func:`riemann_roch_basis`; the index of the largest base).
+        """
+        per = self.lattice.periods
+        rows = []
+        for r in product(*(range(a) for a in per)):
+            bases = self._bases(r)
+            top = max(bases)
+            least: dict[int, IntTuple] = {}
+            for gamma, base in zip(self.gamma_fundamental, bases):
+                for v in range(base, top + lcm(*per), per[-1]):
+                    carry, beta = gamma[-1] - v, (v,)
+                    for i in range(self.m - 2, 0, -1):
+                        below = ceildiv(gamma[i] + carry - r[i], per[i - 1]) * per[i - 1]
+                        beta = (gamma[i] + carry - below,) + beta
+                        carry = below
+                    beta = (gamma[0] + carry,) + beta
+                    least[v] = min(beta, least.get(v, beta))
+            vs = sorted(least)
+            rows.append((tuple(vs), tuple(map(least.get, vs)), vs.index(top)))
         return tuple(rows)
 
     # -- serialization ------------------------------------------------------
@@ -353,6 +388,13 @@ class SemigroupDescription:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def require_description(d: object) -> SemigroupDescription:
+    """d itself; ValueError unless it is a SemigroupDescription."""
+    if not isinstance(d, SemigroupDescription):
+        raise ValueError(f"expected a SemigroupDescription, got {d!r}")
+    return d
+
+
 def load_description(path: str | Path) -> SemigroupDescription:
     """Read and structurally validate a description JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -361,8 +403,7 @@ def load_description(path: str | Path) -> SemigroupDescription:
 
 
 def save_description(d: SemigroupDescription, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(d.dumps())
+    Path(path).write_text(require_description(d).dumps(), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +437,7 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     """
     from . import semigroup  # deferred: semigroup builds on this module
 
-    listed = set(d.gamma_fundamental)
+    listed = set(require_description(d).gamma_fundamental)
     slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
     absolute = {a for a in slab if semigroup.is_absolute_maximal(d, a)}
     violations = [

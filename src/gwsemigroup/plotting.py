@@ -11,7 +11,7 @@ SVG is assembled by hand so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-from .core import Box, SemigroupDescription, require_box_dim
+from .core import Box, SemigroupDescription, require_box_dim, require_description
 from .series import _dim_grid, _window
 
 __all__ = ["render_membership_svg"]
@@ -24,7 +24,7 @@ _RADIUS_FILL = 3
 
 def render_membership_svg(d: SemigroupDescription, box: Box) -> str:
     """Classify the box and render it; two-point descriptions only."""
-    if d.m != 2:
+    if require_description(d).m != 2:
         raise ValueError("plots are drawn for two-point descriptions only")
     require_box_dim(box, 2)
     (x_lo, y_lo), (x_hi, y_hi) = box.lower, box.upper

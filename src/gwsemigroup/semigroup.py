@@ -25,17 +25,18 @@ leaf of the walk is a genuine element of Gamma(alpha).  A lower corner
 bounds the walk the same way with the inequalities reversed.  The walk
 serves only :func:`absolute_maximals_below` and :func:`_reach_tables`:
 :func:`dimension` reads a class-base table, and :func:`riemann_roch_basis`
-builds one least translate per last coordinate from the same carry bounds
-without walking Gamma(alpha).
+a table of the least translate per reachable last coordinate of each region
+prefix, built once from the same carry bounds and extended by periodicity.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import accumulate, product
-from math import prod
-from operator import and_, or_
+from itertools import accumulate, product, repeat
+from math import lcm, prod
+from operator import add, and_, or_
 from typing import Callable, Iterable, Iterator
 
 from .core import (
@@ -45,6 +46,7 @@ from .core import (
     SemigroupDescription,
     ceildiv,
     require_box_dim,
+    require_description,
     require_point,
     int_tuple,
     ones,
@@ -165,7 +167,8 @@ def _reached(cells: list[int], shape: IntTuple, axes: Iterable[int]) -> list[int
 
 def absolute_maximals_below(d: SemigroupDescription, alpha: IntTuple) -> set[IntTuple]:
     """All absolute maximal elements beta with beta <= alpha (a finite set)."""
-    return set(lattice_translates(d.lattice.periods, d.gamma_fundamental, alpha))
+    periods = require_description(d).lattice.periods
+    return set(lattice_translates(periods, d.gamma_fundamental, alpha))
 
 
 def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
@@ -182,8 +185,12 @@ def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
         n = len(alpha)
     except TypeError:
         raise ValueError(f"coordinates must be a sequence of integers, got {alpha!r}") from None
-    if n != d.m:
-        raise ValueError(f"tuple of length {n}, description has m={d.m}")
+    try:
+        m = d.m
+    except AttributeError:  # the normal path pays no isinstance check
+        raise ValueError(f"expected a SemigroupDescription, got {d!r}") from None
+    if n != m:
+        raise ValueError(f"tuple of length {n}, description has m={m}")
     carry = row = 0
     for x, a in zip(alpha, d.lattice.periods):
         if type(x) is not int:
@@ -244,7 +251,7 @@ def nabla_im_set(d: SemigroupDescription, alpha: IntTuple, i: int) -> set[IntTup
     Empty exactly when ``dimension_jump(d, alpha, i) == 0``; the two routes
     are compared in tests.
     """
-    if type(i) is not int or not 1 <= i <= d.m:
+    if type(i) is not int or not 1 <= i <= require_description(d).m:
         raise ValueError(f"coordinate index {i!r} is not an integer in 1..{d.m}")
     return _capped_members(d, list(require_point(alpha, d.m)), {i - 1})
 
@@ -254,7 +261,7 @@ def nabla_set(d: SemigroupDescription, alpha: IntTuple, J: Iterable[int]) -> set
 
     J must be a nonempty proper subset of {1..m}.
     """
-    alpha = require_point(alpha, d.m)
+    alpha = require_point(alpha, require_description(d).m)
     Js = frozenset(int_tuple(J, "J"))
     m = d.m
     if not Js or not Js < frozenset(range(1, m + 1)):
@@ -319,7 +326,7 @@ def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:
     ANDed, all hold.  The sweep never consults :func:`dimension`; equality
     with the direct membership scan is a verification-suite check.
     """
-    require_box_dim(box, d.m)
+    require_box_dim(box, require_description(d).m)
     reach = reduce(partial(map, and_), _reach_tables(d, box)[2])
     return {alpha for alpha, hit in zip(box.points(), reach) if hit}
 
@@ -332,40 +339,52 @@ def riemann_roch_basis(d: SemigroupDescription, alpha: IntTuple) -> list[IntTupl
     dim(alpha) and pairwise distinct last coordinates, and is returned in
     lexicographic order.
 
-    Built without enumerating Gamma(alpha).  With 0-based coordinates
-    0..m-1 and periods a_0..a_{m-2}, a translate of gamma has
-    beta_i = gamma_i + c_i - c_{i-1}, with carries c_i = k_i a_i and
-    c_{-1} = c_{m-1} = 0.  The greedily largest carries (the loop of
-    ``d.class_bases``) give the least last coordinate of a translate below
-    alpha, and every v from there up to alpha_{m-1} in steps of a_{m-2} is
-    reached.  For one v, c_{m-2} = gamma_{m-1} - v, and beta_i <= alpha_i
-    asks c_{i-1} >= ceil((gamma_i + c_i - alpha_i) / a_{i-1}) a_{i-1}; these
-    least carries grow with c_i, so taken from level m-2 down they give the
-    lexicographically least translate with last coordinate v, and the greedy
-    carries dominate them, so it lies below alpha.  Cost:
-    O(dim(alpha) * |gammas| * m), against the size of Gamma(alpha) for
-    :func:`absolute_maximals_below`.
+    Read from ``d.least_translates`` without enumerating Gamma(alpha).  alpha
+    is reduced once to its region representative (r, t), and the answer is
+    moved back by alpha - (r, t).  With 0-based coordinates, a translate of
+    gamma has beta_i = gamma_i + c_i - c_{i-1}, with carries c_i = k_i a_i
+    and c_{-1} = c_{m-1} = 0.  Its last coordinate v runs from the base of
+    gamma (``SemigroupDescription._bases``) up to t in steps of a_{m-2}.  For
+    one v, c_{m-2} = gamma_{m-1} - v, and beta_i <= r_i asks c_{i-1} >=
+    ceil((gamma_i + c_i - r_i) / a_{i-1}) a_{i-1}; taken from level m-2 down,
+    these least carries give the lexicographically least such translate,
+    which the greedy carries dominate, so it lies below (r, t).  The least
+    over the gammas, E(r, v), reads t only through v <= t.
+
+    With L = lcm(periods), v + L lowers every least carry by L (each a_i
+    divides L), so the translate moves by L (e_{m-1} - e_0); from the largest
+    base B of the row on, every gamma of v's class reaches v, so E(r, v + L)
+    = E(r, v) + L (e_{m-1} - e_0).  The table keeps the window [least base,
+    B + L), and past it each entry of [B, B + L) continues as one arithmetic
+    progression.  A base lies in [gamma_{m-1}, gamma_{m-1} + 2 sum(periods)),
+    so the table has prod(periods) rows of at most 2g + 3 sum(periods) + L
+    entries; a call costs a bisect and a sort of the dim(alpha) points.
     """
-    alpha = require_point(alpha, d.m)
+    alpha = require_point(alpha, require_description(d).m)
     per = d.lattice.periods
-    levels = range(d.m - 2, 0, -1)
-    top, step = alpha[-1], per[-1]
-    least: dict[int, IntTuple] = {}
-    for gamma in d.gamma_fundamental:
-        greedy = 0
-        for x, g, a in zip(alpha, gamma, per):
-            greedy = (x - g + greedy) // a * a
-        for last in range(greedy, gamma[-1] - top - 1, -step):
-            carry, beta = last, (gamma[-1] - last,)
-            for i in levels:
-                below = ceildiv(gamma[i] + carry - alpha[i], per[i - 1]) * per[i - 1]
-                beta = (gamma[i] + carry - below,) + beta
-                carry = below
-            beta = (gamma[0] + carry,) + beta
-            cur = least.get(beta[-1])
-            if cur is None or beta < cur:
-                least[beta[-1]] = beta
-    return sorted(least.values())
+    carry = row = 0
+    shift = []
+    for x, a in zip(alpha, per):
+        c = (x + carry) // a * a
+        row = row * a + x + carry - c
+        shift.append(c - carry)
+        carry = c
+    shift.append(-carry)
+    vs, least, top = d.least_translates[row]
+    n = bisect_right(vs, alpha[-1] + carry)
+    if not n:
+        return []
+    # entries before the last period occur once, moved column by column;
+    # each entry of the last period recurs every L up to alpha's last coordinate
+    once = least[:min(n, top)]
+    basis = list(zip(*map(map, repeat(add), zip(*once), map(repeat, shift)))) if once else []
+    period = lcm(*per)
+    for e in least[top:n]:
+        head, *middle, last = map(add, e, shift)
+        for k in range(0, alpha[-1] - last + 1, period):
+            basis.append((head - k, *middle, last + k))
+    basis.sort()
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +427,7 @@ def two_point_profile(d: SemigroupDescription) -> TwoPointProfile:
     second scan runs along each row t = table[j] from s = -t and must meet its
     first member at s = j; a failure marks the description as inconsistent.
     """
-    if d.m != 2:
+    if require_description(d).m != 2:
         raise ValueError("profiles are defined for two-point descriptions only")
     a = d.lattice.periods[0]
     table = []

@@ -43,6 +43,7 @@ from .core import (
     SemigroupDescription,
     canonicalize,
     require_box_dim,
+    require_description,
     require_point,
     ones,
     tadd,
@@ -96,7 +97,7 @@ def _cube_difference(fn: Callable[[IntTuple], int], alpha: IntTuple) -> int:
 
 def coeff_q(d: SemigroupDescription, alpha: IntTuple) -> int:
     """Alternating sum of filtration coefficients over all 2^m corner shifts."""
-    return _cube_difference(partial(coeff_l, d), require_point(alpha, d.m))
+    return _cube_difference(partial(coeff_l, d), require_point(alpha, require_description(d).m))
 
 
 def coeff_p(d: SemigroupDescription, alpha: IntTuple) -> int:
@@ -105,7 +106,7 @@ def coeff_p(d: SemigroupDescription, alpha: IntTuple) -> int:
     The paper's route from the jumps in one direction i gives the same value
     for every i (a verification-suite check).
     """
-    return _cube_difference(partial(dimension, d), require_point(alpha, d.m))
+    return _cube_difference(partial(dimension, d), require_point(alpha, require_description(d).m))
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +230,7 @@ def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
     """
     if kind not in ("L", "Q", "P"):
         raise ValueError(f"kind must be one of L, Q, P; got {kind!r}")
-    require_box_dim(box, d.m)
+    require_box_dim(box, require_description(d).m)
     grow = 2 if kind == "Q" else 1
     values = _dim_grid(d, tuple(x - grow for x in box.lower), box.upper)
     shape = tuple(u - l + 1 + grow for l, u in zip(box.lower, box.upper))
@@ -283,7 +284,7 @@ def semigroup_polynomial(d: SemigroupDescription) -> dict[IntTuple, int]:
     maximal elements, and none lies outside the slab 0 <= |alpha| <= 2g-2+m,
     so one scan of that slab asks ``coeff_p`` only at maximal points.
     """
-    slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
+    slab = require_description(d).lattice.sum_slab(0, d.maximal_sum_bound)
     return {a: c for a in slab if is_maximal(d, a) and (c := coeff_p(d, a))}
 
 
@@ -336,7 +337,7 @@ def _top_maximals(d: SemigroupDescription) -> Iterator[IntTuple]:
     sum 2g-2+m; since sums are invariant under the lattice, this scan of the
     region decides it soundly and completely, and its first item is sigma.
     """
-    t = d.maximal_sum_bound
+    t = require_description(d).maximal_sum_bound
     return (a for a in d.lattice.sum_slab(t, t) if is_maximal(d, a))
 
 
@@ -390,7 +391,7 @@ def symmetry_violations(d: SemigroupDescription, box: Box) -> Iterator[tuple[str
     shape plus 2; the tables taken from the reflected grid list the
     reflected points backwards, so box point k pairs with entry -1 - k.
     """
-    require_box_dim(box, d.m)
+    require_box_dim(box, require_description(d).m)
     sigma = next(_top_maximals(d), None)
     if sigma is None:
         raise ValueError(f"symmetry identities need a maximal element of sum {d.maximal_sum_bound}")

@@ -26,6 +26,7 @@ from .core import (
     IntTuple,
     SemigroupDescription,
     require_box_dim,
+    require_description,
     spread_sample,
     tadd,
     tsub,
@@ -271,7 +272,7 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 
 def run_verification(d: SemigroupDescription, box: Box) -> list[CheckResult]:
     """Run every check; results are ordered and deterministic."""
-    require_box_dim(box, d.m)
+    require_box_dim(box, require_description(d).m)
     results = []
     for name, fn in _CHECKS:
         try:

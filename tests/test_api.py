@@ -8,6 +8,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+from collections.abc import Iterator
+from functools import partial
 
 import pytest
 
@@ -128,3 +130,35 @@ def test_symmetry_report_fields():
     assert [f.name for f in dataclasses.fields(SymmetryReport)] == [
         "symmetric", "sigma", "gamma_witness", "full_support_witness", "search_window",
     ]
+
+
+def _description_entry_points():
+    """Every exported function whose first parameter is a description ``d``."""
+    return [
+        fn
+        for fn in map(partial(getattr, gwsemigroup), gwsemigroup.__all__)
+        if inspect.isfunction(fn) and next(iter(inspect.signature(fn).parameters)) == "d"
+    ]
+
+
+def test_the_description_entry_points():
+    names = {fn.__name__ for fn in _description_entry_points()}
+    assert len(names) == 24
+    assert {
+        "dimension", "is_member", "members_from_lubs", "series_on_box", "run_verification",
+        "semigroup_polynomial", "validate_description", "riemann_roch_basis",
+    } <= names
+
+
+@pytest.mark.parametrize("bad", ["x", None, 3])
+@pytest.mark.parametrize("fn", _description_entry_points(), ids=lambda fn: fn.__name__)
+def test_entry_points_reject_a_non_description(fn, bad, tmp_path):
+    # a ValueError naming the argument, never an AttributeError from inside
+    given = {"alpha": (1, 1), "box": gwsemigroup.Box((0, 0), (1, 1)), "i": 1, "J": (1,)}
+    given.update(kind="L", path=tmp_path / "out.json")
+    args = [given[name] for name in list(inspect.signature(fn).parameters)[1:]]
+    with pytest.raises(ValueError, match="^expected a SemigroupDescription, got "):
+        result = fn(bad, *args)
+        if isinstance(result, Iterator):
+            list(result)
+    assert not (tmp_path / "out.json").exists()

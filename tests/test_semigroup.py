@@ -1,5 +1,6 @@
 import random
 from itertools import accumulate
+from math import lcm
 
 import pytest
 
@@ -27,6 +28,7 @@ from gwsemigroup import (
     two_point_profile,
 )
 from gwsemigroup import semigroup
+from gwsemigroup.semigroup import _flat
 from gwsemigroup.core import (
     Lattice,
     SemigroupDescription,
@@ -575,6 +577,64 @@ def test_riemann_roch_basis_matches_enumeration(
             ties += len(absolute_maximals_below(d, alpha)) > len(want)
     # most points have several translates per class, so the least one is pinned
     assert ties >= 600
+
+
+def _past_the_window(d, rng, count):
+    # points whose region representative (r, t) has t at least the largest
+    # base of row r plus lcm(periods); a base is gamma_m minus the greedily
+    # largest carry below r
+    per = d.lattice.periods
+    points = []
+    for _ in range(count):
+        r = [rng.randrange(a) for a in per]
+        bases = []
+        for gamma in d.gamma_fundamental:
+            carry = 0
+            for x, g, a in zip(r, gamma, per):
+                carry = (x - g + carry) // a * a
+            bases.append(gamma[-1] - carry)
+        alpha = r + [max(bases) + lcm(*per) + rng.randrange(3)]
+        for i, a in enumerate(per):  # a random lattice translate
+            k = rng.randint(-3, 3) * a
+            alpha[i] += k
+            alpha[i + 1] -= k
+        points.append(tuple(alpha))
+    return points
+
+
+def _dim_zero(d, rng, count):
+    # coordinate sums below 0, so no translate of a gamma lies below
+    points = []
+    for _ in range(count):
+        head = [rng.randint(-8, 8) for _ in range(d.m - 1)]
+        points.append((*head, rng.randint(-3, -1) - sum(head)))
+    return points
+
+
+def test_riemann_roch_basis_past_the_window(
+    hermitian_q2, hermitian_q3, genus0_m3, genus0_m4, broken_m4
+):
+    # the progressions past the table's window and the empty prefix, against
+    # the lex-least element per class of the enumerated Gamma(alpha)
+    periodic_m3 = SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1)))
+    fixtures = [hermitian_q2, hermitian_q3, hermitian_description(4)]
+    fixtures += [genus0_m3, genus0_m4, periodic_m3, broken_m4]
+    rng = random.Random(2121)
+    corpus = [(d, 12) for d in fixtures]
+    corpus += [(_random_description(rng, 2 + n % 4), 2) for n in range(320)]
+    for d, count in corpus:
+        per = d.lattice.periods
+        for alpha in _past_the_window(d, rng, count):
+            want = _least_per_last_coordinate(d, alpha)
+            assert riemann_roch_basis(d, alpha) == want, (d, alpha)
+            rep = canonicalize(d.lattice, alpha)[0]
+            vs, _, top = d.least_translates[_flat(rep[:-1], per)]
+            assert rep[-1] >= vs[top] + lcm(*per)
+        # the size bound of the table: a window of at most 2g + 3 sum(periods) + lcm
+        bound = 2 * d.genus + 3 * sum(per) + lcm(*per)
+        assert all(len(vs) <= bound for vs, _, _ in d.least_translates), d
+        for alpha in _dim_zero(d, rng, count):
+            assert riemann_roch_basis(d, alpha) == [] == _least_per_last_coordinate(d, alpha)
 
 
 def test_riemann_roch_basis_does_not_enumerate(monkeypatch, hermitian_q3, genus0_m4, broken_m4):

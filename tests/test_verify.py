@@ -157,8 +157,9 @@ def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
 
 
 def test_requests_leave_only_the_class_base_table():
-    # the class-base table is the only state a description carries beyond
-    # its fields: written once, one row per prefix of the region
+    # the class-base table is the only state box requests leave on a
+    # description beyond its fields: written once, one row per prefix of the
+    # region; the first basis query adds the least-translate table, once
     h3, g3 = hermitian_description(3), genus0_description(3)
     tables = {id(d): d.class_bases for d in (h3, g3)}
     run_verification(h3, Box((-6, -6), (8, 8)))
@@ -170,12 +171,18 @@ def test_requests_leave_only_the_class_base_table():
     render_membership_svg(h3, Box((-4, -4), (6, 6)))
     list(symmetry_violations(h3, Box((-4, -4), (6, 6))))
     assert is_maximal(g3, (0, 0, 1)) and is_absolute_maximal(h3, (2, 2))
-    assert len(riemann_roch_basis(g3, (1, 1, 1))) == 4
     for d, rows in ((h3, 4), (g3, 1)):
         fields = {f.name for f in dataclasses.fields(d)}
         assert set(vars(d)) - fields == {"class_bases"}
         assert d.class_bases is tables[id(d)]
         assert len(d.class_bases) == rows
+        alpha = (1,) * d.m
+        assert len(riemann_roch_basis(d, alpha)) == dimension(d, alpha)
+        assert set(vars(d)) - fields == {"class_bases", "least_translates"}
+        least = d.least_translates
+        assert len(least) == rows
+        riemann_roch_basis(d, (9,) * d.m)
+        assert d.least_translates is least and d.class_bases is tables[id(d)]
 
 
 def test_verification_skips_profile_for_many_points(genus0_m3):
