@@ -28,7 +28,6 @@ from gwsemigroup import (
     two_point_profile,
 )
 from gwsemigroup import semigroup
-from gwsemigroup.semigroup import _flat
 from gwsemigroup.core import (
     Lattice,
     SemigroupDescription,
@@ -628,7 +627,7 @@ def test_riemann_roch_basis_past_the_window(
             want = _least_per_last_coordinate(d, alpha)
             assert riemann_roch_basis(d, alpha) == want, (d, alpha)
             rep = canonicalize(d.lattice, alpha)[0]
-            vs, _, top = d.least_translates[_flat(rep[:-1], per)]
+            vs, _, top = d.least_translates[semigroup._flat(rep[:-1], per)]
             assert rep[-1] >= vs[top] + lcm(*per)
         # the size bound of the table: a window of at most 2g + 3 sum(periods) + lcm
         bound = 2 * d.genus + 3 * sum(per) + lcm(*per)
