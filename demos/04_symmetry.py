@@ -2,8 +2,11 @@
 
 A semigroup here is symmetric when some tuple of coordinate sum 2g-1 fails
 to be a member; equivalently a maximal element sigma of sum 2g-2+m exists.
-Symmetry forces reflection identities on the series coefficients, checked
-below point by point on finite boxes.
+The full-support witness is the least maximal element of sum 2g-2+m with
+every coordinate at least 2, an effective canonical divisor on all m points;
+Hermitian q=4 has one, and the smaller fixtures have none.  Symmetry forces
+reflection identities on the series coefficients, checked below point by
+point on finite boxes.
 
 Run:  python3 demos/04_symmetry.py
 """
@@ -21,6 +24,7 @@ from gwsemigroup.core import tsub
 fixtures = [
     (hermitian_description(2), Box((-5, -5), (7, 7))),
     (hermitian_description(3), Box((-6, -6), (8, 8))),
+    (hermitian_description(4), Box((-4, -4), (10, 10))),
     (genus0_description(2), Box((-4, -4), (4, 4))),
     (genus0_description(3), Box((-3, -3, -3), (3, 3, 3))),
 ]

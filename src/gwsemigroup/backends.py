@@ -63,8 +63,14 @@ def is_prime_power(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # genus 0
 
+def _require_m(m: int) -> None:
+    if type(m) is not int or m < 2:
+        raise ValueError(f"m must be an integer >= 2, got {m!r}")
+
+
 def genus0_dimension(m: int, alpha: IntTuple) -> int:
     """Closed-form dimension on the projective line: max(0, |alpha| + 1)."""
+    _require_m(m)
     return max(0, sum(require_point(alpha, m)) + 1)
 
 
@@ -74,8 +80,7 @@ def genus0_description(m: int) -> SemigroupDescription:
     Every difference of points is principal, so all periods are 1 and the
     fundamental region holds a single absolute maximal class, the origin.
     """
-    if type(m) is not int or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
+    _require_m(m)
     return SemigroupDescription(
         m=m,
         genus=0,

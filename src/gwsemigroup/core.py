@@ -218,6 +218,8 @@ def canonicalize(lattice: Lattice, alpha: IntTuple) -> tuple[IntTuple, tuple[int
     normalizes coordinate i into [0, a_i) and carries ``c_i * a_i`` onto
     coordinate i+1 before the next step.
     """
+    if not isinstance(lattice, Lattice):
+        raise ValueError(f"expected a Lattice, got {lattice!r}")
     per = lattice.periods
     v = list(require_point(alpha, lattice.m))
     coeffs = []

@@ -414,7 +414,9 @@ class TwoPointProfile:
             raise ValueError("table values must cover all residues modulo the period")
 
     def sigma2(self, j: int) -> int:
-        """Least t with (j, t) in the semigroup, any j."""
+        """Least t with (j, t) in the semigroup, any integer j."""
+        if type(j) is not int:
+            raise ValueError(f"column must be an integer, got {j!r}")
         q, r = divmod(j, self.period)
         return self.table[r] - q * self.period
 

@@ -42,6 +42,7 @@ from .core import (
     IntTuple,
     SemigroupDescription,
     canonicalize,
+    int_tuple,
     require_box_dim,
     require_description,
     require_point,
@@ -201,8 +202,9 @@ class BoxSeries:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in ("L", "Q", "P"):
-            raise ValueError(f"unknown series kind {self.kind!r}")
+        if not isinstance(self.box, Box) or self.kind not in ("L", "Q", "P"):
+            raise ValueError(f"need a Box and a kind in L, Q, P; got {self.box!r}, {self.kind!r}")
+        object.__setattr__(self, "values", int_tuple(self.values, "series values"))
         if len(self.values) != self.box.point_count():
             raise ValueError(f"{len(self.values)} values for {self.box.point_count()} box points")
 
@@ -315,19 +317,16 @@ class SymmetryReport:
     """Symmetry verdict with witnesses.
 
     ``sigma`` is a maximal element of coordinate sum 2g-2+m (present iff
-    symmetric); ``gamma_witness`` a non-member of sum 2g-1.
-    ``full_support_witness`` is the lexicographically least maximal element
-    of sum 2g-2+m with no coordinate equal to 1 and every coordinate inside
-    the search window, or None if the bounded search finds none (existence of
-    one is equivalent to a canonical divisor using all m points).  The window
-    is reported so a negative answer is understood as bounded, not exhaustive.
+    symmetric); ``gamma_witness`` a non-member of sum 2g-1;
+    ``full_support_witness`` the lexicographically least maximal element of
+    sum 2g-2+m with every coordinate >= 2 (an effective canonical divisor on
+    all m points), or None if there is none.
     """
 
     symmetric: bool
     sigma: IntTuple | None
     gamma_witness: IntTuple | None
     full_support_witness: IntTuple | None = None
-    search_window: tuple[int, int] | None = None
 
 
 def _top_maximals(d: SemigroupDescription) -> Iterator[IntTuple]:
@@ -344,34 +343,26 @@ def _top_maximals(d: SemigroupDescription) -> Iterator[IntTuple]:
 def symmetry_report(d: SemigroupDescription) -> SymmetryReport:
     """Decide symmetry and collect witnesses.
 
-    ``sigma`` is the first of :func:`_top_maximals`.  The non-member witness
-    of sum 2g-1 is searched over region representatives in lexicographic
-    order of the constrained coordinates (membership is lattice periodic, so
-    region representatives suffice).  The full-support search window is
-    read from every maximal element of the region, so for a symmetric d the
-    slab below sum 2g-2+m is scanned as well.
+    ``sigma`` is the first of :func:`_top_maximals`, ``gamma_witness`` the
+    first non-member in the region's layer of sum 2g-1 (membership is periodic).
+    With S = 2g-2+m, ``full_support_witness`` is the least lattice translate of
+    an item of :func:`_top_maximals` in [2, S - 2m + 2]^m.  Complete: sums and
+    maximality are lattice-invariant, so those translates are exactly the
+    maximal elements of sum S.  Finite: with m-1 coordinates >= 2, none exceeds
+    S - 2m + 2 (an empty box at genus 0).  "No coordinate equal to 1" is trivial:
+    lift coordinates 1..m-1 of sigma to >= 2 by multiples of eta^1..eta^{m-1} in
+    turn, then add eta^{m-1} once more if the last is 1 (it drops by a_{m-1});
+    no such element is least, as coordinate 1 is unbounded below.
     """
     candidates = list(_top_maximals(d))
     layer = d.lattice.sum_slab(2 * d.genus - 1, 2 * d.genus - 1)
-    gamma_witness = next((a for a in layer if not is_member(d, a)), None)
-
-    full_support_witness = window = None
-    if candidates:
-        below = [a for a in d.lattice.sum_slab(0, d.maximal_sum_bound - 1) if is_maximal(d, a)]
-        coords = [x for a in below + candidates for x in a]
-        bound = sum(d.lattice.periods)
-        window = (min(coords) - bound, max(coords) + bound)
-        translates = lattice_translates(
-            d.lattice.periods, candidates, (window[1],) * d.m, (window[0],) * d.m
-        )
-        full_support_witness = min((b for b in translates if 1 not in b), default=None)
-
+    top = d.maximal_sum_bound - 2 * (d.m - 1)
+    effective = lattice_translates(d.lattice.periods, candidates, (top,) * d.m, (2,) * d.m)
     return SymmetryReport(
         symmetric=bool(candidates),
         sigma=candidates[0] if candidates else None,
-        gamma_witness=gamma_witness,
-        full_support_witness=full_support_witness,
-        search_window=window,
+        gamma_witness=next((a for a in layer if not is_member(d, a)), None),
+        full_support_witness=min(effective, default=None),
     )
 
 

@@ -1,15 +1,14 @@
 """Named consistency checks over a description and a finite box.
 
 Each check returns its first counterexample (or None); the runner packs the
-outcomes into :class:`CheckResult` rows for reporting.  Everything here
-re-derives quantities through routes that are independent of the primary
-fast paths, so the suite doubles as the library's internal cross-validation:
-class counts come from the reach tables of one walk of the absolute maximal
-elements below the box (``semigroup._reach_tables``) plus prefix sums, never
-the class-base table, members from the lub sweep over the same tables as
-well as from a membership scan, and so on; each check names its route in a
-comment.  A check that does not apply to the description raises
-:class:`_Skipped` with its reason.
+outcomes into :class:`CheckResult` rows for reporting.  Every check re-derives
+quantities through a route independent of the primary fast paths, named in a
+comment together with the check's kind.  A description check can fail on a
+description that no semigroup has.  An implementation cross-check
+(``qp-identity``, ``poincare-index-independence``, ``lattice-periodicity``
+and check (b) of ``validate_description``) cannot fail on any description
+while the code is correct: it tests only the implementation.  A check that
+does not apply to the description raises :class:`_Skipped` with its reason.
 """
 
 from __future__ import annotations
@@ -69,8 +68,9 @@ class _Skipped(Exception):
 
 
 def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: the listed gammas against the slab scan for absolute
-    # maximal elements, and dimension against the Riemann-Roch regime
+    # description check, with (b) an implementation cross-check, route: the listed
+    # gammas against the slab scan for absolute maximal elements, and dimension
+    # against the Riemann-Roch regime
     violations = validate_description(d)
     return violations[0] if violations else None
 
@@ -111,7 +111,7 @@ def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
 
 
 def _check_class_counts(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: classes of Gamma(alpha) counted from one enumeration
+    # description check, route: classes of Gamma(alpha) counted from one enumeration
     # of the absolute maximal elements, never from the class-base table of
     # dimension.  dimension counts by the last coordinate, and every other
     # coordinate gives the same count on a valid description, so unequal
@@ -124,7 +124,7 @@ def _check_class_counts(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: members as lubs of absolute maximal elements, a sweep
+    # description check, route: members as lubs of absolute maximal elements, a sweep
     # that never calls dimension, against per-point is_member
     swept = members_from_lubs(d, box)
     scanned = {a for a in box.points() if is_member(d, a)}
@@ -135,9 +135,9 @@ def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_qp_identity(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: dimension once at each raw point of the box grown by
-    # two below, no lattice reduction, and each p and q the unit-cube
-    # difference of its own 2^m corners there, against the engine's P and Q
+    # implementation cross-check, route: dimension once at each raw point of
+    # the box grown by two below, no lattice reduction, and each p and q the
+    # unit-cube difference of its own 2^m corners there, against the engine's P and Q
     alpha = next(qp_violations(d, box), None)
     return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 
@@ -157,10 +157,10 @@ def _p_from_direction(dim: Callable[[IntTuple], int], alpha: IntTuple, i: int) -
 
 
 def _check_index_independence(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: the paper's p from the jumps in each direction, against
-    # the unit-cube difference of coeff_p, on a spread sample of the box; the
-    # jumps of all m directions share one memo of dimension at raw points,
-    # which dies with the check
+    # implementation cross-check, route: the paper's p from the jumps in each
+    # direction, against the unit-cube difference of coeff_p, on a spread sample
+    # of the box; the jumps of all m directions share one memo of dimension at
+    # raw points, which dies with the check
     dim = cache(partial(dimension, d))
     for alpha in spread_sample(list(box.points()), 400):
         vals = {coeff_p(d, alpha)} | {_p_from_direction(dim, alpha, i) for i in range(1, d.m + 1)}
@@ -170,7 +170,7 @@ def _check_index_independence(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_poincare_support(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: per-point membership and maximality, against the engine's P
+    # description check, route: per-point membership and maximality, against the engine's P
     # (an absolute maximal element is maximal, so p == 0 needs only the last test)
     for alpha, p in zip(box.points(), series_on_box(d, "P", box).values):
         if p != 0 and not is_member(d, alpha):
@@ -183,15 +183,15 @@ def _check_poincare_support(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_reconstruction(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: coeff_p at the region's maxima, against the engine's P
+    # description check, route: coeff_p at the region's maxima, against the engine's P
     alpha = next(reconstruction_violations(d, box), None)
     return None if alpha is None else f"polynomial lookup disagrees with p at {alpha}"
 
 
 def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: each per-point query at alpha and at alpha + eta, two
-    # raw points that the grid fills from one class value.  The table is built
-    # per call, so a query rebound at module level is the one asked.
+    # implementation cross-check, route: each per-point query at alpha and at
+    # alpha + eta, two raw points that the grid fills from one class value.  The
+    # table is built per call, so a query rebound at module level is the one asked.
     queries = [
         ("membership", is_member),
         ("dimension", dimension),
@@ -210,7 +210,7 @@ def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_riemann_roch_regime(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: the genus alone fixes dim off the slab 0 <= |alpha| < 2g - 1
+    # description check, route: the genus alone fixes dim off the slab 0 <= |alpha| < 2g - 1
     lo = 2 * d.genus - 1
     for alpha in box.points():
         s = sum(alpha)
@@ -225,7 +225,7 @@ def _check_riemann_roch_regime(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_symmetry(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: the grid at the reflected box s - alpha, against the
+    # description check, route: the grid at the reflected box s - alpha, against the
     # grid at the box, through the three symmetry identities
     sigma = next(_top_maximals(d), None)
     if sigma is None:
@@ -238,7 +238,7 @@ def _check_symmetry(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_two_point_profile(d: SemigroupDescription, box: Box) -> str | None:
-    # independent route: the staircase from column and row scans of is_member
+    # description check, route: the staircase from column and row scans of is_member
     if d.m != 2:
         raise _Skipped("m != 2")
     try:

@@ -111,9 +111,10 @@ def test_criterion_5_symmetry_suite():
     assert report.gamma_witness is not None
     assert sum(report.gamma_witness) == 5 == 2 * d3.genus - 1
     assert not is_member(d3, report.gamma_witness)
-    witness = report.full_support_witness
-    assert witness == (-3, 9)
-    assert all(x != 1 for x in witness) and is_maximal(d3, witness)
+    assert report.full_support_witness is None
+    witness = symmetry_report(hermitian_description(4)).full_support_witness
+    assert witness == (6, 6)
+    assert all(x >= 2 for x in witness) and is_maximal(hermitian_description(4), witness)
 
     cases = [
         (hermitian_description(2), Box((-5, -5), (7, 7))),

@@ -119,16 +119,24 @@ def test_series_results_are_the_engine_table():
     assert [f.name for f in dataclasses.fields(BoxSeries)] == ["box", "kind", "values"]
     box = Box((0, 0), (1, 2))
     assert BoxSeries(box=box, kind="P", values=(0,) * 6).terms() == []
-    for kind, values in [("P", (0,) * 5), ("P", (0,) * 7), ("X", (0,) * 6)]:
+    for box_, kind, values in [
+        (box, "P", (0,) * 5),
+        (box, "P", (0,) * 7),
+        (box, "X", (0,) * 6),
+        ("x", "P", ()),
+        (Box((0,), (1,)), "P", (True, 2.5)),
+    ]:
         with pytest.raises(ValueError):
-            BoxSeries(box=box, kind=kind, values=values)
+            BoxSeries(box=box_, kind=kind, values=values)
+    # a list of values is stored as a tuple
+    assert BoxSeries(box=box, kind="P", values=[0] * 6).values == (0,) * 6
 
 
 def test_symmetry_report_fields():
     from gwsemigroup.series import SymmetryReport
 
     assert [f.name for f in dataclasses.fields(SymmetryReport)] == [
-        "symmetric", "sigma", "gamma_witness", "full_support_witness", "search_window",
+        "symmetric", "sigma", "gamma_witness", "full_support_witness",
     ]
 
 

@@ -191,6 +191,8 @@ def test_is_prime_power():
         lambda: genus0_dimension(2, (1.5, 2)),
         lambda: genus0_dimension(2, (True, 2)),
         lambda: genus0_dimension(2, 5),
+        lambda: genus0_dimension(True, (1,)),
+        lambda: genus0_dimension(0, ()),
     ],
 )
 def test_backends_reject_non_int_input(call):

@@ -105,6 +105,8 @@ def test_canonicalize_examples():
     assert canonicalize(herm, (0, 0)) == ((0, 0), (0,))
     g03 = Lattice((1, 1))
     assert canonicalize(g03, (2, -1, 0)) == ((0, 0, 1), (2, 1))
+    with pytest.raises(ValueError):
+        canonicalize("x", (1, 1))
 
 
 lattices = st.integers(2, 4).flatmap(

@@ -40,7 +40,7 @@ def test_python_quickstart_values():
             checked += 1
         else:
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
-    assert checked == 7
+    assert checked == 8
 
 
 def test_shell_examples_run(tmp_path, monkeypatch, capsys):

@@ -84,6 +84,8 @@ def test_lattice_translates_match_box_scan():
         assert set(scanned) <= below
         assert all(a <= u for b in below for a, u in zip(b, box.upper))
         assert all(_in_lattice(periods, tsub(b, seed)) for b in below)
+    # a lower corner above the upper one walks nothing and raises nothing
+    assert list(lattice_translates(periods, seeds, box.lower, box.upper)) == []
 
 
 @pytest.mark.parametrize(
@@ -666,6 +668,8 @@ def test_two_point_profile_hermitian(hermitian_q3):
     assert profile.table == (0, 5, 2, -1)
     assert profile.sigma2(5) == 1
     assert profile.sigma2(-4) == 4
+    with pytest.raises(ValueError):
+        profile.sigma2(1.5)
     assert _sigma1(profile, 5) == 1
     assert _sigma1(profile, -4) == 4
     for j in range(-6, 7):

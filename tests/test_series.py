@@ -1,5 +1,6 @@
 import random
 from functools import partial
+from math import prod
 
 import pytest
 
@@ -25,6 +26,7 @@ from gwsemigroup import (
     symmetry_report,
     symmetry_violations,
 )
+from gwsemigroup import series
 from gwsemigroup.core import canonicalize, tadd, tsub, unit, validate_description
 from gwsemigroup.verify import _p_from_direction
 
@@ -274,9 +276,8 @@ def test_symmetry_report_hermitian_q3(hermitian_q3):
     assert report.gamma_witness is not None
     assert sum(report.gamma_witness) == 2 * hermitian_q3.genus - 1
     assert not is_member(hermitian_q3, report.gamma_witness)
-    assert report.full_support_witness == (-3, 9)
-    assert all(x != 1 for x in report.full_support_witness)
-    assert is_maximal(hermitian_q3, report.full_support_witness)
+    # no maximal element of sum 6 has both coordinates >= 2
+    assert report.full_support_witness is None
 
 
 def test_symmetry_report_genus0(genus0_m2, genus0_m3):
@@ -286,28 +287,58 @@ def test_symmetry_report_genus0(genus0_m2, genus0_m3):
     assert r3.symmetric and r3.sigma == (0, 0, 1)
     for d, r in ((genus0_m2, r2), (genus0_m3, r3)):
         assert not is_member(d, r.gamma_witness) and sum(r.gamma_witness) == -1
-        assert r.full_support_witness is not None
-        assert all(x != 1 for x in r.full_support_witness)
-        assert is_maximal(d, r.full_support_witness)
-        assert sum(r.full_support_witness) == d.maximal_sum_bound
+        # sum m - 2 leaves no room for m coordinates >= 2
+        assert r.full_support_witness is None
 
 
-def test_full_support_witness_is_first_in_window():
-    # brute force: the lexicographically first window point of sum 2g-2+m
-    # that is maximal and has no coordinate equal to 1
+def _least_effective_canonical(d):
+    # brute force: the first point of Box((2,)*m, (S-2m+2,)*m) of sum S that
+    # is maximal, S = 2g-2+m; None when that box is empty
+    s, m = d.maximal_sum_bound, d.m
+    if s - 2 * m + 2 < 2:
+        return None
+    box = Box((2,) * m, (s - 2 * m + 2,) * m)
+    return next((a for a in box.points() if sum(a) == s and is_maximal(d, a)), None)
+
+
+def test_full_support_witness_equals_brute_force():
     fixtures = [genus0_description(m) for m in (2, 3, 4)]
     fixtures += [hermitian_description(q) for q in (2, 3, 4, 5)]
-    for d in fixtures:
-        report = symmetry_report(d)
-        lo, hi = report.search_window
-        expected = next(
-            a
-            for a in Box((lo,) * d.m, (hi,) * d.m).points()
-            if sum(a) == d.maximal_sum_bound and 1 not in a and is_maximal(d, a)
-        )
-        assert report.full_support_witness == expected, d.label
-    assert symmetry_report(fixtures[1]).full_support_witness == (-2, 0, 3)
-    assert symmetry_report(fixtures[2]).full_support_witness == (-3, -3, 3, 5)
+    rng = random.Random(22)
+    seeded = [_seeded_description(rng) for _ in range(600)]
+    valid = [d for d in seeded if not validate_description(d)]
+    assert len(valid) >= 20
+    found = 0
+    for d in fixtures + valid:
+        witness = symmetry_report(d).full_support_witness
+        assert witness == _least_effective_canonical(d), d
+        found += witness is not None
+    assert found >= 3
+    assert symmetry_report(fixtures[5]).full_support_witness == (6, 6)
+    assert symmetry_report(fixtures[6]).full_support_witness == (7, 13)
+
+
+def test_symmetry_report_asks_only_the_top_and_non_member_layers(monkeypatch):
+    # is_maximal at the prod(periods) points of the region's layer of sum
+    # 2g-2+m, is_member only in its layer of sum 2g-1
+    calls = {"is_maximal": [], "is_member": []}
+    for name, asked in calls.items():
+        query = getattr(series, name)
+        monkeypatch.setattr(series, name, partial(_recorded, query, asked))
+    for d in [hermitian_description(q) for q in (3, 4, 9)] + [genus0_description(4)]:
+        for asked in calls.values():
+            asked.clear()
+        symmetry_report(d)
+        top = d.maximal_sum_bound
+        assert calls["is_maximal"] == list(d.lattice.sum_slab(top, top))
+        assert len(calls["is_maximal"]) == prod(d.lattice.periods)
+        layer = set(d.lattice.sum_slab(2 * d.genus - 1, 2 * d.genus - 1))
+        assert calls["is_member"] and set(calls["is_member"]) <= layer
+
+
+def _recorded(query, asked, d, alpha):
+    asked.append(alpha)
+    return query(d, alpha)
 
 
 def test_symmetry_equations(hermitian_q2, hermitian_q3, genus0_m2, genus0_m3):
