@@ -12,7 +12,7 @@ request is one, and :func:`main` maps it to exit 2 with the library's text.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (an ``--out`` that
 cannot be written included), 3 resource cap (a box above ``--cap``; a ``query
-basis`` or ``gen genus0`` listing more than ``DEFAULT_CAP`` points or entries).
+basis`` or ``gen`` listing more than ``DEFAULT_CAP`` points or entries).
 All outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -119,6 +119,13 @@ _FAMILIES = {
     "genus0": ("m", genus0_description),
 }
 
+# gen family -> (what its JSON lists, that list's integer entries at a parameter >= 2):
+# q + 1 gammas of two coordinates, or m - 1 generator rows of m coordinates
+_GEN_SIZES = {
+    "hermitian": ("gamma", lambda q: 2 * (q + 1)),
+    "genus0": ("lattice generator", lambda m: m * (m - 1)),
+}
+
 _QUERIES = {
     "member": is_member,
     "dim": dimension,
@@ -133,9 +140,10 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
     value = getattr(args, flag)
     if value is None:
         raise UsageError(f"gen {args.family} requires --{flag}")
-    # a genus-0 description lists m(m - 1) generator entries; m < 2 is the builder's to refuse
-    if args.family == "genus0" and value > 1 and (n := value * (value - 1)) > DEFAULT_CAP:
-        raise _CapExceeded(f"{n} lattice generator entries are above the cap of {DEFAULT_CAP}")
+    # the output's size is known before the build; a parameter < 2 is the builder's to refuse
+    what, size = _GEN_SIZES[args.family]
+    if value > 1 and (n := size(value)) > DEFAULT_CAP:
+        raise _CapExceeded(f"{n} {what} entries are above the cap of {DEFAULT_CAP}")
     return build(value).dumps(), EXIT_OK
 
 

@@ -192,8 +192,10 @@ class Lattice:
 
         C constrains coordinates 1..m-1 to ``0 <= alpha_i < a_i`` and leaves the
         last coordinate free; every alpha in Z^m has exactly one representative
-        alpha - eta in C with eta in the lattice.
+        alpha - eta in C with eta in the lattice.  ValueError unless alpha is
+        a sequence of integers; one of the wrong length is not in C.
         """
+        alpha = int_tuple(alpha, "coordinates")
         per = self.periods
         return len(alpha) == self.m and all(0 <= alpha[i] < a for i, a in enumerate(per))
 
@@ -201,12 +203,15 @@ class Lattice:
         """All alpha in C with lo_sum <= |alpha| <= hi_sum, in lexicographic order.
 
         Finite: the constrained coordinates range over [0, a_i) and the free
-        last coordinate is then pinned between the two sum bounds.
+        last coordinate is then pinned between the two sum bounds.  The sums
+        are checked when it is called, not when it is first iterated.
         """
-        for prefix in product(*(range(a) for a in self.periods)):
-            s = sum(prefix)
-            for last in range(lo_sum - s, hi_sum - s + 1):
-                yield prefix + (last,)
+        int_tuple((lo_sum, hi_sum), "sums")
+        return (
+            prefix + (last,)
+            for prefix in product(*(range(a) for a in self.periods))
+            for last in range(lo_sum - sum(prefix), hi_sum - sum(prefix) + 1)
+        )
 
 
 def canonicalize(lattice: Lattice, alpha: IntTuple) -> tuple[IntTuple, tuple[int, ...]]:

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from gwsemigroup import backends
 from gwsemigroup import (
     Box,
+    Lattice,
     cross_validate,
     dimension,
     genus0_description,
@@ -13,6 +16,9 @@ from gwsemigroup import (
     is_absolute_maximal,
     is_prime_power,
     riemann_roch_basis,
+    semigroup_polynomial,
+    symmetry_report,
+    two_point_profile,
     validate_description,
 )
 
@@ -136,7 +142,7 @@ def _double_loop_gammas(q):
     return tuple(gammas)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_hermitian_description_equals_the_double_loop_scan(q):
     d = hermitian_description(q)
     assert d.gamma_fundamental == _double_loop_gammas(q)
@@ -144,17 +150,40 @@ def test_hermitian_description_equals_the_double_loop_scan(q):
 
 
 @pytest.mark.parametrize("q", [2, 3, 9, 16])
-def test_hermitian_description_asks_the_oracle_at_most_4_times_per_slab_point(monkeypatch, q):
-    calls = []
+def test_hermitian_description_asks_neither_the_oracle_nor_the_slab(monkeypatch, q):
+    def forbidden(*args):
+        raise AssertionError(f"called with {args}")
 
-    def counting(q, alpha):
-        calls.append(alpha)
-        return hermitian_dimension(q, alpha)
+    monkeypatch.setattr(backends, "hermitian_dimension", forbidden)
+    monkeypatch.setattr(Lattice, "sum_slab", forbidden)
+    assert len(hermitian_description(q).gamma_fundamental) == q + 1
 
-    monkeypatch.setattr(backends, "hermitian_dimension", counting)
-    hermitian_description(q)
-    slab_points = (q + 1) * (2 * hermitian_genus(q) + 1)
-    assert slab_points <= len(calls) <= 4 * slab_points
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_hermitian_queries_match_the_monomial_basis(q):
+    # every expected value comes from the pole vectors v(a, b) of the monomials
+    # x^a y^b alone, never from a description
+    g = hermitian_genus(q)
+    reach = 3 * g + 5
+    b_max = reach // (q + 1) + 2
+    poles = [_pole_vector(q, a, b) for a in range(q + 1) for b in range(-b_max, b_max + 1)]
+    d = hermitian_description(q)
+    rng = random.Random(2300 + q)
+    for _ in range(300):
+        alpha = (rng.randint(-reach, reach), rng.randint(-reach, reach))
+        under = sorted(v for v in poles if v[0] <= alpha[0] and v[1] <= alpha[1])
+        assert riemann_roch_basis(d, alpha) == under, (q, alpha)
+    # the one monomial with first coordinate j has the least second coordinate
+    # of a member in column j: below it the drop at alpha - e_1 is missing
+    column = {v[0]: v[1] for v in poles}
+    assert two_point_profile(d).table == tuple(column[j] for j in range(q + 1))
+    gammas = [v for v in poles if 0 <= v[0] <= q]
+    assert len(gammas) == q + 1
+    assert semigroup_polynomial(d) == {v: 1 for v in gammas}
+    # sigma is the pole vector (q^2, -q) of x^q, moved into the region by q - 1 periods
+    x_q = _pole_vector(q, q, 0)
+    assert symmetry_report(d).sigma == (x_q[0] - (q - 1) * (q + 1), x_q[1] + (q - 1) * (q + 1))
+    assert symmetry_report(d).sigma == (1, 2 * g - 1)
 
 
 @pytest.mark.parametrize(
@@ -193,6 +222,10 @@ def test_is_prime_power():
         lambda: genus0_dimension(2, 5),
         lambda: genus0_dimension(True, (1,)),
         lambda: genus0_dimension(0, ()),
+        lambda: hermitian_genus(-3),
+        lambda: hermitian_genus(6),
+        lambda: hermitian_dimension(-3, (1, 1)),
+        lambda: hermitian_dimension(0, (5, 5)),
     ],
 )
 def test_backends_reject_non_int_input(call):

@@ -170,6 +170,27 @@ def test_gen_genus0_above_the_cap_exits_3_before_building(capsys, monkeypatch):
     assert code == 2 and "m must be" in err
 
 
+def test_gen_hermitian_above_the_cap_exits_3_before_building(capsys, monkeypatch):
+    # the JSON lists q + 1 gammas of two entries: 2 * 5000000 fits the cap,
+    # 2 * 5000001 does not, so a huge q never reaches the builder's primality test
+    built = []
+
+    def recording(q):
+        built.append(q)
+        return gwsemigroup.hermitian_description(2)
+
+    monkeypatch.setitem(cli._FAMILIES, "hermitian", ("q", recording))
+    code, out, err = run_cli(capsys, ["gen", "hermitian", "--q", "5000000"])
+    assert (code, out, built) == (3, "", [])
+    assert "10000002" in err and str(cli.DEFAULT_CAP) in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, ["gen", "hermitian", "--q", "4999999"])
+    assert (code, built) == (0, [4999999]) and json.loads(out)["genus"] == 1
+    # below 2 the builder refuses, whatever 2(q + 1) is
+    monkeypatch.undo()
+    code, _, err = run_cli(capsys, ["gen", "hermitian", "--q", "-5000000"])
+    assert code == 2 and "q must be an integer >= 2" in err
+
+
 def test_query_rejects_generators_without_period_shape(capsys, q3_file, tmp_path):
     data = json.loads(Path(q3_file).read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"

@@ -97,6 +97,15 @@ def test_region_membership_and_slab():
     assert all(0 <= a for a, _ in slab)
     assert all(0 <= a + b <= 2 for a, b in slab)
     assert len(slab) == 4 * 3
+    # a wrong length is outside C; anything but a sequence of ints is a fault
+    assert not lat.in_region((0, 1, 2)) and not lat.in_region(())
+    for bad in (5, (0.5, 1), (True, 1), "01"):
+        with pytest.raises(ValueError):
+            lat.in_region(bad)
+    # bools are not ints here, and the sums are checked before iteration
+    for lo, hi in ((True, 2), (0, True), (0, 2.0), ("0", 2)):
+        with pytest.raises(ValueError):
+            lat.sum_slab(lo, hi)
 
 
 def test_canonicalize_examples():
