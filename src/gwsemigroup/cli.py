@@ -90,6 +90,8 @@ def _load(path: str) -> SemigroupDescription:
 
 def _box(args: argparse.Namespace, d: SemigroupDescription) -> Box:
     """The ``--box`` window, checked against the description's m and ``--cap``."""
+    if args.cap < 1:
+        raise UsageError(f"cap must be a positive integer, got {args.cap}")
     if args.box is None:
         raise UsageError(f"{args.command} requires --box")
     box = parse_box(args.box)

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -95,6 +96,20 @@ def spread_sample(items: list, cap: int) -> list:
     if len(items) <= cap:
         return items
     return items[:: len(items) // cap + 1]
+
+
+def json_array(items: list[str], depth: int) -> str:
+    """The items' JSON texts as one array, laid out as ``json.dumps(...,
+    indent=2)`` lays out an array at nesting depth ``depth``: ``[]`` when
+    empty, else one item a line, each indented one level past the bracket.
+
+    With ``"%d"`` items it builds a ``%`` template for a fixed-shape row of
+    integers once, so a long list of such rows costs one ``%`` per row.
+    """
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * depth
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +290,12 @@ class SemigroupDescription:
             raise ValueError("gamma_fundamental must be a sequence of integer tuples") from None
         gammas = tuple(sorted(listed))
         bound = self.maximal_sum_bound
+        per = self.lattice.periods
         for g in gammas:
             if len(g) != self.m:
                 raise ValueError(f"gamma {g} has wrong length")
-            if not self.lattice.in_region(g):
+            # Lattice.in_region, on a tuple whose ints and length are checked
+            if not all(0 <= x < a for x, a in zip(g, per)):
                 raise ValueError(f"gamma {g} lies outside the fundamental region")
             if not 0 <= sum(g) <= bound:
                 raise ValueError(
@@ -392,7 +409,16 @@ class SemigroupDescription:
         )
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """:meth:`to_json_dict` as ``json.dumps(..., sort_keys=True, indent=2)``
+        writes it, plus a newline, from one row template."""
+        row = json_array(["%d"] * self.m, 2)
+        gammas = json_array([row % g for g in self.gamma_fundamental], 1)
+        generators = json_array([row % g for g in self.lattice.generators], 1)
+        return (
+            f'{{\n  "gamma_fundamental": {gammas},\n  "genus": {self.genus},\n'
+            f'  "label": {encode_basestring_ascii(self.label)},\n'
+            f'  "lattice_generators": {generators},\n  "m": {self.m}\n}}\n'
+        )
 
 
 def require_description(d: object) -> SemigroupDescription:

@@ -29,7 +29,6 @@ polynomial is a plain dict from those region points to their coefficients.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
@@ -43,6 +42,7 @@ from .core import (
     SemigroupDescription,
     canonicalize,
     int_tuple,
+    json_array,
     require_box_dim,
     require_description,
     require_point,
@@ -220,7 +220,17 @@ class BoxSeries:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """:meth:`to_json_dict` as ``json.dumps(..., sort_keys=True, indent=2)``
+        writes it, plus a newline, from one template per row and per term."""
+        m = self.box.dim
+        row = json_array(["%d"] * m, 2)
+        term = json_array([json_array(["%d"] * m, 3), "%d"], 2)
+        coeffs = json_array([term % (*a, c) for a, c in self.terms()], 1)
+        return (
+            f'{{\n  "box": {{\n    "lower": {row % self.box.lower},\n'
+            f'    "upper": {row % self.box.upper}\n  }},\n'
+            f'  "coeffs": {coeffs},\n  "kind": "{self.kind}"\n}}\n'
+        )
 
 
 def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:

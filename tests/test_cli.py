@@ -10,7 +10,8 @@ import pytest
 import gwsemigroup
 from gwsemigroup import cli
 from gwsemigroup.cli import UsageError, main, parse_box, parse_tuple
-from gwsemigroup.core import Box
+from gwsemigroup.core import Box, load_description
+from gwsemigroup.series import series_on_box
 
 from window_data import MAXIMALS_Q3_WINDOW, NONMAXIMAL_MEMBERS_Q3_WINDOW
 
@@ -231,6 +232,8 @@ def test_series_all_zero_window(capsys, q3_file):
     )
     assert code == 0
     assert json.loads(out)["coeffs"] == []
+    bs = series_on_box(load_description(q3_file), "L", parse_box("-9..-5,-9..-5"))
+    assert out == json.dumps(bs.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def test_series_cap_and_usage(capsys, q3_file):
@@ -372,6 +375,11 @@ INPUT_FAULTS = [
     (["gen", "hermitian", "--q", "6"], "q must be a prime power, got 6"),
     (["gen", "hermitian", "--q", "1"], "q must be an integer >= 2, got 1"),
     (["gen", "genus0", "--m", "1"], "m must be an integer >= 2, got 1"),
+    *(
+        (["series", "P", "--desc", "DESC", "--box", "0..1,0..1", "--cap", cap],
+         f"cap must be a positive integer, got {cap}")
+        for cap in ("0", "-5")
+    ),
     # the box dimension is checked before the cap
     (["series", "P", "--desc", "DESC", "--box", "0..9,0..9,0..9", "--cap", "5"],
      "box dimension disagrees with description"),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwsemigroup import semigroup
+from gwsemigroup.backends import hermitian_description
 from gwsemigroup.core import (
     Box,
     Lattice,
@@ -18,6 +19,7 @@ from gwsemigroup.core import (
     validate_description,
     zeros,
 )
+from gwsemigroup.series import series_on_box
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +202,47 @@ def test_description_json_roundtrip(tmp_path, hermitian_q3, genus0_m3):
         loaded = load_description(path)
         assert loaded == d
         assert loaded.dumps() == d.dumps()
+
+
+def _json_reference(x) -> str:
+    return json.dumps(x.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "name", ["hermitian_q2", "hermitian_q3", "genus0_m2", "genus0_m3", "genus0_m4", "broken_m4"]
+)
+def test_description_dumps_equals_the_json_reference_on_fixtures(request, name):
+    d = request.getfixturevalue(name)
+    assert d.dumps() == _json_reference(d)
+
+
+@pytest.mark.parametrize("q", [2, 3, 9, 16, 1009])
+def test_description_dumps_equals_the_json_reference_on_hermitian(q):
+    d = hermitian_description(q)
+    assert d.dumps() == _json_reference(d)
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["", 'quote " here', "back\\slash", "two\nlines", "Q\u221e P\u00e9 \u66f2\u7dda \U0001f642", "100% %d {}"],
+)
+def test_description_dumps_escapes_labels_as_the_json_reference(label):
+    d = SemigroupDescription(3, 1, Lattice((2, 3)), ((0, 0, 0), (1, 2, -2)), label)
+    assert d.dumps() == _json_reference(d)
+    assert SemigroupDescription.from_json_dict(json.loads(d.dumps())).label == label
+
+
+def test_dumps_does_not_call_json_dumps(monkeypatch, hermitian_q3, genus0_m3):
+    expected = [_json_reference(hermitian_q3), _json_reference(genus0_m3)]
+    box = Box((-3, -3), (4, 4))
+    bs = series_on_box(hermitian_q3, "Q", box)
+    expected.append(_json_reference(bs))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.dumps called")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    assert [hermitian_q3.dumps(), genus0_m3.dumps(), bs.dumps()] == expected
 
 
 def test_description_schema_validation(tmp_path):

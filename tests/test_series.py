@@ -1,3 +1,4 @@
+import json
 import random
 from functools import partial
 from math import prod
@@ -166,6 +167,34 @@ def test_box_series_json_roundtrip(hermitian_q3):
         "kind": "Q",
         "coeffs": sparse,
     }
+
+
+def _json_reference(x) -> str:
+    return json.dumps(x.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def test_box_series_dumps_equals_the_json_reference(hermitian_q3, broken_m4):
+    rng = random.Random(6151)
+    big = 2**64 + 5
+    cases, more = [], {2: [hermitian_q3], 4: [broken_m4]}
+    for m in (2, 3, 4, 5):
+        for d in (genus0_description(m), *more.get(m, [])):
+            for _ in range(4):
+                lower = tuple(rng.randint(-6, 3) for _ in range(m))
+                upper = tuple(x + rng.randint(0, 5 - m // 2) for x in lower)
+                cases += [series_on_box(d, kind, Box(lower, upper)) for kind in "LQP"]
+        # one point, coordinates beyond 2^63 both ways, and values of any size
+        for lower in ((0,) * m, (big,) * m, (-big,) * (m - 1) + (big,)):
+            cases += [series_on_box(genus0_description(m), kind, Box(lower, lower)) for kind in "LQP"]
+        box = Box((-big,) * m, (-big + 1,) * m)
+        values = tuple(rng.choice((0, 1, -1, 2**70, -(2**65))) for _ in range(2**m))
+        cases += [BoxSeries(box, kind, values) for kind in "LQP"]
+    zero = series_on_box(hermitian_q3, "L", Box((-9, -9), (-5, -5)))
+    assert zero.to_json_dict()["coeffs"] == [] and '"coeffs": []' in zero.dumps()
+    cases.append(zero)
+    assert any(bs.terms() for bs in cases) and len({bs.box.dim for bs in cases}) == 4
+    for bs in cases:
+        assert bs.dumps() == _json_reference(bs), (bs.box, bs.kind)
 
 
 # ---------------------------------------------------------------------------
