@@ -234,8 +234,7 @@ def test_description_dumps_escapes_labels_as_the_json_reference(label):
 
 def test_dumps_does_not_call_json_dumps(monkeypatch, hermitian_q3, genus0_m3):
     expected = [_json_reference(hermitian_q3), _json_reference(genus0_m3)]
-    box = Box((-3, -3), (4, 4))
-    bs = series_on_box(hermitian_q3, "Q", box)
+    bs = series_on_box(hermitian_q3, "Q", Box((-3, -3), (4, 4)))
     expected.append(_json_reference(bs))
 
     def refuse(*args, **kwargs):
