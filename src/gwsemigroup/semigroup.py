@@ -209,6 +209,25 @@ def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
     return total
 
 
+def _dim_run(d: SemigroupDescription, r: IntTuple, u: int, count: int) -> list[int]:
+    """dim at (r, u), (r, u + 1), ..., (r, u + count - 1), r a region prefix.
+
+    The first a_{m-1} values are asked of :func:`dimension`; from there
+    dim(r, t) = dim(r, t - a_{m-1}) + #{class bases of r <= t}: the values
+    of a class run from its base up in steps of a_{m-1}, so each class whose
+    base is <= t has exactly one more value below t than below t - a_{m-1}.
+    """
+    a = d.lattice.periods[-1]
+    marks = [0] * (count + 1)  # the last cell gathers the bases past the run
+    for base in d.class_bases[_flat(r, d.lattice.periods)]:
+        marks[min(max(base - u, 0), count)] += 1
+    reached = list(accumulate(marks[:count]))
+    run = [0] * count
+    for k in range(min(a, count)):
+        run[k::a] = accumulate(reached[k + a::a], initial=dimension(d, (*r, u + k)))
+    return run
+
+
 def dimension_jump(d: SemigroupDescription, alpha: IntTuple, i: int) -> int:
     """dim(alpha) - dim(alpha - e_i); always 0 or 1."""
     return dimension(d, alpha) - dimension(d, tsub(alpha, unit(d.m, i)))

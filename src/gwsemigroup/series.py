@@ -14,10 +14,10 @@ flat ``dim`` grid (:func:`_dim_grid`) on the box grown below by one layer
 (two for Q), reads L as the grid minus its diagonal shift, and applies
 ``prod_i (1 - shift_i)`` as m axis passes (:func:`_axis_differences`), each
 a slice difference that drops the first layer along its axis.  dim is
-periodic under the period lattice, so the grid copies one value to every
-cell of a lattice class: a box request costs one ``dimension`` call per
-lattice class among its cells instead of 2^m per point, and the flat
-table, in ``Box.points()`` order, is the result: a
+periodic under the period lattice, so every last-axis row is a slice of one
+run per region prefix r (``semigroup._dim_run``): a box request costs at most
+a_{m-1} ``dimension`` calls per row class among its rows instead of 2^m per
+point, and the flat table, in ``Box.points()`` order, is the result: a
 :class:`BoxSeries` holds it as ``values``.  Infinite formal series
 cannot be multiplied in general, so each identity here is checked
 coefficientwise on a finite box, by an iterator over the violating points.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import product
+from itertools import compress, product
 from math import prod
 from operator import iadd, sub
 from typing import Callable, Iterator
@@ -53,6 +53,7 @@ from .core import (
     zeros,
 )
 from .semigroup import (
+    _dim_run,
     _flat,
     dimension,
     is_maximal,
@@ -114,32 +115,33 @@ def coeff_p(d: SemigroupDescription, alpha: IntTuple) -> int:
 # the box engine: flat tables in Box.points() order (last axis fastest)
 
 def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list[int]:
-    """dimension at every point of the box [lower, upper], one call per lattice class.
+    """dimension at every point of the box [lower, upper], one run per row class.
 
     Exact for every description, valid or not: translating alpha by a lattice
     vector eta translates Gamma(alpha) by eta, which shifts every last
-    coordinate by eta_m and keeps the count of distinct ones.  So each cell
-    takes the value at its :func:`canonicalize` representative, asked of
-    ``dimension`` once.  Along a row of the last axis the representatives are
-    those of the row's first cell with the last coordinate counted up, so
-    rows whose first cells share a representative are equal and built once.
+    coordinate by eta_m and keeps the count of distinct ones.  So a row of the
+    last axis equals the row of its first cell's region representative (r, t)
+    with the last coordinate counted up.  The rows of one region prefix r are
+    slices of one :func:`_dim_run` from their least t to their largest t plus
+    the row width, so the work grows with the box's extent, not its position.
     """
-    lo, hi = lower[-1], upper[-1]
-    values: dict[IntTuple, int] = {}
-    rows: dict[IntTuple, list[int]] = {}
+    lo, width = lower[-1], upper[-1] - lower[-1] + 1
+    # the carry loop of dimension, one axis at a time over the row heads:
+    # row k's first cell reduces to (r, lo + carry) for heads[k] = (carry, r)
+    heads = [(0, ())]
+    for a, l, u in zip(d.lattice.periods, lower, upper):
+        heads = [
+            (c := (x + carry) // a * a, r + (x + carry - c,)) for carry, r in heads for x in range(l, u + 1)
+        ]
+    carries: dict[IntTuple, list[int]] = {}
+    for carry, r in heads:
+        carries.setdefault(r, []).append(carry)
+    spans = {r: (min(cs), max(cs) - min(cs) + width) for r, cs in carries.items()}
+    runs = {r: _dim_run(d, r, lo + least, count) for r, (least, count) in spans.items()}
     out: list[int] = []
-    for head in product(*(range(l, u + 1) for l, u in zip(lower[:-1], upper[:-1]))):
-        first, _ = canonicalize(d.lattice, head + (lo,))
-        row = rows.get(first)
-        if row is None:
-            row = rows[first] = []
-            for k in range(hi - lo + 1):
-                rep = first[:-1] + (first[-1] + k,)
-                value = values.get(rep)
-                if value is None:
-                    value = values[rep] = dimension(d, rep)
-                row.append(value)
-        out += row
+    for carry, r in heads:
+        k = carry - spans[r][0]
+        out += runs[r][k:k + width]
     return out
 
 
@@ -210,7 +212,7 @@ class BoxSeries:
 
     def terms(self) -> list[tuple[IntTuple, int]]:
         """The nonzero (point, coefficient) pairs, in lexicographic order."""
-        return [(a, c) for a, c in zip(self.box.points(), self.values) if c != 0]
+        return list(zip(compress(self.box.points(), self.values), filter(None, self.values)))
 
     def to_json_dict(self) -> dict:
         return {

@@ -30,6 +30,7 @@ from gwsemigroup import (
 from gwsemigroup import plotting, semigroup, series, verify
 from gwsemigroup.core import canonicalize, ones, tadd, tsub, unit, validate_description
 from gwsemigroup.series import symmetry_violations
+from test_verify import _class_count_corpus
 
 COEFF = {"L": coeff_l, "Q": coeff_q, "P": coeff_p}
 
@@ -128,22 +129,82 @@ def _classes(d, lower, upper):
 
 
 @pytest.fixture
-def dimension_calls(monkeypatch):
-    # every dimension call the box engine makes
-    calls = []
+def grid_calls(monkeypatch):
+    # per _dim_grid call: its corners and the dimension calls it made, counted
+    # in semigroup, where _dim_run looks dimension up
+    calls, grids = [], []
+    dimension, dim_grid = semigroup.dimension, series._dim_grid
 
     def counting(d, alpha):
         calls.append(alpha)
-        return semigroup.dimension(d, alpha)
+        return dimension(d, alpha)
 
-    monkeypatch.setattr(series, "dimension", counting)
-    return calls
+    def recording(d, lower, upper):
+        calls.clear()
+        values = dim_grid(d, lower, upper)
+        grids.append((lower, upper, list(calls)))
+        return values
+
+    monkeypatch.setattr(semigroup, "dimension", counting)
+    for module in (series, plotting):
+        monkeypatch.setattr(module, "_dim_grid", recording)
+    return grids
+
+
+def _m5_descriptions():
+    # genus 0 at m = 5, and zero plus random gammas with periods 1-3 at m = 5
+    rng = random.Random(3141)
+    cases = [genus0_description(5)]
+    for _ in range(3):
+        periods = tuple(rng.randint(1, 3) for _ in range(4))
+        gammas = {(0,) * 5}
+        for _ in range(rng.randint(1, 4)):
+            head = tuple(rng.randrange(a) for a in periods)
+            gammas.add(head + (rng.randint(0, 5) - sum(head),))
+        cases.append(SemigroupDescription(5, 1, Lattice(periods), tuple(gammas)))
+    return cases
+
+
+def _last_axis_cases(n, d):
+    # rows headed at every region prefix, so every row's first cell reduces to
+    # t = the last coordinate, with last-axis ranges wholly below the least
+    # class base, straddling the least and the largest base, and far above
+    # with an offset that is no multiple of a_{m-1}; widths cycle through 1,
+    # below a_{m-1} (a run of seeds only) and wider; odd n move the box by a
+    # lattice vector, which leaves every value in place
+    a = d.lattice.periods[-1]
+    bases = [b for row in d.class_bases for b in row]
+    widths = (1, max(a - 1, 1), 7)
+    heads = tuple(per - 1 for per in d.lattice.periods)
+    shift = n % 5 - 2 if n % 2 else 0
+    vector = [0] * d.m
+    for i, per in enumerate(d.lattice.periods):
+        vector[i] += shift * (i + 1) * per
+        vector[i + 1] -= shift * (i + 1) * per
+    for j, lo in enumerate((min(bases) - 9, min(bases) - 2, 10007)):
+        width = widths[(n + j) % 3]
+        if j == 1:
+            width = max(width, max(bases) - min(bases) + 5)
+        lower = (0,) * (d.m - 1) + (lo,)
+        upper = heads + (lo + width - 1,)
+        yield Box(tadd(lower, tuple(vector)), tadd(upper, tuple(vector)))
+
+
+def _dim_grid_cases():
+    cases = ENGINE_CASES + PERIODIC_CASES + _class_count_corpus()
+    cases += [(d, Box((-2,) * 5, (1, 0, 1, 2, 1))) for d in _m5_descriptions()]
+    extra = []
+    for n, (d, _) in enumerate(cases):
+        extra += [(d, box) for box in _last_axis_cases(n, d)]
+    return cases + extra
 
 
 def test_dim_grid_equals_fresh_per_point_dimension():
     # ground truth from dimension at every raw point, where the grid asks
-    # only the point's region representative
-    for d, box in ENGINE_CASES + PERIODIC_CASES:
+    # dimension at a_{m-1} region points per row class and extends each
+    # class's run by the class-base count
+    cases = _dim_grid_cases()
+    for d, box in cases:
         want = [semigroup.dimension(d, a) for a in box.points()]
         assert series._dim_grid(d, box.lower, box.upper) == want, (d, box)
     for d, box in PERIODIC_CASES:
@@ -151,48 +212,67 @@ def test_dim_grid_equals_fresh_per_point_dimension():
         for l, u, a in zip(box.lower, box.upper, d.lattice.periods):
             assert u - l + 1 >= 3 * a
         assert 2 * len(_classes(d, box.lower, box.upper)) <= box.point_count()
+    # the cases reach every regime of the run
+    assert {d.m for d, _ in cases} == {2, 3, 4, 5}
+    assert sum(bool(validate_description(d)) for d, _ in cases) >= 100
+    assert sum(max(d.lattice.periods[:-1], default=1) > 1 for d, _ in cases) >= 100
+    widths = [(d.lattice.periods[-1], b.upper[-1] - b.lower[-1] + 1) for d, b in cases]
+    assert sum(w == 1 for _, w in widths) >= 100
+    assert sum(1 < w < a for a, w in widths) >= 50
+    assert sum(b.lower[-1] > 9000 for _, b in cases) >= 300
 
 
-def test_series_dimension_calls_are_one_grid(dimension_calls):
-    # work bound: one dimension call per lattice class among the cells of the
-    # grid grown below the box (by 2 for Q, by 1 for L and P), each at the
-    # class representative, and never more calls than cells
+def _row_classes(d, lower, upper):
+    # the region prefixes of the rows' first cells
+    heads = Box(lower[:-1] + (lower[-1],), upper[:-1] + (lower[-1],)).points()
+    return {canonicalize(d.lattice, a)[0][:-1] for a in heads}
+
+
+def _assert_at_most_a_per_row_class(d, grids):
+    # every call is at a region point of a row class its grid touches, no
+    # class is asked more than a_{m-1} times, and no grid asks once per cell
+    a = d.lattice.periods[-1]
+    for lower, upper, calls in grids:
+        classes = _row_classes(d, lower, upper)
+        for alpha in calls:
+            assert d.lattice.in_region(alpha) and alpha[:-1] in classes, alpha
+        for r in classes:
+            assert sum(alpha[:-1] == r for alpha in calls) <= a, r
+        assert len(calls) < Box(lower, upper).point_count()
+
+
+def test_series_dimension_calls_are_at_most_a_per_row_class(grid_calls):
+    # work bound: at most a_{m-1} dimension calls per row class of the grid
+    # grown below the box (by 2 for Q, by 1 for L and P), never one per cell
     cases = [(genus0_description(3), Box((-1,) * 3, (1,) * 3))] + PERIODIC_CASES
-    counts = []
     for d, box in cases:
         for kind in ("L", "Q", "P"):
-            dimension_calls.clear()
             series_on_box(d, kind, box)
             grow = 2 if kind == "Q" else 1
-            lower = tuple(x - grow for x in box.lower)
-            classes = _classes(d, lower, box.upper)
-            assert sorted(dimension_calls) == sorted(classes), (d.label, kind)
-            assert len(classes) < Box(lower, box.upper).point_count()
-            counts.append(len(dimension_calls))
-    # genus 0 at m = 3 has one class per coordinate sum: 10, 13 and 10
-    # calls where the grids have 64, 125 and 64 cells
-    assert counts[:3] == [10, 13, 10]
+            assert grid_calls[-1][:2] == (tuple(x - grow for x in box.lower), box.upper)
+            _assert_at_most_a_per_row_class(d, grid_calls[-1:])
+    # genus 0 has one row class and a_{m-1} = 1 (grids of 64, 125 and 64
+    # cells); h9 has 10 classes and a_{m-1} = 10 (1748, 1833 and 1748 cells)
+    assert [len(calls) for _, _, calls in grid_calls[:6]] == [1, 1, 1, 100, 100, 100]
 
 
-def test_plot_and_symmetry_dimension_calls_are_one_per_class(dimension_calls):
+def test_plot_and_symmetry_dimension_calls_are_at_most_a_per_row_class(monkeypatch, grid_calls):
     h3 = hermitian_description(3)
-    report = symmetry_report(h3)
+    sigma = symmetry_report(h3).sigma
     box = Box((-6, -5), (8, 8))
-    grown = tuple(x - 1 for x in box.lower)
-    dimension_calls.clear()
     render_membership_svg(h3, box)
-    assert sorted(dimension_calls) == sorted(_classes(h3, grown, box.upper))
-    assert len(dimension_calls) < Box(grown, box.upper).point_count()
+    assert grid_calls[0][:2] == (tuple(x - 1 for x in box.lower), box.upper)
     # two grids of the box's shape plus 2: near [lower - 2, upper] and the
-    # reflection far [s - upper - 1, s - lower + 1]
-    dimension_calls.clear()
+    # reflection far [s - upper - 1, s - lower + 1]; sigma is held fixed, so
+    # that its scan asks nothing
+    monkeypatch.setattr(series, "_top_maximals", lambda d: iter([sigma]))
     list(symmetry_violations(h3, box))
-    s = report.sigma
     near = (tsub(box.lower, (2, 2)), box.upper)
-    far = (tsub(tsub(s, box.upper), (1, 1)), tadd(tsub(s, box.lower), (1, 1)))
-    want = sorted(_classes(h3, *near)) + sorted(_classes(h3, *far))
-    assert sorted(dimension_calls) == sorted(want)
-    assert len(dimension_calls) < 2 * Box(*near).point_count()
+    far = (tsub(tsub(sigma, box.upper), (1, 1)), tadd(tsub(sigma, box.lower), (1, 1)))
+    assert [g[:2] for g in grid_calls[1:]] == [near, far]
+    _assert_at_most_a_per_row_class(h3, grid_calls)
+    # 4 row classes with a_{m-1} = 4 in each grid
+    assert [len(calls) for _, _, calls in grid_calls] == [16, 16, 16]
 
 
 def test_verify_catches_a_dimension_fault_outside_the_region(monkeypatch):

@@ -192,9 +192,17 @@ def test_box_series_dumps_equals_the_json_reference(hermitian_q3, broken_m4):
     zero = series_on_box(hermitian_q3, "L", Box((-9, -9), (-5, -5)))
     assert zero.to_json_dict()["coeffs"] == [] and '"coeffs": []' in zero.dumps()
     cases.append(zero)
+    # all-nonzero boxes: L is m in the Riemann-Roch regime, and values without zeros
+    full = series_on_box(hermitian_q3, "L", Box((10, 10), (14, 14)))
+    assert set(full.values) == {2}
+    cases += [full, BoxSeries(Box((-1, 0, 2), (0, 1, 3)), "Q", (1, -1, 2**70, 3, -(2**65), 7, 1, 2))]
+    cases.append(BoxSeries(Box((0, 0, 0), (1, 2, 0)), "P", (0,) * 6))
     assert any(bs.terms() for bs in cases) and len({bs.box.dim for bs in cases}) == 4
     for bs in cases:
         assert bs.dumps() == _json_reference(bs), (bs.box, bs.kind)
+        want = [(a, c) for a, c in zip(bs.box.points(), bs.values) if c != 0]
+        assert bs.terms() == want, (bs.box, bs.kind)
+    assert full.terms() == list(zip(full.box.points(), full.values)) and not zero.terms()
 
 
 # ---------------------------------------------------------------------------

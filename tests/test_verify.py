@@ -315,6 +315,14 @@ def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4
         raise AssertionError("a per-point query was called")
 
     monkeypatch.setattr(semigroup, "lattice_translates", counting)
+    # the check's other side, the dim grid, asks dimension by design; it is
+    # read here from per-point dimension taken before the queries are barred
+    true_dimension = semigroup.dimension
+
+    def per_point_grid(d, lower, upper):
+        return [true_dimension(d, a) for a in Box(lower, upper).points()]
+
+    monkeypatch.setattr(verify, "_dim_grid", per_point_grid)
     for name in ("absolute_maximals_below", "dimension", "is_member"):
         monkeypatch.setattr(semigroup, name, forbidden)
     for d, box in [
@@ -471,12 +479,17 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
 
     for module in (semigroup, series, verify):
         monkeypatch.setattr(module, "dimension", counting)
+    # each dim grid asks a_{m-1} region points per row class it touches:
+    # 4 classes x 4 on h3 and 1 x 1 on genus 0, so the class counts ask one
+    # grid, qp-identity two beside its raw points, poincare-support and
+    # polynomial-reconstruction one through the engine's P, and the
+    # symmetry equations two
     want = {
         (hermitian_q3, Box((-6, -6), (8, 8))): [
-            115, 104, 461, 521, 1156, 809, 223, 2976, 156, 262, 72,
+            115, 16, 461, 321, 1156, 713, 127, 2976, 156, 54, 72,
         ],
         (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
-            27, 9, 281, 655, 1552, 866, 91, 10220, 81, 54, 0,
+            27, 1, 281, 627, 1552, 854, 79, 10220, 81, 22, 0,
         ],
     }
     for (d, box), counts in want.items():
