@@ -11,8 +11,9 @@ Input faults are the library's to find: every ``ValueError`` it raises on a
 request is one, and :func:`main` maps it to exit 2 with the library's text.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (an ``--out`` that
-cannot be written included), 3 resource cap (a box above ``--cap``; a ``query
-basis`` or ``gen`` listing more than ``DEFAULT_CAP`` points or entries).
+cannot be written included), 3 resource cap (a box above ``--cap``, for
+``series polynomial`` and ``verify`` the fundamental slab's box as well; a
+``query basis`` or ``gen`` listing more than ``DEFAULT_CAP`` points or entries).
 All outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -33,7 +34,7 @@ from .semigroup import (
     is_member,
     riemann_roch_basis,
 )
-from .series import semigroup_polynomial, series_on_box
+from .series import _slab_box, semigroup_polynomial, series_on_box
 from .verify import run_verification
 
 __all__ = ["main", "run", "parse_box", "parse_tuple"]
@@ -88,20 +89,24 @@ def _load(path: str) -> SemigroupDescription:
         raise UsageError(f"cannot load description {path!r}: {exc}") from None
 
 
-def _box(args: argparse.Namespace, d: SemigroupDescription) -> Box:
-    """The ``--box`` window, checked against the description's m and ``--cap``."""
+def _capped(args: argparse.Namespace, what: str, box: Box) -> Box:
+    """The box, once its point count is within ``--cap``: exit 3 above it."""
     if args.cap < 1:
         raise UsageError(f"cap must be a positive integer, got {args.cap}")
+    if (n := box.point_count()) > args.cap:
+        raise _CapExceeded(
+            f"{what} holds {n} points, above the cap of {args.cap} (raise --cap to override)"
+        )
+    return box
+
+
+def _box(args: argparse.Namespace, d: SemigroupDescription) -> Box:
+    """The ``--box`` window, checked against the description's m and ``--cap``."""
     if args.box is None:
         raise UsageError(f"{args.command} requires --box")
     box = parse_box(args.box)
     require_box_dim(box, d.m)
-    n = box.point_count()
-    if n > args.cap:
-        raise _CapExceeded(
-            f"box holds {n} points, above the cap of {args.cap} (raise --cap to override)"
-        )
-    return box
+    return _capped(args, "box", box)
 
 
 def _point(a: Iterable[int]) -> str:
@@ -172,6 +177,9 @@ def _terms_text(pairs: Iterable[tuple[IntTuple, int]]) -> str:
 def _cmd_series(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
     if args.kind == "polynomial":
+        if args.box is not None:
+            raise UsageError("series polynomial reads the fundamental slab and takes no --box")
+        _capped(args, "the fundamental slab's box", _slab_box(d))
         terms = list(semigroup_polynomial(d).items())
         if args.format == "text":
             return _terms_text(terms), EXIT_OK
@@ -182,7 +190,10 @@ def _cmd_series(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
-    results = run_verification(d, _box(args, d))
+    # description-consistency fills the L table of the slab's box
+    box = _box(args, d)
+    _capped(args, "the fundamental slab's box", _slab_box(d))
+    results = run_verification(d, box)
     code = EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
     if args.format == "json":
         payload = [{"check": r.name, "passed": r.passed, "detail": r.detail} for r in results]

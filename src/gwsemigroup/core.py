@@ -450,16 +450,18 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     a. every listed gamma is absolute maximal;
     b. no absolute maximal element of the fundamental region with coordinate
        sum in [0, 2g-2+m] is missing from the list;
-    c. dim(alpha) == |alpha| + 1 - g on a deterministic sample of tuples with
-       |alpha| >= 2g-1 (consistency with the claimed genus);
-    d. dim(alpha) == 0 on a sample with |alpha| < 0.
+    c. dim(alpha) == |alpha| + 1 - g at every alpha with |alpha| >= 2g-1
+       (consistency with the claimed genus);
+    d. dim(alpha) == 0 at every alpha with |alpha| < 0.
 
-    (a) and (b) compare the list with the absolute maximal elements of one
-    scan of the slab 0 <= |alpha| <= 2g-2+m of the region.  The slab holds
-    every listed gamma by construction, and every absolute maximal element,
-    since for m >= 2 that implies maximal: dim is monotone, and both ends of
+    (a) and (b) compare the list with the absolute maximal elements of the
+    slab 0 <= |alpha| <= 2g-2+m of the region.  The slab holds every listed
+    gamma by construction, and every absolute maximal element, since for
+    m >= 2 that implies maximal: dim is monotone, and both ends of
     alpha - 1 <= alpha - 1 + e_i <= alpha - e_j (j != i) have dim(alpha) - 1,
-    so dim(alpha - 1 + e_i) = dim(alpha - 1) for every i.  (b) cannot fire
+    so dim(alpha - 1 + e_i) = dim(alpha - 1) for every i.  Absolute maximal
+    asks dim(alpha) - dim(alpha - 1) = 1, the L coefficient, so only the terms
+    1 of the engine's L on the slab are asked.  (b) cannot fire
     while ``dimension`` counts the set V(alpha) of last coordinates of the
     translates beta <= alpha of listed gammas.  For alpha absolute maximal,
     V(alpha - 1) is inside V(alpha - e_i), which is inside V(alpha), and both
@@ -467,12 +469,19 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     beta <= alpha with beta_m = alpha_m has beta_i = alpha_i for all i, one
     such beta exists, and so alpha, a translate in the region, is listed.
     (b) is therefore a cross-check of the implementation.
+
+    (c) and (d) are exact.  Sums and dim are lattice-invariant, so alpha runs
+    over (r, s - |r|) for the region prefixes r.  There dim steps by 0 or 1
+    as s grows, as ``class_bases`` holds one base per class mod a_{m-1}, so
+    dim - (s + 1 - g) never rises.  If it is 0 at the sums 2g-1, ...,
+    2g-1+a_{m-1}, every class has stepped, so each later step is 1 and it
+    stays 0.  dim >= 0 never falls, so dim = 0 at sum -1 gives 0 below.
     """
-    from . import semigroup  # deferred: semigroup builds on this module
+    from . import semigroup, series  # deferred: both build on this module
 
     listed = set(require_description(d).gamma_fundamental)
-    slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
-    absolute = {a for a in slab if semigroup.is_absolute_maximal(d, a)}
+    units = (a for a, c in series._slab_terms(d, "L") if c == 1)
+    absolute = {a for a in units if semigroup.is_absolute_maximal(d, a)}
     violations = [
         f"(a) listed gamma {g} is not absolute maximal" for g in sorted(listed - absolute)
     ]
@@ -481,10 +490,8 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     ]
 
     g2 = 2 * d.genus - 1
-    # Cover every pattern of constrained coordinates so that a dropped
-    # fundamental class cannot hide from the Riemann-Roch probe.
-    prefixes = spread_sample(list(product(*(range(a) for a in d.lattice.periods))), 512)
-    for s in (g2, g2 + 1, g2 + 5):
+    prefixes = list(product(*(range(a) for a in d.lattice.periods)))
+    for s in range(g2, g2 + d.lattice.periods[-1] + 1):
         for prefix in prefixes:
             alpha = prefix + (s - sum(prefix),)
             expected = s + 1 - d.genus
@@ -494,11 +501,10 @@ def validate_description(d: SemigroupDescription) -> list[str]:
                     f"(c) dim({alpha}) = {got}, Riemann-Roch predicts {expected}"
                 )
 
-    for s in (-1, -2, -7):
-        for prefix in prefixes[:4]:
-            alpha = prefix + (s - sum(prefix),)
-            got = semigroup.dimension(d, alpha)
-            if got != 0:
-                violations.append(f"(d) dim({alpha}) = {got}, expected 0 for sum {s}")
+    for prefix in prefixes:
+        alpha = prefix + (-1 - sum(prefix),)
+        got = semigroup.dimension(d, alpha)
+        if got != 0:
+            violations.append(f"(d) dim({alpha}) = {got}, expected 0 for sum -1")
 
     return violations

@@ -290,28 +290,43 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
 # ---------------------------------------------------------------------------
 # the semigroup polynomial and reconstruction
 
+def _slab_box(d: SemigroupDescription) -> Box:
+    """The least box holding the slab 0 <= |alpha| <= 2g-2+m of the region."""
+    top = tuple(a - 1 for a in require_description(d).lattice.periods)
+    return Box((0,) * len(top) + (-sum(top),), top + (d.maximal_sum_bound,))
+
+
+def _slab_terms(d: SemigroupDescription, kind: str) -> list[tuple[IntTuple, int]]:
+    """The engine's nonzero terms on :func:`_slab_box` with sum in [0, 2g-2+m], in order."""
+    terms = series_on_box(d, kind, _slab_box(d)).terms()
+    return [(a, c) for a, c in terms if 0 <= sum(a) <= d.maximal_sum_bound]
+
+
 def semigroup_polynomial(d: SemigroupDescription) -> dict[IntTuple, int]:
     """Finitely supported part of P: its nonzero coefficients on the fundamental region.
 
     Keyed by the maximal elements inside the region, in lexicographic order;
-    every absolute maximal element carries coefficient 1.  p vanishes off the
-    maximal elements, and none lies outside the slab 0 <= |alpha| <= 2g-2+m,
-    so one scan of that slab asks ``coeff_p`` only at maximal points.
+    every absolute maximal element carries coefficient 1.  No maximal element
+    lies outside the slab 0 <= |alpha| <= 2g-2+m, so the engine's P there holds
+    every term, and ``is_maximal`` is asked only at its nonzero terms
+    (:func:`_slab_terms`).
     """
-    slab = require_description(d).lattice.sum_slab(0, d.maximal_sum_bound)
-    return {a: c for a in slab if is_maximal(d, a) and (c := coeff_p(d, a))}
+    return {a: c for a, c in _slab_terms(d, "P") if is_maximal(d, a)}
 
 
 def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
     """Points where the region-representative lookup disagrees with the engine's P.
 
     The lattice-sum factorization of P collapses to a lookup because distinct
-    lattice translates of the fundamental region are disjoint.  Along a row of
-    the last axis the representatives are those of the row's first cell with
-    the last coordinate counted up, so each row asks :func:`canonicalize` once.
+    lattice translates of the fundamental region are disjoint; the lookup is
+    the polynomial by its own route, ``coeff_p`` at each maximal slab point.
+    Along a row of the last axis the representatives are those of the row's
+    first cell with the last coordinate counted up, so each row asks
+    :func:`canonicalize` once.
     """
     p = series_on_box(d, "P", box).values
-    poly = semigroup_polynomial(d)
+    slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
+    poly = {a: c for a in slab if is_maximal(d, a) and (c := coeff_p(d, a))}
     lo, width = box.lower[-1], box.upper[-1] - box.lower[-1] + 1
     heads = product(*(range(l, u + 1) for l, u in zip(box.lower[:-1], box.upper[:-1])))
     for n, head in enumerate(heads):

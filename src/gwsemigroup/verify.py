@@ -69,8 +69,8 @@ class _Skipped(Exception):
 
 def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | None:
     # description check, with (b) an implementation cross-check, route: the listed
-    # gammas against the slab scan for absolute maximal elements, and dimension
-    # against the Riemann-Roch regime
+    # gammas against per-point absolute maximality at the L terms 1 of the slab's
+    # engine table, and dimension against the Riemann-Roch regime on every prefix
     violations = validate_description(d)
     return violations[0] if violations else None
 
@@ -183,7 +183,8 @@ def _check_poincare_support(d: SemigroupDescription, box: Box) -> str | None:
 
 
 def _check_reconstruction(d: SemigroupDescription, box: Box) -> str | None:
-    # description check, route: coeff_p at the region's maxima, against the engine's P
+    # description check, route: per-point coeff_p at the region's maxima, its own
+    # (not semigroup_polynomial, which reads the engine), against the engine's P
     alpha = next(reconstruction_violations(d, box), None)
     return None if alpha is None else f"polynomial lookup disagrees with p at {alpha}"
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gwsemigroup
-from gwsemigroup import cli
+from gwsemigroup import cli, series
 from gwsemigroup.cli import UsageError, main, parse_box, parse_tuple
 from gwsemigroup.core import Box, load_description
 from gwsemigroup.series import series_on_box
@@ -248,6 +248,34 @@ def test_series_cap_and_usage(capsys, q3_file):
         capsys, ["series", "P", "--desc", q3_file, "--box", "0..1,0..1,0..1"]
     )
     assert code == 2
+
+
+def _engine_tripwire(monkeypatch):
+    def tripwire(*args):
+        raise AssertionError("the request reached the engine")
+
+    monkeypatch.setattr(series, "series_on_box", tripwire)
+    monkeypatch.setattr(series, "_dim_grid", tripwire)
+    monkeypatch.setattr(cli, "run_verification", tripwire)
+
+
+def test_series_polynomial_takes_no_box(capsys, q3_file, monkeypatch):
+    _engine_tripwire(monkeypatch)
+    argv = ["series", "polynomial", "--desc", q3_file, "--box", "garbage", "--cap", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "") and "takes no --box" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["series", "polynomial"], ["verify", "--box", "0..0,0..0"]])
+def test_slab_above_the_cap_exits_3_before_any_work(capsys, q3_file, monkeypatch, argv):
+    # h3's slab box is [0, 3] x [-3, 6]: 40 cells
+    _engine_tripwire(monkeypatch)
+    code, out, err = run_cli(capsys, [*argv, "--desc", q3_file, "--cap", "39"])
+    assert (code, out) == (3, "") and "Traceback" not in err
+    assert "slab's box holds 40 points, above the cap of 39" in err
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, [*argv, "--desc", q3_file, "--cap", "40"])
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------

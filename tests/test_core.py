@@ -317,15 +317,17 @@ def test_validate_trivial_two_point_genus0(genus0_m2):
 
 def test_validate_reports_an_unlisted_absolute_maximal(monkeypatch, hermitian_q3):
     # (b) cannot fire while dimension counts last-coordinate classes (see
-    # validate_description), so the slab scan is made to report one extra
+    # validate_description), so the per-point test is made to report one
+    # extra at (1, 3): a non-member, as dim(0, 3) = dim(1, 3), but its L is 1,
+    # so the slab's L terms ask it
     original = semigroup.is_absolute_maximal
 
     def with_extra(d, alpha):
-        return alpha == (1, 1) or original(d, alpha)
+        return alpha == (1, 3) or original(d, alpha)
 
     monkeypatch.setattr(semigroup, "is_absolute_maximal", with_extra)
     assert validate_description(hermitian_q3) == [
-        "(b) absolute maximal (1, 1) missing from the list"
+        "(b) absolute maximal (1, 3) missing from the list"
     ]
 
 
@@ -339,16 +341,25 @@ _Q3_RR_VIOLATIONS = [
     "(c) dim((0, 6)) = 3, Riemann-Roch predicts 4",
     "(c) dim((2, 4)) = 3, Riemann-Roch predicts 4",
     "(c) dim((3, 3)) = 3, Riemann-Roch predicts 4",
-    "(c) dim((0, 10)) = 6, Riemann-Roch predicts 8",
-    "(c) dim((1, 9)) = 7, Riemann-Roch predicts 8",
-    "(c) dim((2, 8)) = 6, Riemann-Roch predicts 8",
-    "(c) dim((3, 7)) = 6, Riemann-Roch predicts 8",
+    "(c) dim((0, 7)) = 4, Riemann-Roch predicts 5",
+    "(c) dim((1, 6)) = 4, Riemann-Roch predicts 5",
+    "(c) dim((2, 5)) = 4, Riemann-Roch predicts 5",
+    "(c) dim((3, 4)) = 4, Riemann-Roch predicts 5",
+    "(c) dim((0, 8)) = 5, Riemann-Roch predicts 6",
+    "(c) dim((1, 7)) = 5, Riemann-Roch predicts 6",
+    "(c) dim((2, 6)) = 4, Riemann-Roch predicts 6",
+    "(c) dim((3, 5)) = 5, Riemann-Roch predicts 6",
+    "(c) dim((0, 9)) = 6, Riemann-Roch predicts 7",
+    "(c) dim((1, 8)) = 6, Riemann-Roch predicts 7",
+    "(c) dim((2, 7)) = 5, Riemann-Roch predicts 7",
+    "(c) dim((3, 6)) = 5, Riemann-Roch predicts 7",
 ]
 
 
 def test_validate_mutant_violation_lists(hermitian_q3, genus0_m3):
-    # Exact lists, order included: (a) and (b) come from the slab scan for
-    # absolute maximal elements, (c) and (d) from the Riemann-Roch probes.
+    # Exact lists, order included: (a) and (b) come from the slab's absolute
+    # maximal elements, (c) from the Riemann-Roch probes at the sums 2g-1 ..
+    # 2g-1+a_{m-1} (5 .. 9 on h3, 1 .. 2 at periods (2, 1)), sum by sum.
     gammas = hermitian_q3.gamma_fundamental
     dropped = _replace_gammas(hermitian_q3, [g for g in gammas if g != (2, 2)])
     assert validate_description(dropped) == _Q3_RR_VIOLATIONS
@@ -364,5 +375,4 @@ def test_validate_mutant_violation_lists(hermitian_q3, genus0_m3):
         "(a) listed gamma (1, 0, 1) is not absolute maximal",
         "(c) dim((0, 0, 1)) = 2, Riemann-Roch predicts 1",
         "(c) dim((0, 0, 2)) = 3, Riemann-Roch predicts 2",
-        "(c) dim((0, 0, 6)) = 7, Riemann-Roch predicts 6",
     ]

@@ -1,6 +1,7 @@
 import json
 import random
 from functools import partial
+from itertools import product
 from math import prod
 
 import pytest
@@ -27,10 +28,11 @@ from gwsemigroup import (
     symmetry_report,
     symmetry_violations,
 )
-from gwsemigroup import series
+from gwsemigroup import semigroup, series
 from gwsemigroup.core import canonicalize, tadd, tsub, unit, validate_description
 from gwsemigroup.verify import _p_from_direction
 
+from test_verify import _class_count_corpus
 from window_data import MAXIMALS_Q3_WINDOW
 
 
@@ -250,10 +252,10 @@ def test_semigroup_polynomial_support_law(hermitian_q2, genus0_m3, genus0_m4):
             assert poly[gamma] == 1
 
 
-def _seeded_description(rng):
+def _seeded_description(rng, m=None, last=4):
     # zero plus up to four random gammas in the region; mostly invalid
-    m = rng.randint(2, 4)
-    periods = [rng.randint(1, 4) for _ in range(m - 1)]
+    m = rng.randint(2, 4) if m is None else m
+    periods = [rng.randint(1, last) for _ in range(m - 1)]
     genus = rng.randint(0, 3)
     bound = 2 * genus - 2 + m
     gammas = {(0,) * m}
@@ -263,12 +265,20 @@ def _seeded_description(rng):
     return SemigroupDescription(m, genus, Lattice(periods), tuple(sorted(gammas)))
 
 
-def test_one_pass_slab_scans_equal_the_two_pass_scan():
-    # the polynomial asks coeff_p only at maximal points and the description
-    # check asks only is_absolute_maximal; both must read as the two-pass scan
+def _slab_corpus():
+    # every description of the class-count corpus, 160 seeded ones at m = 2..4,
+    # and 40 at m = 5 with periods 1-3 at every level
     rng = random.Random(18)
-    for _ in range(160):
-        d = _seeded_description(rng)
+    yield from (d for d, _ in _class_count_corpus())
+    yield from (_seeded_description(rng) for _ in range(160))
+    yield from (_seeded_description(rng, m=5, last=3) for _ in range(40))
+
+
+def test_one_pass_slab_scans_equal_the_two_pass_scan():
+    # the polynomial and the description check read the engine's P and L on
+    # the slab's box; both must read as the two-pass per-point scan
+    m5_periods = set()
+    for d in _slab_corpus():
         maxima, absolute = _slab_maximals(d)
         coeffs = {a: coeff_p(d, a) for a in maxima}
         want = {a: c for a, c in coeffs.items() if c != 0}
@@ -280,6 +290,61 @@ def test_one_pass_slab_scans_equal_the_two_pass_scan():
         want_ab += [f"(b) absolute maximal {a} missing from the list"
                     for a in sorted(set(absolute) - listed)]
         assert [v for v in validate_description(d) if v[:3] in ("(a)", "(b)")] == want_ab, d
+        if d.m == 5:
+            m5_periods.add(d.lattice.periods)
+    assert any(max(per[:-1]) > 1 for per in m5_periods)
+
+
+def test_slab_scans_ask_the_predicates_only_at_engine_terms(monkeypatch, broken_m4):
+    # is_maximal once per nonzero P term of the slab (q + 1 on Hermitian q),
+    # is_absolute_maximal only where the slab's L is 1
+    asked = {"max": [], "abs": []}
+    monkeypatch.setattr(series, "is_maximal", partial(_recorded, is_maximal, asked["max"]))
+    monkeypatch.setattr(
+        semigroup, "is_absolute_maximal", partial(_recorded, is_absolute_maximal, asked["abs"])
+    )
+    h64 = hermitian_description(64)
+    semigroup_polynomial(h64)
+    assert asked["max"] == [a for a, _ in series._slab_terms(h64, "P")]
+    assert len(asked["max"]) == 65
+    for d in (hermitian_description(3), hermitian_description(16), broken_m4):
+        asked["abs"].clear()
+        validate_description(d)
+        assert asked["abs"] == [a for a, c in series._slab_terms(d, "L") if c == 1], d.label
+
+
+def test_reconstruction_keeps_its_own_route(monkeypatch, hermitian_q3, broken_m4):
+    # the lookup never reads the engine's slab: with the polynomial and the
+    # slab terms broken, the check runs and reports as before
+    cases = [(hermitian_q3, Box((-6, -6), (8, 8))), (broken_m4, Box((-2,) * 4, (2,) * 4))]
+    want = [list(reconstruction_violations(d, box)) for d, box in cases]
+
+    def broken(*args):
+        raise AssertionError("the engine's slab was read")
+
+    monkeypatch.setattr(series, "semigroup_polynomial", broken)
+    monkeypatch.setattr(series, "_slab_terms", broken)
+    assert [list(reconstruction_violations(d, box)) for d, box in cases] == want
+    assert want[0] == [] and want[1]
+
+
+def test_riemann_roch_probes_are_exact():
+    # (c) and (d) probe the sums 2g-1 .. 2g-1+a_{m-1} and -1; a dense
+    # reference over every prefix at sums 2g-1 .. 2g-1+3a_{m-1} and
+    # -3a_{m-1} .. -1 must flag the same descriptions
+    flagged = 0
+    for d in _slab_corpus():
+        a, g = d.lattice.periods[-1], d.genus
+        sums = [*range(2 * g - 1, 2 * g + 3 * a), *range(-3 * a, 0)]
+        dense = any(
+            dimension(d, (*r, s - sum(r))) != max(s + 1 - g, 0)
+            for s in sums
+            for r in product(*(range(p) for p in d.lattice.periods))
+        )
+        probes = any(v[:3] in ("(c)", "(d)") for v in validate_description(d))
+        assert probes == dense, d
+        flagged += dense
+    assert flagged >= 100
 
 
 def test_reconstruction(hermitian_q3, genus0_m3):

@@ -483,13 +483,15 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
     # 4 classes x 4 on h3 and 1 x 1 on genus 0, so the class counts ask one
     # grid, qp-identity two beside its raw points, poincare-support and
     # polynomial-reconstruction one through the engine's P, and the
-    # symmetry equations two
+    # symmetry equations two.  description-consistency asks one grid for the
+    # slab's L (16 on h3), is_absolute_maximal at its terms equal to 1, and
+    # dimension at every prefix for the a_{m-1} + 1 sums of (c) and sum -1 of (d)
     want = {
         (hermitian_q3, Box((-6, -6), (8, 8))): [
-            115, 16, 461, 321, 1156, 713, 127, 2976, 156, 54, 72,
+            80, 16, 461, 321, 1156, 713, 127, 2976, 156, 54, 72,
         ],
         (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
-            27, 1, 281, 627, 1552, 854, 79, 10220, 81, 22, 0,
+            11, 1, 281, 627, 1552, 854, 79, 10220, 81, 22, 0,
         ],
     }
     for (d, box), counts in want.items():
