@@ -190,8 +190,8 @@ def _cmd_series(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
-    # description-consistency fills the L table of the slab's box
     box = _box(args, d)
+    # description-consistency fills the L table of the slab's box
     _capped(args, "the fundamental slab's box", _slab_box(d))
     results = run_verification(d, box)
     code = EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION

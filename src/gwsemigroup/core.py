@@ -460,8 +460,8 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     m >= 2 that implies maximal: dim is monotone, and both ends of
     alpha - 1 <= alpha - 1 + e_i <= alpha - e_j (j != i) have dim(alpha) - 1,
     so dim(alpha - 1 + e_i) = dim(alpha - 1) for every i.  Absolute maximal
-    asks dim(alpha) - dim(alpha - 1) = 1, the L coefficient, so only the terms
-    1 of the engine's L on the slab are asked.  (b) cannot fire
+    asks that L(alpha) = dim(alpha) - dim(alpha - 1) be 1, so it is asked only
+    where the engine's L on the slab is 1.  (b) cannot fire
     while ``dimension`` counts the set V(alpha) of last coordinates of the
     translates beta <= alpha of listed gammas.  For alpha absolute maximal,
     V(alpha - 1) is inside V(alpha - e_i), which is inside V(alpha), and both
@@ -475,7 +475,7 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     as s grows, as ``class_bases`` holds one base per class mod a_{m-1}, so
     dim - (s + 1 - g) never rises.  If it is 0 at the sums 2g-1, ...,
     2g-1+a_{m-1}, every class has stepped, so each later step is 1 and it
-    stays 0.  dim >= 0 never falls, so dim = 0 at sum -1 gives 0 below.
+    stays 0.  dim is nonnegative and never falls, so 0 at sum -1 gives 0 below.
     """
     from . import semigroup, series  # deferred: both build on this module
 

@@ -255,7 +255,6 @@ def _engine_tripwire(monkeypatch):
         raise AssertionError("the request reached the engine")
 
     monkeypatch.setattr(series, "series_on_box", tripwire)
-    monkeypatch.setattr(series, "_dim_grid", tripwire)
     monkeypatch.setattr(cli, "run_verification", tripwire)
 
 
