@@ -23,9 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from json.encoder import encode_basestring_ascii
 from math import lcm
+from operator import lt
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -285,10 +286,11 @@ class SemigroupDescription:
         if self.lattice.m != self.m:
             raise ValueError("lattice dimension disagrees with m")
         try:
-            listed = {int_tuple(g, "gamma entries") for g in self.gamma_fundamental}
+            listed = [int_tuple(g, "gamma entries") for g in self.gamma_fundamental]
         except TypeError:
             raise ValueError("gamma_fundamental must be a sequence of integer tuples") from None
-        gammas = tuple(sorted(listed))
+        # strictly ascending input is distinct and sorted already
+        gammas = tuple(listed if all(map(lt, listed, listed[1:])) else sorted(set(listed)))
         bound = self.maximal_sum_bound
         per = self.lattice.periods
         for g in gammas:
@@ -329,23 +331,30 @@ class SemigroupDescription:
         return bases
 
     @cached_property
-    def class_bases(self) -> tuple[tuple[int, ...], ...]:
-        """Row k: the least base per last-coordinate class, ascending, for the
-        k-th region prefix r in ``product`` order (mixed-radix digits of k).
+    def dim_table(self) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+        """Row k, for the k-th region prefix r in ``product`` order (mixed-radix
+        digits of k): (lo, top, n, dims).  With B_c the least base of class c
+        mod a = a_{m-1}, lo is the least B_c, top the largest plus a, n the
+        class count and dims[t - lo] = dim(r, t) = sum_c max(0, (t - B_c) // a + 1).
         """
         per = self.lattice.periods
+        a = per[-1]
         rows = []
-        for r in product(*(range(a) for a in per)):
-            least: dict[int, int] = {}
-            for base in self._bases(r):
-                c = base % per[-1]
-                least[c] = min(base, least.get(c, base))
-            rows.append(tuple(sorted(least.values())))
+        for r in product(*(range(p) for p in per)):
+            least = {b % a: b for b in sorted(self._bases(r), reverse=True)}  # the least wins
+            lo, top = min(least.values()), max(least.values()) + a
+            marks = [0] * (top - lo)
+            for base in least.values():
+                marks[base - lo] += 1
+            dims = list(accumulate(marks))  # the number of classes with B_c <= t
+            for k in range(a):  # each of which gains one value every a steps
+                dims[k::a] = accumulate(dims[k::a])
+            rows.append((lo, top, len(least), tuple(dims)))
         return tuple(rows)
 
     @cached_property
     def least_translates(self) -> tuple[tuple[IntTuple, tuple[IntTuple, ...], int], ...]:
-        """Row k (prefix r as in :attr:`class_bases`): (the reachable last
+        """Row k (prefix r as in :attr:`dim_table`): (the reachable last
         coordinates v of the window [least base, largest base + lcm(periods)),
         ascending; the least translate E(r, v) of each, by the least carries of
         :func:`riemann_roch_basis`; the index of the largest base).
@@ -472,8 +481,8 @@ def validate_description(d: SemigroupDescription) -> list[str]:
 
     (c) and (d) are exact.  Sums and dim are lattice-invariant, so alpha runs
     over (r, s - |r|) for the region prefixes r.  There dim steps by 0 or 1
-    as s grows, as ``class_bases`` holds one base per class mod a_{m-1}, so
-    dim - (s + 1 - g) never rises.  If it is 0 at the sums 2g-1, ...,
+    as s grows, as ``dim_table`` counts one least base per class mod a_{m-1},
+    so dim - (s + 1 - g) never rises.  If it is 0 at the sums 2g-1, ...,
     2g-1+a_{m-1}, every class has stepped, so each later step is 1 and it
     stays 0.  dim is nonnegative and never falls, so 0 at sum -1 gives 0 below.
     """

@@ -15,9 +15,9 @@ flat ``dim`` grid (:func:`_dim_grid`) on the box grown below by one layer
 ``prod_i (1 - shift_i)`` as m axis passes (:func:`_axis_differences`), each
 a slice difference that drops the first layer along its axis.  dim is
 periodic under the period lattice, so every last-axis row is a slice of one
-run per region prefix r (``semigroup._dim_run``): a box request costs at most
-a_{m-1} ``dimension`` calls per row class among its rows instead of 2^m per
-point, and the flat table, in ``Box.points()`` order, is the result: a
+run per region prefix r (``semigroup._dim_run``), itself a slice of the
+description's dim table, so a box request asks ``dimension`` nothing.  The
+flat table, in ``Box.points()`` order, is the result: a
 :class:`BoxSeries` holds it as ``values``.  Infinite formal series
 cannot be multiplied in general, so each identity here is checked
 coefficientwise on a finite box, by an iterator over the violating points.
@@ -124,6 +124,8 @@ def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list
     with the last coordinate counted up.  The rows of one region prefix r are
     slices of one :func:`_dim_run` from their least t to their largest t plus
     the row width, so the work grows with the box's extent, not its position.
+    The runs slice ``d.dim_table`` (4371 cells on Hermitian q = 16, 33827 on
+    q = 32, 266307 on q = 64; see :func:`dimension`) and call no ``dimension``.
     """
     lo, width = lower[-1], upper[-1] - lower[-1] + 1
     # the carry loop of dimension, one axis at a time over the row heads:

@@ -112,8 +112,8 @@ def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
 
 def _check_class_counts(d: SemigroupDescription, box: Box) -> str | None:
     # description check, route: classes of Gamma(alpha) counted from one enumeration
-    # of the absolute maximal elements, never from the class-base table of
-    # dimension.  dimension counts by the last coordinate, and every other
+    # of the absolute maximal elements, never from the dim table that dimension and
+    # the grid read.  dimension counts by the last coordinate, and every other
     # coordinate gives the same count on a valid description, so unequal
     # counts also flag a broken one, which description-consistency reports first.
     dims = _dim_grid(d, box.lower, box.upper)
@@ -137,7 +137,9 @@ def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
 def _check_qp_identity(d: SemigroupDescription, box: Box) -> str | None:
     # implementation cross-check, route: dimension once at each raw point of the box
     # grown by two below, no lattice reduction, each p and q the unit-cube difference of
-    # its 2^m corners there, against the engine's P and Q, read from dim in row form
+    # its 2^m corners there, against the engine's P and Q, read from dim in row form.
+    # Both read the dim table (the grid slices rows, dimension one cell per point);
+    # dimension-class-counts is the route that checks the table, by enumeration
     alpha = next(qp_violations(d, box), None)
     return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 

@@ -131,7 +131,7 @@ def _classes(d, lower, upper):
 @pytest.fixture
 def grid_calls(monkeypatch):
     # per _dim_grid call: its corners and the dimension calls it made, counted
-    # in semigroup, where _dim_run looks dimension up
+    # at every module binding of dimension
     calls, grids = [], []
     dimension, dim_grid = semigroup.dimension, series._dim_grid
 
@@ -145,7 +145,8 @@ def grid_calls(monkeypatch):
         grids.append((lower, upper, list(calls)))
         return values
 
-    monkeypatch.setattr(semigroup, "dimension", counting)
+    for module in (semigroup, series, verify):
+        monkeypatch.setattr(module, "dimension", counting)
     for module in (series, plotting):
         monkeypatch.setattr(module, "_dim_grid", recording)
     return grids
@@ -168,12 +169,13 @@ def _m5_descriptions():
 def _last_axis_cases(n, d):
     # rows headed at every region prefix, so every row's first cell reduces to
     # t = the last coordinate, with last-axis ranges wholly below the least
-    # class base, straddling the least and the largest base, and far above
-    # with an offset that is no multiple of a_{m-1}; widths cycle through 1,
-    # below a_{m-1} (a run of seeds only) and wider; odd n move the box by a
-    # lattice vector, which leaves every value in place
+    # lo of the dim table, straddling the least lo and the largest top, and
+    # far above with an offset that is no multiple of a_{m-1}; widths cycle
+    # through 1, below a_{m-1} (inside one residue period) and wider; odd n
+    # move the box by a lattice vector, which leaves every value in place
     a = d.lattice.periods[-1]
-    bases = [b for row in d.class_bases for b in row]
+    lo = min(row[0] for row in d.dim_table)
+    top = max(row[1] for row in d.dim_table)
     widths = (1, max(a - 1, 1), 7)
     heads = tuple(per - 1 for per in d.lattice.periods)
     shift = n % 5 - 2 if n % 2 else 0
@@ -181,12 +183,12 @@ def _last_axis_cases(n, d):
     for i, per in enumerate(d.lattice.periods):
         vector[i] += shift * (i + 1) * per
         vector[i + 1] -= shift * (i + 1) * per
-    for j, lo in enumerate((min(bases) - 9, min(bases) - 2, 10007)):
+    for j, first in enumerate((lo - 9, lo - 2, 10007)):
         width = widths[(n + j) % 3]
         if j == 1:
-            width = max(width, max(bases) - min(bases) + 5)
-        lower = (0,) * (d.m - 1) + (lo,)
-        upper = heads + (lo + width - 1,)
+            width = max(width, top - a - lo + 5)
+        lower = (0,) * (d.m - 1) + (first,)
+        upper = heads + (first + width - 1,)
         yield Box(tadd(lower, tuple(vector)), tadd(upper, tuple(vector)))
 
 
@@ -200,9 +202,9 @@ def _dim_grid_cases():
 
 
 def test_dim_grid_equals_fresh_per_point_dimension():
-    # ground truth from dimension at every raw point, where the grid asks
-    # dimension at a_{m-1} region points per row class and extends each
-    # class's run by the class-base count
+    # ground truth from dimension at every raw point, where the grid slices
+    # one row of the dim table per row class and extends it past the row's
+    # top by the class count
     cases = _dim_grid_cases()
     for d, box in cases:
         want = [semigroup.dimension(d, a) for a in box.points()]
@@ -222,41 +224,20 @@ def test_dim_grid_equals_fresh_per_point_dimension():
     assert sum(b.lower[-1] > 9000 for _, b in cases) >= 300
 
 
-def _row_classes(d, lower, upper):
-    # the region prefixes of the rows' first cells
-    heads = Box(lower[:-1] + (lower[-1],), upper[:-1] + (lower[-1],)).points()
-    return {canonicalize(d.lattice, a)[0][:-1] for a in heads}
-
-
-def _assert_at_most_a_per_row_class(d, grids):
-    # every call is at a region point of a row class its grid touches, no
-    # class is asked more than a_{m-1} times, and no grid asks once per cell
-    a = d.lattice.periods[-1]
-    for lower, upper, calls in grids:
-        classes = _row_classes(d, lower, upper)
-        for alpha in calls:
-            assert d.lattice.in_region(alpha) and alpha[:-1] in classes, alpha
-        for r in classes:
-            assert sum(alpha[:-1] == r for alpha in calls) <= a, r
-        assert len(calls) < Box(lower, upper).point_count()
-
-
-def test_series_dimension_calls_are_at_most_a_per_row_class(grid_calls):
-    # work bound: at most a_{m-1} dimension calls per row class of the grid
-    # grown below the box (by 2 for Q, by 1 for L and P), never one per cell
+def test_series_grids_ask_dimension_nothing(grid_calls):
+    # work bound: the grid grown below the box (by 2 for Q, by 1 for L and P)
+    # is sliced from the dim table and asks dimension nothing
     cases = [(genus0_description(3), Box((-1,) * 3, (1,) * 3))] + PERIODIC_CASES
     for d, box in cases:
         for kind in ("L", "Q", "P"):
             series_on_box(d, kind, box)
             grow = 2 if kind == "Q" else 1
             assert grid_calls[-1][:2] == (tuple(x - grow for x in box.lower), box.upper)
-            _assert_at_most_a_per_row_class(d, grid_calls[-1:])
-    # genus 0 has one row class and a_{m-1} = 1 (grids of 64, 125 and 64
-    # cells); h9 has 10 classes and a_{m-1} = 10 (1748, 1833 and 1748 cells)
-    assert [len(calls) for _, _, calls in grid_calls[:6]] == [1, 1, 1, 100, 100, 100]
+    assert len(grid_calls) == 9
+    assert [calls for _, _, calls in grid_calls] == [[]] * 9
 
 
-def test_plot_and_symmetry_dimension_calls_are_at_most_a_per_row_class(monkeypatch, grid_calls):
+def test_plot_and_symmetry_grids_ask_dimension_nothing(monkeypatch, grid_calls):
     h3 = hermitian_description(3)
     sigma = symmetry_report(h3).sigma
     box = Box((-6, -5), (8, 8))
@@ -270,9 +251,7 @@ def test_plot_and_symmetry_dimension_calls_are_at_most_a_per_row_class(monkeypat
     near = (tsub(box.lower, (2, 2)), box.upper)
     far = (tsub(tsub(sigma, box.upper), (1, 1)), tadd(tsub(sigma, box.lower), (1, 1)))
     assert [g[:2] for g in grid_calls[1:]] == [near, far]
-    _assert_at_most_a_per_row_class(h3, grid_calls)
-    # 4 row classes with a_{m-1} = 4 in each grid
-    assert [len(calls) for _, _, calls in grid_calls] == [16, 16, 16]
+    assert [calls for _, _, calls in grid_calls] == [[], [], []]
 
 
 def test_verify_catches_a_dimension_fault_outside_the_region(monkeypatch):

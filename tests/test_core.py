@@ -195,6 +195,25 @@ def test_constructors_reject_non_integers():
     assert d.gamma_fundamental == ((0, 0), (1, 0))
 
 
+def test_description_stores_gammas_sorted_and_distinct_from_any_order():
+    # strictly ascending input is taken as it is; any other order, or a
+    # repeated gamma, is sorted and deduplicated, and every check still runs
+    d = hermitian_description(4)
+    want = d.gamma_fundamental
+    assert list(want) == sorted(set(want))
+    orders = (want, want[::-1], want[1::2] + want[::2], want + want[:2], [list(g) for g in want])
+    for listed in orders:
+        assert SemigroupDescription(2, d.genus, d.lattice, listed).gamma_fundamental == want
+    for listed, error in (
+        (((0, 0), (1,)), "has wrong length"),
+        (((0, 0), (1, 2), (5, -1)), "outside the fundamental region"),
+        (((0, 0), (1, 12)), "sum 13 outside \\[0, 12\\]"),
+        (((1, 2),), "must contain the zero tuple"),
+    ):
+        with pytest.raises(ValueError, match=error):
+            SemigroupDescription(2, d.genus, d.lattice, listed)
+
+
 def test_description_json_roundtrip(tmp_path, hermitian_q3, genus0_m3):
     for d in (hermitian_q3, genus0_m3):
         path = tmp_path / "d.json"

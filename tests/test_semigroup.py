@@ -1,5 +1,5 @@
 import random
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm
 
 import pytest
@@ -190,6 +190,87 @@ def test_dimension_equals_class_counts_on_random_descriptions():
                 assert counts == [want] * d.m, (d, alpha)
             nonzero += want > 0
     assert nonzero >= 300
+
+
+def _regime_points(d, rng):
+    # per row of the dim table: last coordinates below lo, inside [lo, top)
+    # and past top by an offset that is no multiple of a_{m-1} when
+    # a_{m-1} > 1, each moved off the region by a random lattice vector
+    per = d.lattice.periods
+    a = per[-1]
+    rows = zip(product(*(range(p) for p in per)), d.dim_table)
+    for r, (lo, top, n, _) in rows:
+        past = top + rng.randint(0, 3) * a + (rng.randrange(1, a) if a > 1 else 0)
+        for regime, t in (("below", lo - rng.randint(1, 4)), ("inside", rng.randrange(lo, top)),
+                          ("past", past)):
+            alpha = list(r) + [t]
+            for i, p in enumerate(per):
+                k = rng.randint(-3, 3) * p
+                alpha[i] += k
+                alpha[i + 1] -= k
+            yield regime, n < a, tuple(alpha)
+
+
+def test_dimension_regimes_equal_enumeration():
+    # the three regimes of the table lookup (0 below lo, a read in [lo, top),
+    # the periodic extension past top) against the distinct last coordinates
+    # of full enumeration, on valid descriptions and on seeded random ones,
+    # most of them invalid and many with rows of fewer than a_{m-1} classes
+    rng = random.Random(2718)
+    cases = [
+        genus0_description(3),
+        genus0_description(4),
+        hermitian_description(3),
+        hermitian_description(4),
+        SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1))),
+    ]
+    for _ in range(40):
+        m = rng.choice((2, 3, 4))
+        periods = tuple(rng.randint(1, 4) for _ in range(m - 1))
+        genus = rng.randint(0, 3)
+        gammas = {(0,) * m}
+        for _ in range(rng.randint(0, 5)):
+            head = tuple(rng.randrange(p) for p in periods)
+            gammas.add(head + (rng.randint(0, 2 * genus - 2 + m) - sum(head),))
+        cases.append(SemigroupDescription(m, genus, Lattice(periods), tuple(gammas)))
+    seen = set()
+    for d in cases:
+        invalid = bool(validate_description(d))
+        for regime, sparse, alpha in _regime_points(d, rng):
+            want = len({beta[-1] for beta in absolute_maximals_below(d, alpha)})
+            assert dimension(d, alpha) == want, (d, regime, alpha)
+            seen.add((regime, sparse, invalid))
+    assert {(r, s) for r, s, _ in seen} == set(product(("below", "inside", "past"), (False, True)))
+    assert {invalid for _, _, invalid in seen} == {False, True}
+
+
+def test_dim_table_cell_counts():
+    # size gate in place of a wall-clock one: the table holds top - lo cells
+    # per row, one row per region prefix, and every Hermitian row has all
+    # q + 1 classes
+    for q, cells in ((9, 822), (16, 4371)):
+        rows = hermitian_description(q).dim_table
+        assert len(rows) == q + 1
+        assert all(len(dims) == top - lo and n == q + 1 for lo, top, n, dims in rows)
+        assert sum(top - lo for lo, top, _, _ in rows) == cells
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_dimension_equals_hermitian_oracle_far_from_the_region(q):
+    # a full period of columns and the last coordinate from below the least lo
+    # to past the largest top, moved 1009 periods along the lattice, and the
+    # same columns about 100 periods past top: every regime of every row
+    d = hermitian_description(q)
+    a = q + 1
+    lo = min(row[0] for row in d.dim_table)
+    top = max(row[1] for row in d.dim_table)
+    shift = 1009 * a
+    for lower, upper in (
+        ((shift, lo - 3 - shift), (shift + q, top + 2 * a + 1 - shift)),
+        ((0, top + 100 * a + 1), (q, top + 102 * a)),
+    ):
+        for alpha in Box(lower, upper).points():
+            assert dimension(d, alpha) == hermitian_dimension(q, alpha), alpha
 
 
 @pytest.mark.parametrize(

@@ -156,12 +156,12 @@ def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
     assert failed == {"qp-identity", "poincare-support", "polynomial-reconstruction"}
 
 
-def test_requests_leave_only_the_class_base_table():
-    # the class-base table is the only state box requests leave on a
-    # description beyond its fields: written once, one row per prefix of the
-    # region; the first basis query adds the least-translate table, once
+def test_requests_leave_only_the_dim_table():
+    # the dim table is the only state box requests leave on a description
+    # beyond its fields: written once, one row per prefix of the region; the
+    # first basis query adds the least-translate table, once
     h3, g3 = hermitian_description(3), genus0_description(3)
-    tables = {id(d): d.class_bases for d in (h3, g3)}
+    tables = {id(d): d.dim_table for d in (h3, g3)}
     run_verification(h3, Box((-6, -6), (8, 8)))
     run_verification(g3, Box((-2, -2, -2), (2, 2, 2)))
     for kind in ("L", "Q", "P"):
@@ -173,16 +173,16 @@ def test_requests_leave_only_the_class_base_table():
     assert is_maximal(g3, (0, 0, 1)) and is_absolute_maximal(h3, (2, 2))
     for d, rows in ((h3, 4), (g3, 1)):
         fields = {f.name for f in dataclasses.fields(d)}
-        assert set(vars(d)) - fields == {"class_bases"}
-        assert d.class_bases is tables[id(d)]
-        assert len(d.class_bases) == rows
+        assert set(vars(d)) - fields == {"dim_table"}
+        assert d.dim_table is tables[id(d)]
+        assert len(d.dim_table) == rows
         alpha = (1,) * d.m
         assert len(riemann_roch_basis(d, alpha)) == dimension(d, alpha)
-        assert set(vars(d)) - fields == {"class_bases", "least_translates"}
+        assert set(vars(d)) - fields == {"dim_table", "least_translates"}
         least = d.least_translates
         assert len(least) == rows
         riemann_roch_basis(d, (9,) * d.m)
-        assert d.least_translates is least and d.class_bases is tables[id(d)]
+        assert d.least_translates is least and d.dim_table is tables[id(d)]
 
 
 def test_verification_skips_profile_for_many_points(genus0_m3):
@@ -479,19 +479,19 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
 
     for module in (semigroup, series, verify):
         monkeypatch.setattr(module, "dimension", counting)
-    # each dim grid asks a_{m-1} region points per row class it touches:
-    # 4 classes x 4 on h3 and 1 x 1 on genus 0, so the class counts ask one
-    # grid, qp-identity two beside its raw points, poincare-support and
-    # polynomial-reconstruction one through the engine's P, and the
-    # symmetry equations two.  description-consistency asks one grid for the
-    # slab's L (16 on h3), is_absolute_maximal at its terms equal to 1, and
-    # dimension at every prefix for the a_{m-1} + 1 sums of (c) and sum -1 of (d)
+    # a dim grid is sliced from the dim table and asks dimension nothing, so
+    # the class counts ask nothing and the engine's P, Q and L add nothing to
+    # the per-point calls of qp-identity, poincare-support,
+    # polynomial-reconstruction and the symmetry equations.
+    # description-consistency asks is_absolute_maximal at the slab's L terms
+    # equal to 1, and dimension at every prefix for the a_{m-1} + 1 sums of
+    # (c) and sum -1 of (d)
     want = {
         (hermitian_q3, Box((-6, -6), (8, 8))): [
-            80, 16, 461, 321, 1156, 713, 127, 2976, 156, 54, 72,
+            64, 0, 461, 289, 1156, 697, 111, 2976, 156, 22, 72,
         ],
         (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
-            11, 1, 281, 627, 1552, 854, 79, 10220, 81, 22, 0,
+            10, 0, 281, 625, 1552, 853, 78, 10220, 81, 20, 0,
         ],
     }
     for (d, box), counts in want.items():
