@@ -144,7 +144,7 @@ def test_dimension_matches_oracles(hermitian_q2, hermitian_q3, genus0_m2, genus0
 
 
 def test_dimension_equals_class_count_for_every_index(hermitian_q3, genus0_m3):
-    # dimension's class-base lookup must agree with full enumeration, classed
+    # dimension's table lookup must agree with full enumeration, classed
     # by any coordinate, not just the last one
     for d, box in [
         (hermitian_q3, Box((-5, -5), (7, 8))),
