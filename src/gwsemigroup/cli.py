@@ -11,9 +11,9 @@ Input faults are the library's to find: every ``ValueError`` it raises on a
 request is one, and :func:`main` maps it to exit 2 with the library's text.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (an ``--out`` that
-cannot be written included), 3 resource cap (a box above ``--cap``, for
-``series polynomial`` and ``verify`` the fundamental slab's box as well; a
-``query basis`` or ``gen`` listing more than ``DEFAULT_CAP`` points or entries).
+cannot be written included), 3 resource cap (a box or the fundamental slab's
+box above ``--cap``, ``DEFAULT_CAP`` for ``query``; a ``query basis`` or
+``gen`` listing more than ``DEFAULT_CAP`` points or entries).
 All outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -90,13 +90,13 @@ def _load(path: str) -> SemigroupDescription:
 
 
 def _capped(args: argparse.Namespace, what: str, box: Box) -> Box:
-    """The box, once its point count is within ``--cap``: exit 3 above it."""
-    if args.cap < 1:
-        raise UsageError(f"cap must be a positive integer, got {args.cap}")
-    if (n := box.point_count()) > args.cap:
-        raise _CapExceeded(
-            f"{what} holds {n} points, above the cap of {args.cap} (raise --cap to override)"
-        )
+    """The box, once within ``--cap`` points (``DEFAULT_CAP`` for ``query``): exit 3 above it."""
+    cap = getattr(args, "cap", DEFAULT_CAP)
+    if cap < 1:
+        raise UsageError(f"cap must be a positive integer, got {cap}")
+    if (n := box.point_count()) > cap:
+        hint = " (raise --cap to override)" if hasattr(args, "cap") else ""
+        raise _CapExceeded(f"{what} holds {n} points, above the cap of {cap}{hint}")
     return box
 
 
@@ -106,6 +106,7 @@ def _box(args: argparse.Namespace, d: SemigroupDescription) -> Box:
         raise UsageError(f"{args.command} requires --box")
     box = parse_box(args.box)
     require_box_dim(box, d.m)
+    _capped(args, "the fundamental slab's box", _slab_box(d))  # d.dim_table holds at most twice it
     return _capped(args, "box", box)
 
 
@@ -157,6 +158,7 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_query(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
     alpha = parse_tuple(args.alpha)
+    _capped(args, "the fundamental slab's box", _slab_box(d))  # d.dim_table holds at most twice it
     # a basis lists dim(alpha) points, so its size is known before it is built
     if args.op == "basis" and (n := dimension(d, alpha)) > DEFAULT_CAP:
         raise _CapExceeded(f"a basis of {n} points is above the cap of {DEFAULT_CAP}")
@@ -191,8 +193,6 @@ def _cmd_series(args: argparse.Namespace) -> tuple[str, int]:
 def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
     box = _box(args, d)
-    # description-consistency fills the L table of the slab's box
-    _capped(args, "the fundamental slab's box", _slab_box(d))
     results = run_verification(d, box)
     code = EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
     if args.format == "json":

@@ -181,9 +181,9 @@ def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
     stored value in [lo, top), and past top, where each of the n classes
     gains one value every a = a_{m-1} steps, dim(r, t - k a) + k n with
     k = (t - top) // a + 1, in the row's last a cells; exact for invalid
-    descriptions too, where n < a.  The first call builds the table, fewer
-    than 2g + 3 sum(periods) + a cells per row: Hermitian q = 16, 32 and 64
-    hold 4371, 33827 and 266307, built in 1, 4 and 26 ms (x86-64, CPython 3.11).
+    descriptions too, where n < a.  The first call builds the table, at most
+    2g - 2 + m + sum(a_i - 1) + a cells a row (the slab box's row plus a - 1):
+    Hermitian q = 16, 32, 64 hold 4371, 33827, 266307, built in 1, 4, 26 ms (x86-64).
     """
     try:
         n = len(alpha)
@@ -208,20 +208,24 @@ def dimension(d: SemigroupDescription, alpha: IntTuple) -> int:
     lo, top, n, dims = d.dim_table[row]
     if t < top:
         return dims[t - lo] if t >= lo else 0
-    t -= top  # a is now a_{m-1}
-    return dims[t % a - a] + (t // a + 1) * n
+    return _past_top(dims, n, a, t - top)  # a is now a_{m-1}
+
+
+def _past_top(dims: tuple[int, ...], n: int, a: int, j: int) -> int:
+    """dim(r, top + j), j >= 0, from the row's (n, dims) and a = a_{m-1}."""
+    return dims[j % a - a] + (j // a + 1) * n
 
 
 def _dim_run(d: SemigroupDescription, r: IntTuple, u: int, count: int) -> list[int]:
     """dim at (r, u), (r, u + 1), ..., (r, u + count - 1), r a region prefix:
-    zeros below row r of ``d.dim_table``, a slice of it, and past its top the
-    periodic extension of :func:`dimension`.
+    zeros below row r of ``d.dim_table``, a slice of it, and past its top
+    :func:`_past_top`, as in :func:`dimension`.
     """
     a = d.lattice.periods[-1]
     lo, top, n, dims = d.dim_table[_flat(r, d.lattice.periods)]
     zeros = [0] * max(min(lo, u + count) - u, 0)
     head = dims[max(u - lo, 0):max(u + count - lo, 0)]
-    tail = [dims[j % a - a] + (j // a + 1) * n for j in range(max(u - top, 0), u + count - top)]
+    tail = [_past_top(dims, n, a, j) for j in range(max(u - top, 0), u + count - top)]
     return zeros + list(head) + tail
 
 

@@ -124,8 +124,7 @@ def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list
     with the last coordinate counted up.  The rows of one region prefix r are
     slices of one :func:`_dim_run` from their least t to their largest t plus
     the row width, so the work grows with the box's extent, not its position.
-    The runs slice ``d.dim_table`` (4371 cells on Hermitian q = 16, 33827 on
-    q = 32, 266307 on q = 64; see :func:`dimension`) and call no ``dimension``.
+    The runs slice ``d.dim_table``, sized in :func:`dimension`, and call no ``dimension``.
     """
     lo, width = lower[-1], upper[-1] - lower[-1] + 1
     # the carry loop of dimension, one axis at a time over the row heads:

@@ -137,9 +137,8 @@ def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
 def _check_qp_identity(d: SemigroupDescription, box: Box) -> str | None:
     # implementation cross-check, route: dimension once at each raw point of the box
     # grown by two below, no lattice reduction, each p and q the unit-cube difference of
-    # its 2^m corners there, against the engine's P and Q, read from dim in row form.
-    # Both read the dim table (the grid slices rows, dimension one cell per point);
-    # dimension-class-counts is the route that checks the table, by enumeration
+    # its 2^m corners there, against the engine's P and Q, read from dim in row form;
+    # both read the dim table, which dimension-class-counts checks by enumeration
     alpha = next(qp_violations(d, box), None)
     return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 

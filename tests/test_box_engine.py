@@ -202,9 +202,10 @@ def _dim_grid_cases():
 
 
 def test_dim_grid_equals_fresh_per_point_dimension():
-    # ground truth from dimension at every raw point, where the grid slices
-    # one row of the dim table per row class and extends it past the row's
-    # top by the class count
+    # the grid slices rows of the same dim table that dimension reads, so
+    # this checks the slicing, the row reduction and the periodic tail, not
+    # the table: that rests on test_dimension_regimes_equal_enumeration and
+    # test_dimension_equals_hermitian_oracle_far_from_the_region
     cases = _dim_grid_cases()
     for d, box in cases:
         want = [semigroup.dimension(d, a) for a in box.points()]

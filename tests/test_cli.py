@@ -10,7 +10,7 @@ import pytest
 import gwsemigroup
 from gwsemigroup import cli, series
 from gwsemigroup.cli import UsageError, main, parse_box, parse_tuple
-from gwsemigroup.core import Box, load_description
+from gwsemigroup.core import Box, Lattice, SemigroupDescription, load_description, save_description
 from gwsemigroup.series import series_on_box
 
 from window_data import MAXIMALS_Q3_WINDOW, NONMAXIMAL_MEMBERS_Q3_WINDOW
@@ -275,6 +275,54 @@ def test_slab_above_the_cap_exits_3_before_any_work(capsys, q3_file, monkeypatch
     monkeypatch.undo()
     code, _, _ = run_cli(capsys, [*argv, "--desc", q3_file, "--cap", "40"])
     assert code == 0
+
+
+def _table_tripwire(monkeypatch):
+    # every dimension, and so every grid, reads the table first
+    def tripwire(self):
+        raise AssertionError("the dim table was built")
+
+    monkeypatch.setattr(SemigroupDescription, "dim_table", property(tripwire))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["query", "dim", "0,0"],
+        ["query", "member", "5,5"],
+        ["series", "L", "--box", "0..1,0..1"],
+        ["plot", "--box", "0..1,0..1"],
+    ],
+)
+def test_slab_above_the_cap_exits_3_before_the_dim_table(capsys, tmp_path, monkeypatch, argv):
+    # the first dimension call builds the whole dim table, about as large as
+    # the slab's box: 257 * 65537 = 16843009 cells on h256, above the default
+    # cap however small the request
+    path = tmp_path / "h256.json"
+    assert main(["gen", "hermitian", "--q", "256", "--out", str(path)]) == 0
+    _table_tripwire(monkeypatch)
+    code, out, err = run_cli(capsys, [*argv, "--desc", str(path)])
+    assert (code, out) == (3, "") and "Traceback" not in err
+    assert f"slab's box holds 16843009 points, above the cap of {cli.DEFAULT_CAP}" in err
+    assert ("--cap" in err) == (argv[0] != "query")
+    if argv[0] != "query":
+        with pytest.raises(AssertionError, match="dim table was built"):
+            main([*argv, "--desc", str(path), "--cap", "16843009"])
+
+
+def test_query_slab_cap_is_the_default_cap(capsys, tmp_path, monkeypatch):
+    # query takes no --cap: m = 2, period 2 and genus g give a slab box of
+    # 2 (2g + 2) points, so g = 2499999 fits 10^7 and g = 2500000 does not
+    _table_tripwire(monkeypatch)
+    for genus, fits in ((2499999, True), (2500000, False)):
+        path = tmp_path / f"g{genus}.json"
+        save_description(SemigroupDescription(2, genus, Lattice((2,)), ((0, 0), (1, 0))), path)
+        if fits:
+            with pytest.raises(AssertionError, match="dim table was built"):
+                main(["query", "dim", "3,4", "--desc", str(path)])
+        else:
+            code, out, err = run_cli(capsys, ["query", "dim", "3,4", "--desc", str(path)])
+            assert (code, out) == (3, "") and "holds 10000004 points" in err
 
 
 # ---------------------------------------------------------------------------

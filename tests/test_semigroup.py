@@ -27,7 +27,7 @@ from gwsemigroup import (
     riemann_roch_basis,
     two_point_profile,
 )
-from gwsemigroup import semigroup
+from gwsemigroup import semigroup, series
 from gwsemigroup.core import (
     Lattice,
     SemigroupDescription,
@@ -240,6 +240,11 @@ def test_dimension_regimes_equal_enumeration():
             want = len({beta[-1] for beta in absolute_maximals_below(d, alpha)})
             assert dimension(d, alpha) == want, (d, regime, alpha)
             seen.add((regime, sparse, invalid))
+        # the CLI caps the slab's box in place of the table: a row of the table
+        # is at most a_{m-1} - 1 cells longer than a last-axis row of that box
+        slab = series._slab_box(d)
+        row = slab.upper[-1] - slab.lower[-1] + 1
+        assert all(top - lo < row + d.lattice.periods[-1] for lo, top, _, _ in d.dim_table), d
     assert {(r, s) for r, s, _ in seen} == set(product(("below", "inside", "past"), (False, True)))
     assert {invalid for _, _, invalid in seen} == {False, True}
 
