@@ -121,17 +121,12 @@ def _json(payload: object, indent: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 # subcommands: each returns (output text, exit code)
 
-# gen family -> (the flag giving its parameter, fixture builder)
+# gen family -> (the flag giving its parameter, fixture builder, what its JSON
+# lists, that list's integer entries at a parameter >= 2): q + 1 gammas of two
+# coordinates, or m - 1 generator rows of m coordinates
 _FAMILIES = {
-    "hermitian": ("q", hermitian_description),
-    "genus0": ("m", genus0_description),
-}
-
-# gen family -> (what its JSON lists, that list's integer entries at a parameter >= 2):
-# q + 1 gammas of two coordinates, or m - 1 generator rows of m coordinates
-_GEN_SIZES = {
-    "hermitian": ("gamma", lambda q: 2 * (q + 1)),
-    "genus0": ("lattice generator", lambda m: m * (m - 1)),
+    "hermitian": ("q", hermitian_description, "gamma", lambda q: 2 * (q + 1)),
+    "genus0": ("m", genus0_description, "lattice generator", lambda m: m * (m - 1)),
 }
 
 _QUERIES = {
@@ -144,12 +139,11 @@ _QUERIES = {
 
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
-    flag, build = _FAMILIES[args.family]
+    flag, build, what, size = _FAMILIES[args.family]
     value = getattr(args, flag)
     if value is None:
         raise UsageError(f"gen {args.family} requires --{flag}")
     # the output's size is known before the build; a parameter < 2 is the builder's to refuse
-    what, size = _GEN_SIZES[args.family]
     if value > 1 and (n := size(value)) > DEFAULT_CAP:
         raise _CapExceeded(f"{n} {what} entries are above the cap of {DEFAULT_CAP}")
     return build(value).dumps(), EXIT_OK

@@ -480,9 +480,10 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     (b) is therefore a cross-check of the implementation.
 
     (c) and (d) are exact.  Sums and dim are lattice-invariant, so alpha runs
-    over (r, s - |r|) for the region prefixes r.  There dim steps by 0 or 1
-    as s grows, as ``dim_table`` counts one least base per class mod a_{m-1},
-    so dim - (s + 1 - g) never rises.  If it is 0 at the sums 2g-1, ...,
+    over the layer ``sum_slab(s, s)``, the points (r, s - |r|) for the region
+    prefixes r, sum by sum.  Along each r dim steps by 0 or 1 as s grows, as
+    ``dim_table`` counts one least base per class mod a_{m-1}, so
+    dim - (s + 1 - g) never rises.  If it is 0 at the sums 2g-1, ...,
     2g-1+a_{m-1}, every class has stepped, so each later step is 1 and it
     stays 0.  dim is nonnegative and never falls, so 0 at sum -1 gives 0 below.
     """
@@ -499,19 +500,16 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     ]
 
     g2 = 2 * d.genus - 1
-    prefixes = list(product(*(range(a) for a in d.lattice.periods)))
     for s in range(g2, g2 + d.lattice.periods[-1] + 1):
-        for prefix in prefixes:
-            alpha = prefix + (s - sum(prefix),)
-            expected = s + 1 - d.genus
+        expected = s + 1 - d.genus
+        for alpha in d.lattice.sum_slab(s, s):
             got = semigroup.dimension(d, alpha)
             if got != expected:
                 violations.append(
                     f"(c) dim({alpha}) = {got}, Riemann-Roch predicts {expected}"
                 )
 
-    for prefix in prefixes:
-        alpha = prefix + (-1 - sum(prefix),)
+    for alpha in d.lattice.sum_slab(-1, -1):
         got = semigroup.dimension(d, alpha)
         if got != 0:
             violations.append(f"(d) dim({alpha}) = {got}, expected 0 for sum -1")

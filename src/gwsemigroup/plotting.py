@@ -4,8 +4,8 @@ Open circles mark maximal elements, filled dots the remaining members, with
 the first coordinate rightward and the second upward on a unit grid.  The
 points are classified from one ``dim`` grid on the box grown by one layer
 below, by the dimension tests of ``is_member`` and ``is_maximal``; the grid
-asks ``dimension`` at most a_{m-1} times per row class among its rows.  The
-SVG is assembled by hand so identical inputs give byte-identical files.
+is sliced from the description's dim table and asks ``dimension`` nothing.
+The SVG is assembled by hand so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations

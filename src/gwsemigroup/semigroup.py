@@ -23,10 +23,11 @@ to k_i * a_i, which gives
 The last-level bound is exactly the constraint beta_m <= alpha_m, so every
 leaf of the walk is a genuine element of Gamma(alpha).  A lower corner
 bounds the walk the same way with the inequalities reversed.  The walk
-serves only :func:`absolute_maximals_below` and :func:`_reach_tables`:
-:func:`dimension` reads a table of dim per region prefix and
-:func:`riemann_roch_basis` one of least translates per reachable last
-coordinate, both built once from the carry bounds and extended by periodicity.
+serves only :func:`absolute_maximals_below`, :func:`_reach_tables` and the
+full-support witness of ``series.symmetry_report``: :func:`dimension` reads
+a table of dim per region prefix and :func:`riemann_roch_basis` one of least
+translates per reachable last coordinate, both built once from the carry
+bounds and extended by periodicity.
 """
 
 from __future__ import annotations

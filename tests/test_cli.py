@@ -159,7 +159,8 @@ def test_gen_genus0_above_the_cap_exits_3_before_building(capsys, monkeypatch):
         built.append(m)
         return gwsemigroup.genus0_description(2)
 
-    monkeypatch.setitem(cli._FAMILIES, "genus0", ("m", recording))
+    entry = ("m", recording, *cli._FAMILIES["genus0"][2:])
+    monkeypatch.setitem(cli._FAMILIES, "genus0", entry)
     code, out, err = run_cli(capsys, ["gen", "genus0", "--m", "3163"])
     assert (code, out, built) == (3, "", [])
     assert "10001406" in err and str(cli.DEFAULT_CAP) in err and "Traceback" not in err
@@ -180,7 +181,8 @@ def test_gen_hermitian_above_the_cap_exits_3_before_building(capsys, monkeypatch
         built.append(q)
         return gwsemigroup.hermitian_description(2)
 
-    monkeypatch.setitem(cli._FAMILIES, "hermitian", ("q", recording))
+    entry = ("q", recording, *cli._FAMILIES["hermitian"][2:])
+    monkeypatch.setitem(cli._FAMILIES, "hermitian", entry)
     code, out, err = run_cli(capsys, ["gen", "hermitian", "--q", "5000000"])
     assert (code, out, built) == (3, "", [])
     assert "10000002" in err and str(cli.DEFAULT_CAP) in err and "Traceback" not in err
