@@ -1,6 +1,8 @@
 import pytest
 
-from gwsemigroup import Lattice, SemigroupDescription, genus0_description, hermitian_description
+from gwsemigroup import genus0_description, hermitian_description
+
+import corpus
 
 
 @pytest.fixture(scope="session")
@@ -30,8 +32,9 @@ def genus0_m4():
 
 @pytest.fixture(scope="session")
 def broken_m4():
-    # invalid: (1, 0, 1, 5) is not absolute maximal; periods above 1 below
-    # the last level, so lower carries matter
-    return SemigroupDescription(
-        4, 3, Lattice((2, 1, 4)), ((0, 0, 0, 0), (1, 0, 1, 5), (1, 0, 3, -4))
-    )
+    return corpus.BROKEN_M4
+
+
+@pytest.fixture(scope="session")
+def periodic_m3():
+    return corpus.PERIODIC_M3

@@ -30,23 +30,15 @@ from gwsemigroup import (
 from gwsemigroup import plotting, semigroup, series, verify
 from gwsemigroup.core import canonicalize, ones, tadd, tsub, unit, validate_description
 from gwsemigroup.series import symmetry_violations
-from test_verify import _class_count_corpus
+from corpus import (
+    H3_EXTRA_GAMMA,
+    H3_WITHOUT_22,
+    PERIODIC_M3,
+    class_count_corpus,
+    random_description,
+)
 
 COEFF = {"L": coeff_l, "Q": coeff_q, "P": coeff_p}
-
-
-def _random_description(rng: random.Random) -> SemigroupDescription:
-    # zero plus up to four random gammas in the fundamental region; most of
-    # these are not valid descriptions, which the engine must not care about
-    m = rng.randint(2, 4)
-    periods = [rng.randint(1, 3) for _ in range(m - 1)]
-    genus = rng.randint(0, 3)
-    bound = 2 * genus - 2 + m
-    gammas = {(0,) * m}
-    for _ in range(rng.randint(0, 4)):
-        head = [rng.randrange(a) for a in periods]
-        gammas.add((*head, rng.randint(0, bound) - sum(head)))
-    return SemigroupDescription(m, genus, Lattice(periods), tuple(gammas))
 
 
 def _random_box(rng: random.Random, m: int) -> Box:
@@ -72,7 +64,7 @@ def _engine_cases():
     ]
     rng = random.Random(5150)
     for _ in range(40):
-        d = _random_description(rng)
+        d = random_description(rng)
         cases.append((d, _random_box(rng, d.m)))
     return cases
 
@@ -110,17 +102,11 @@ def test_window_equals_indexing_the_box_points():
             assert series._window(table, shape, start, size) == list(sub.points())
 
 
-def _periodic_m3():
-    # m = 3 with period 2 at the first, non-last level; it passes
-    # validate_description, which no m >= 3 fixture with a period > 1 does
-    return SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1)), label="m3-a2")
-
-
 # boxes spanning at least three periods along every constrained axis, so
 # that most cells repeat the class of another cell
 PERIODIC_CASES = [
     (hermitian_description(9), Box((-12, -20), (20, 25))),
-    (_periodic_m3(), Box((-4, -3, -5), (3, 4, 3))),
+    (PERIODIC_M3, Box((-4, -3, -5), (3, 4, 3))),
 ]
 
 
@@ -193,12 +179,12 @@ def _last_axis_cases(n, d):
 
 
 def _dim_grid_cases():
-    cases = ENGINE_CASES + PERIODIC_CASES + _class_count_corpus()
+    # each distinct pair once: the three lists share five pairs, and equal
+    # seeded descriptions share last-axis boxes
+    cases = ENGINE_CASES + PERIODIC_CASES + class_count_corpus()
     cases += [(d, Box((-2,) * 5, (1, 0, 1, 2, 1))) for d in _m5_descriptions()]
-    extra = []
-    for n, (d, _) in enumerate(cases):
-        extra += [(d, box) for box in _last_axis_cases(n, d)]
-    return cases + extra
+    extra = [(d, box) for n, (d, _) in enumerate(cases) for box in _last_axis_cases(n, d)]
+    return list(dict.fromkeys(cases + extra))
 
 
 def test_dim_grid_equals_fresh_per_point_dimension():
@@ -336,20 +322,13 @@ def _per_point_symmetry_violations(d, box, sigma):
     return out
 
 
-def _h3_variant(gammas):
-    h3 = hermitian_description(3)
-    return SemigroupDescription(2, h3.genus, h3.lattice, tuple(gammas), label="variant")
-
-
 def _symmetry_cases():
     h3 = hermitian_description(3)
-    extra = _h3_variant(h3.gamma_fundamental + ((2, -2),))
-    without = _h3_variant(g for g in h3.gamma_fundamental if g != (2, 2))
     return [
         (h3, Box((-6, -6), (6, 6))),
-        (extra, Box((-6, -6), (6, 6))),
-        (without, Box((-6, -6), (6, 6))),
-        (without, Box((-3, 1), (5, 1))),
+        (H3_EXTRA_GAMMA, Box((-6, -6), (6, 6))),
+        (H3_WITHOUT_22, Box((-6, -6), (6, 6))),
+        (H3_WITHOUT_22, Box((-3, 1), (5, 1))),
         (genus0_description(3), Box((-2, -1, -2), (2, 2, 1))),
     ]
 

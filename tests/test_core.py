@@ -21,6 +21,8 @@ from gwsemigroup.core import (
 )
 from gwsemigroup.series import series_on_box
 
+from corpus import H3_MOVED_22, H3_WITHOUT_22, json_reference
+
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -223,22 +225,18 @@ def test_description_json_roundtrip(tmp_path, hermitian_q3, genus0_m3):
         assert loaded.dumps() == d.dumps()
 
 
-def _json_reference(x) -> str:
-    return json.dumps(x.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
 @pytest.mark.parametrize(
     "name", ["hermitian_q2", "hermitian_q3", "genus0_m2", "genus0_m3", "genus0_m4", "broken_m4"]
 )
 def test_description_dumps_equals_the_json_reference_on_fixtures(request, name):
     d = request.getfixturevalue(name)
-    assert d.dumps() == _json_reference(d)
+    assert d.dumps() == json_reference(d)
 
 
 @pytest.mark.parametrize("q", [2, 3, 9, 16, 1009])
 def test_description_dumps_equals_the_json_reference_on_hermitian(q):
     d = hermitian_description(q)
-    assert d.dumps() == _json_reference(d)
+    assert d.dumps() == json_reference(d)
 
 
 @pytest.mark.parametrize(
@@ -247,14 +245,14 @@ def test_description_dumps_equals_the_json_reference_on_hermitian(q):
 )
 def test_description_dumps_escapes_labels_as_the_json_reference(label):
     d = SemigroupDescription(3, 1, Lattice((2, 3)), ((0, 0, 0), (1, 2, -2)), label)
-    assert d.dumps() == _json_reference(d)
+    assert d.dumps() == json_reference(d)
     assert SemigroupDescription.from_json_dict(json.loads(d.dumps())).label == label
 
 
 def test_dumps_does_not_call_json_dumps(monkeypatch, hermitian_q3, genus0_m3):
-    expected = [_json_reference(hermitian_q3), _json_reference(genus0_m3)]
+    expected = [json_reference(hermitian_q3), json_reference(genus0_m3)]
     bs = series_on_box(hermitian_q3, "Q", Box((-3, -3), (4, 4)))
-    expected.append(_json_reference(bs))
+    expected.append(json_reference(bs))
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.dumps called")
@@ -304,15 +302,8 @@ def test_validate_passes_on_fixtures(hermitian_q2, hermitian_q3, genus0_m2, genu
         assert validate_description(d) == []
 
 
-def test_validate_flags_missing_class(hermitian_q3):
-    mutilated = SemigroupDescription(
-        m=2,
-        genus=hermitian_q3.genus,
-        lattice=hermitian_q3.lattice,
-        gamma_fundamental=tuple(g for g in hermitian_q3.gamma_fundamental if g != (2, 2)),
-        label="mutilated",
-    )
-    violations = validate_description(mutilated)
+def test_validate_flags_missing_class():
+    violations = validate_description(H3_WITHOUT_22)
     assert violations
     assert any(v.startswith("(b)") or v.startswith("(c)") for v in violations)
 
@@ -350,10 +341,6 @@ def test_validate_reports_an_unlisted_absolute_maximal(monkeypatch, hermitian_q3
     ]
 
 
-def _replace_gammas(d, gammas):
-    return SemigroupDescription(d.m, d.genus, d.lattice, tuple(gammas), "mutant")
-
-
 _Q3_RR_VIOLATIONS = [
     "(c) dim((2, 3)) = 2, Riemann-Roch predicts 3",
     "(c) dim((3, 2)) = 2, Riemann-Roch predicts 3",
@@ -375,19 +362,17 @@ _Q3_RR_VIOLATIONS = [
 ]
 
 
-def test_validate_mutant_violation_lists(hermitian_q3, genus0_m3):
+def test_validate_mutant_violation_lists(genus0_m3):
     # Exact lists, order included: (a) and (b) come from the slab's absolute
     # maximal elements, (c) from the Riemann-Roch probes at the sums 2g-1 ..
     # 2g-1+a_{m-1} (5 .. 9 on h3, 1 .. 2 at periods (2, 1)), sum by sum.
-    gammas = hermitian_q3.gamma_fundamental
-    dropped = _replace_gammas(hermitian_q3, [g for g in gammas if g != (2, 2)])
-    assert validate_description(dropped) == _Q3_RR_VIOLATIONS
-    moved = _replace_gammas(hermitian_q3, [(2, 3) if g == (2, 2) else g for g in gammas])
-    assert validate_description(moved) == [
+    assert validate_description(H3_WITHOUT_22) == _Q3_RR_VIOLATIONS
+    assert validate_description(H3_MOVED_22) == [
         "(a) listed gamma (2, 3) is not absolute maximal",
         *_Q3_RR_VIOLATIONS,
     ]
-    extra = _replace_gammas(genus0_m3, [*genus0_m3.gamma_fundamental, (0, 0, 1)])
+    gammas = genus0_m3.gamma_fundamental + ((0, 0, 1),)
+    extra = SemigroupDescription(3, 0, genus0_m3.lattice, gammas)
     assert validate_description(extra) == ["(a) listed gamma (0, 0, 1) is not absolute maximal"]
     period2 = SemigroupDescription(3, 1, Lattice((2, 1)), ((0, 0, 0), (1, 0, 1)))
     assert validate_description(period2) == [

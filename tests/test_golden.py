@@ -1,13 +1,13 @@
 """CLI outputs compared byte for byte with files recorded under tests/golden/.
 
-Each case runs ``cli.main`` on fixture descriptions written by ``gen``; the
-``gen`` cases themselves take no description.
+Each case runs ``cli.main`` on fixture descriptions written by ``gen`` or
+saved from the mutants of ``corpus``; the ``gen`` cases themselves take no
+description.
 ``PYTHONPATH=src python tests/test_golden.py`` records every case whose file
 does not exist yet and lists the files it skipped; to record a file again
 (only when an output change is intended), delete it first.
 """
 
-import json
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 from gwsemigroup.cli import main
-from gwsemigroup.core import Lattice, SemigroupDescription, save_description
+from gwsemigroup.core import save_description
+
+from corpus import BROKEN_M4, H3_EXTRA_GAMMA, H3_WITHOUT_15, H3_WITHOUT_22
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,25 +91,17 @@ def _write_descriptions(directory: Path) -> dict[str, str]:
     # symmetry row is skipped, and several checks fail.
     # h3 with the extra gamma (2, -2), and h3 without (2, 2): both still
     # symmetric, so their verify output holds a failing symmetry row.
-    h3 = json.loads(Path(paths["h3"]).read_text(encoding="utf-8"))
-    gammas = h3["gamma_fundamental"]
+    # broken_m4: (1, 0, 1, 5) is not absolute maximal, and the class counts
+    # differ by coordinate, so its verify output holds a failing class-count row
     variants = {
-        "h3-mutilated": [g for g in gammas if g != [1, 5]],
-        "h3-extra-gamma": gammas + [[2, -2]],
-        "h3-without-22": [g for g in gammas if g != [2, 2]],
+        "h3-mutilated": H3_WITHOUT_15,
+        "h3-extra-gamma": H3_EXTRA_GAMMA,
+        "h3-without-22": H3_WITHOUT_22,
+        "m4-broken": BROKEN_M4,
     }
     for key, variant in variants.items():
         paths[key] = str(directory / f"{key}.json")
-        data = {**h3, "gamma_fundamental": variant}
-        Path(paths[key]).write_text(json.dumps(data), encoding="utf-8")
-    # an invalid m = 4 description with a period > 1 below the last level:
-    # (1, 0, 1, 5) is not absolute maximal, and the class counts differ by
-    # coordinate, so its verify output holds a failing class-count row
-    broken = SemigroupDescription(
-        4, 3, Lattice((2, 1, 4)), ((0, 0, 0, 0), (1, 0, 1, 5), (1, 0, 3, -4))
-    )
-    paths["m4-broken"] = str(directory / "m4-broken.json")
-    save_description(broken, paths["m4-broken"])
+        save_description(variant, paths[key])
     return paths
 
 

@@ -30,7 +30,6 @@ from gwsemigroup import (
 from gwsemigroup import semigroup, series
 from gwsemigroup.core import (
     Lattice,
-    SemigroupDescription,
     canonicalize,
     tadd,
     tsub,
@@ -38,6 +37,7 @@ from gwsemigroup.core import (
     validate_description,
 )
 
+from corpus import random_description
 from window_data import MAXIMALS_Q3_WINDOW, MEMBERS_Q3_WINDOW
 
 
@@ -157,27 +157,17 @@ def test_dimension_equals_class_count_for_every_index(hermitian_q3, genus0_m3):
                 assert len({beta[i] for beta in gam}) == want
 
 
-def test_dimension_equals_class_counts_on_random_descriptions():
+def test_dimension_equals_class_counts_on_random_descriptions(periodic_m3):
     # seeded scan at m = 3 and 4 with periods 1-4: the table lookup at raw
     # points against full enumeration.  dimension counts classes by the last
     # coordinate for every description; every other coordinate gives the same
     # count only on valid descriptions, which the random ones rarely are
     rng = random.Random(4242)
-    valid = [
-        genus0_description(3),
-        genus0_description(4),
-        SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1))),
-    ]
+    valid = [genus0_description(3), genus0_description(4), periodic_m3]
     cases = [(d, True) for d in valid]
     for _ in range(40):
-        m = rng.choice((3, 4))
-        periods = tuple(rng.randint(1, 4) for _ in range(m - 1))
-        genus = rng.randint(0, 3)
-        gammas = {(0,) * m}
-        for _ in range(rng.randint(0, 5)):
-            head = tuple(rng.randrange(a) for a in periods)
-            gammas.add(head + (rng.randint(0, 2 * genus - 2 + m) - sum(head),))
-        cases.append((SemigroupDescription(m, genus, Lattice(periods), tuple(gammas)), False))
+        d = random_description(rng, rng.choice((3, 4)), periods=4, gammas=5)
+        cases.append((d, False))
     nonzero = 0
     for d, every in cases:
         for _ in range(25):
@@ -211,7 +201,7 @@ def _regime_points(d, rng):
             yield regime, n < a, tuple(alpha)
 
 
-def test_dimension_regimes_equal_enumeration():
+def test_dimension_regimes_equal_enumeration(periodic_m3):
     # the three regimes of the table lookup (0 below lo, a read in [lo, top),
     # the periodic extension past top) against the distinct last coordinates
     # of full enumeration, on valid descriptions and on seeded random ones,
@@ -222,17 +212,10 @@ def test_dimension_regimes_equal_enumeration():
         genus0_description(4),
         hermitian_description(3),
         hermitian_description(4),
-        SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1))),
+        periodic_m3,
     ]
     for _ in range(40):
-        m = rng.choice((2, 3, 4))
-        periods = tuple(rng.randint(1, 4) for _ in range(m - 1))
-        genus = rng.randint(0, 3)
-        gammas = {(0,) * m}
-        for _ in range(rng.randint(0, 5)):
-            head = tuple(rng.randrange(p) for p in periods)
-            gammas.add(head + (rng.randint(0, 2 * genus - 2 + m) - sum(head),))
-        cases.append(SemigroupDescription(m, genus, Lattice(periods), tuple(gammas)))
+        cases.append(random_description(rng, rng.choice((2, 3, 4)), periods=4, gammas=5))
     seen = set()
     for d in cases:
         invalid = bool(validate_description(d))
@@ -579,7 +562,7 @@ def test_members_from_lubs_equals_membership_scan(
     rng = random.Random(1515)
     valid = differing = 0
     for n in range(240):
-        d = _random_description(rng, 2 + n % 3)
+        d = random_description(rng, 2 + n % 3, periods=5, genus=4, gammas=5)
         lower = tuple(rng.randint(-4, 3) for _ in range(d.m))
         box = Box(lower, tuple(x + rng.randint(0, 3) for x in lower))
         swept = members_from_lubs(d, box)
@@ -627,18 +610,6 @@ def _least_per_last_coordinate(d, alpha):
     return sorted(least.values())
 
 
-def _random_description(rng, m):
-    # zero plus up to five random gammas in the fundamental region, periods
-    # 1-5; most are not valid descriptions
-    periods = tuple(rng.randint(1, 5) for _ in range(m - 1))
-    genus = rng.randint(0, 4)
-    gammas = {(0,) * m}
-    for _ in range(rng.randint(0, 5)):
-        head = tuple(rng.randrange(a) for a in periods)
-        gammas.add(head + (rng.randint(0, 2 * genus - 2 + m) - sum(head),))
-    return SemigroupDescription(m, genus, Lattice(periods), tuple(gammas))
-
-
 def test_riemann_roch_basis_matches_enumeration(
     hermitian_q2, hermitian_q3, genus0_m3, genus0_m4, broken_m4
 ):
@@ -656,7 +627,7 @@ def test_riemann_roch_basis_matches_enumeration(
     rng = random.Random(1313)
     ties = 0
     for n in range(320):
-        d = _random_description(rng, 2 + n % 4)
+        d = random_description(rng, 2 + n % 4, periods=5, genus=4, gammas=5)
         for _ in range(6):
             alpha = tuple(rng.randint(-3, 5) for _ in range(d.m))
             want = _least_per_last_coordinate(d, alpha)
@@ -699,16 +670,16 @@ def _dim_zero(d, rng, count):
 
 
 def test_riemann_roch_basis_past_the_window(
-    hermitian_q2, hermitian_q3, genus0_m3, genus0_m4, broken_m4
+    hermitian_q2, hermitian_q3, genus0_m3, genus0_m4, periodic_m3, broken_m4
 ):
     # the progressions past the table's window and the empty prefix, against
     # the lex-least element per class of the enumerated Gamma(alpha)
-    periodic_m3 = SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1)))
     fixtures = [hermitian_q2, hermitian_q3, hermitian_description(4)]
     fixtures += [genus0_m3, genus0_m4, periodic_m3, broken_m4]
     rng = random.Random(2121)
     corpus = [(d, 12) for d in fixtures]
-    corpus += [(_random_description(rng, 2 + n % 4), 2) for n in range(320)]
+    for n in range(320):
+        corpus.append((random_description(rng, 2 + n % 4, periods=5, genus=4, gammas=5), 2))
     for d, count in corpus:
         per = d.lattice.periods
         for alpha in _past_the_window(d, rng, count):

@@ -1,4 +1,3 @@
-import json
 import random
 from functools import partial
 from itertools import product
@@ -9,8 +8,6 @@ import pytest
 from gwsemigroup import (
     Box,
     BoxSeries,
-    Lattice,
-    SemigroupDescription,
     coeff_l,
     coeff_p,
     coeff_q,
@@ -32,7 +29,7 @@ from gwsemigroup import semigroup, series
 from gwsemigroup.core import canonicalize, tadd, tsub, unit, validate_description
 from gwsemigroup.verify import _p_from_direction
 
-from test_verify import _class_count_corpus
+from corpus import H3_WITHOUT_15, json_reference, random_description, slab_corpus
 from window_data import MAXIMALS_Q3_WINDOW
 
 
@@ -171,10 +168,6 @@ def test_box_series_json_roundtrip(hermitian_q3):
     }
 
 
-def _json_reference(x) -> str:
-    return json.dumps(x.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def test_box_series_dumps_equals_the_json_reference(hermitian_q3, broken_m4):
     rng = random.Random(6151)
     big = 2**64 + 5
@@ -201,7 +194,7 @@ def test_box_series_dumps_equals_the_json_reference(hermitian_q3, broken_m4):
     cases.append(BoxSeries(Box((0, 0, 0), (1, 2, 0)), "P", (0,) * 6))
     assert any(bs.terms() for bs in cases) and len({bs.box.dim for bs in cases}) == 4
     for bs in cases:
-        assert bs.dumps() == _json_reference(bs), (bs.box, bs.kind)
+        assert bs.dumps() == json_reference(bs), (bs.box, bs.kind)
         want = [(a, c) for a, c in zip(bs.box.points(), bs.values) if c != 0]
         assert bs.terms() == want, (bs.box, bs.kind)
     assert full.terms() == list(zip(full.box.points(), full.values)) and not zero.terms()
@@ -252,33 +245,11 @@ def test_semigroup_polynomial_support_law(hermitian_q2, genus0_m3, genus0_m4):
             assert poly[gamma] == 1
 
 
-def _seeded_description(rng, m=None, last=4):
-    # zero plus up to four random gammas in the region; mostly invalid
-    m = rng.randint(2, 4) if m is None else m
-    periods = [rng.randint(1, last) for _ in range(m - 1)]
-    genus = rng.randint(0, 3)
-    bound = 2 * genus - 2 + m
-    gammas = {(0,) * m}
-    for _ in range(rng.randint(0, 4)):
-        head = [rng.randrange(a) for a in periods]
-        gammas.add((*head, rng.randint(0, bound) - sum(head)))
-    return SemigroupDescription(m, genus, Lattice(periods), tuple(sorted(gammas)))
-
-
-def _slab_corpus():
-    # every description of the class-count corpus, 160 seeded ones at m = 2..4,
-    # and 40 at m = 5 with periods 1-3 at every level
-    rng = random.Random(18)
-    yield from (d for d, _ in _class_count_corpus())
-    yield from (_seeded_description(rng) for _ in range(160))
-    yield from (_seeded_description(rng, m=5, last=3) for _ in range(40))
-
-
 def test_one_pass_slab_scans_equal_the_two_pass_scan():
     # the polynomial and the description check read the engine's P and L on
     # the slab's box; both must read as the two-pass per-point scan
     m5_periods = set()
-    for d in _slab_corpus():
+    for d in slab_corpus():
         maxima, absolute = _slab_maximals(d)
         coeffs = {a: coeff_p(d, a) for a in maxima}
         want = {a: c for a, c in coeffs.items() if c != 0}
@@ -333,7 +304,7 @@ def test_riemann_roch_probes_are_exact():
     # reference over every prefix at sums 2g-1 .. 2g-1+3a_{m-1} and
     # -3a_{m-1} .. -1 must flag the same descriptions
     flagged = 0
-    for d in _slab_corpus():
+    for d in slab_corpus():
         a, g = d.lattice.periods[-1], d.genus
         sums = [*range(2 * g - 1, 2 * g + 3 * a), *range(-3 * a, 0)]
         dense = any(
@@ -407,7 +378,7 @@ def test_full_support_witness_equals_brute_force():
     fixtures = [genus0_description(m) for m in (2, 3, 4)]
     fixtures += [hermitian_description(q) for q in (2, 3, 4, 5)]
     rng = random.Random(22)
-    seeded = [_seeded_description(rng) for _ in range(600)]
+    seeded = [random_description(rng, periods=4) for _ in range(600)]
     valid = [d for d in seeded if not validate_description(d)]
     assert len(valid) >= 20
     found = 0
@@ -461,10 +432,9 @@ def test_symmetry_equation_at_distinguished_point(hermitian_q3, genus0_m3):
         assert coeff_p(d, sigma) == sign * coeff_p(d, (0,) * d.m)
 
 
-def test_symmetry_equations_require_symmetric_description(hermitian_q3):
+def test_symmetry_equations_require_symmetric_description():
     # without (1, 5) no maximal element has sum 2g-2+m (verify skips it)
-    gammas = tuple(g for g in hermitian_q3.gamma_fundamental if g != (1, 5))
-    d = SemigroupDescription(2, hermitian_q3.genus, hermitian_q3.lattice, gammas)
+    d = H3_WITHOUT_15
     assert not symmetry_report(d).symmetric
     with pytest.raises(ValueError, match="need a maximal element of sum 6"):
         list(symmetry_violations(d, Box((0, 0), (1, 1))))

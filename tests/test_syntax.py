@@ -5,6 +5,8 @@
 grammar (``except*`` is caught); it does not check standard-library APIs.
 ``pyproject.toml`` also declares no runtime dependency, so every absolute
 import under ``src/gwsemigroup`` must name a ``sys.stdlib_module_names`` entry.
+Cases shared by test modules live in ``tests/corpus.py``, so no file under
+``tests`` imports a ``test_*`` module.
 """
 
 import ast
@@ -37,3 +39,17 @@ def test_the_package_imports_only_the_standard_library():
                 names.add(node.module.split(".")[0])
     assert "functools" in names
     assert sorted(names - sys.stdlib_module_names) == []
+
+
+def test_no_test_file_imports_a_test_module():
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0].startswith("test_")]
+    assert found == []

@@ -1,12 +1,9 @@
 import dataclasses
-import random
 
 import pytest
 
 from gwsemigroup import (
     Box,
-    Lattice,
-    SemigroupDescription,
     TwoPointProfile,
     absolute_maximals_below,
     dimension,
@@ -29,6 +26,8 @@ from gwsemigroup import semigroup, series, verify
 from gwsemigroup.core import spread_sample, tadd, validate_description
 from gwsemigroup.verify import CHECK_NAMES
 
+from corpus import H3_MOVED_22, H3_WITHOUT_15, H3_WITHOUT_22, class_count_corpus, slab_corpus
+
 
 def test_verification_passes_on_fixtures(hermitian_q3, genus0_m3):
     cases = [
@@ -48,13 +47,9 @@ def test_verification_never_builds_a_symmetry_report(monkeypatch, hermitian_q3, 
     def refuse(d):
         raise AssertionError("symmetry_report called")
 
-    without = SemigroupDescription(
-        2, hermitian_q3.genus, hermitian_q3.lattice,
-        tuple(g for g in hermitian_q3.gamma_fundamental if g != (1, 5)),
-    )
     cases = [
         (hermitian_q3, Box((-6, -6), (8, 8))),
-        (without, Box((-4, -4), (5, 5))),
+        (H3_WITHOUT_15, Box((-4, -4), (5, 5))),
         (hermitian_description(16), Box((-5, -5), (6, 6))),
         (genus0_m4, Box((-2,) * 4, (2,) * 4)),
     ]
@@ -73,32 +68,16 @@ def test_verification_is_deterministic(hermitian_q2):
     assert first == second
 
 
-def test_verification_flags_mutilated_description(hermitian_q3):
-    mutilated = SemigroupDescription(
-        m=2,
-        genus=hermitian_q3.genus,
-        lattice=hermitian_q3.lattice,
-        gamma_fundamental=tuple(g for g in hermitian_q3.gamma_fundamental if g != (2, 2)),
-        label="mutilated",
-    )
-    results = run_verification(mutilated, Box((-6, -6), (8, 8)))
+def test_verification_flags_mutilated_description():
+    results = run_verification(H3_WITHOUT_22, Box((-6, -6), (8, 8)))
     by_name = {r.name: r for r in results}
     assert not by_name["description-consistency"].passed
     assert by_name["description-consistency"].detail
     assert any(not r.passed for r in results)
 
 
-def test_verification_reports_lub_sweep_failure(hermitian_q3):
-    moved = SemigroupDescription(
-        m=2,
-        genus=hermitian_q3.genus,
-        lattice=hermitian_q3.lattice,
-        gamma_fundamental=tuple(
-            (2, 3) if g == (2, 2) else g for g in hermitian_q3.gamma_fundamental
-        ),
-        label="moved",
-    )
-    results = run_verification(moved, Box((-4, -4), (6, 6)))
+def test_verification_reports_lub_sweep_failure():
+    results = run_verification(H3_MOVED_22, Box((-4, -4), (6, 6)))
     row = {r.name: r for r in results}["lub-generation"]
     assert not row.passed
     assert row.detail == "lub sweep and membership scan disagree at (2, 3)"
@@ -219,15 +198,10 @@ def test_box_requests_reject_a_tuple_pair(hermitian_q3, request_name):
         _BOX_REQUESTS[request_name](hermitian_q3, ((0, 0), (1, 1)))
 
 
-def test_violation_iterators_yield_every_failure(hermitian_q3):
+def test_violation_iterators_yield_every_failure():
     # the mutant without (2, 2) breaks the reflections at many box points;
     # the iterators report each one, in box order, not only the first
-    mutant = SemigroupDescription(
-        m=2,
-        genus=hermitian_q3.genus,
-        lattice=hermitian_q3.lattice,
-        gamma_fundamental=tuple(g for g in hermitian_q3.gamma_fundamental if g != (2, 2)),
-    )
+    mutant = H3_WITHOUT_22
     box = Box((-6, -6), (8, 8))
     points = list(box.points())
     assert symmetry_report(mutant).sigma == (1, 5)
@@ -253,41 +227,9 @@ def _per_point_class_counts(d, box):
         yield alpha, [len({b[i] for b in gam}) for i in range(d.m)]
 
 
-def _class_count_corpus():
-    broken_m4 = SemigroupDescription(
-        4, 3, Lattice((2, 1, 4)), ((0, 0, 0, 0), (1, 0, 1, 5), (1, 0, 3, -4))
-    )
-    periodic_m3 = SemigroupDescription(3, 2, Lattice((2, 2)), ((0, 0, 0), (1, 1, 1)))
-    cases = [
-        (hermitian_description(2), Box((-4, -4), (5, 6))),
-        (hermitian_description(3), Box((-6, -6), (8, 8))),
-        (hermitian_description(4), Box((-3, -7), (12, 5))),
-        (genus0_description(3), Box((-2, -2, -2), (2, 2, 2))),
-        (genus0_description(4), Box((-1, -2, -1, -1), (1, 1, 1, 1))),
-        (periodic_m3, Box((-4, -3, -5), (3, 4, 3))),
-        (broken_m4, Box((-5, 4, -4, 4), (-3, 6, -2, 6))),
-    ]
-    # zero plus up to five random gammas in the fundamental region, periods
-    # 1-4; most are not valid descriptions
-    rng = random.Random(2718)
-    for n in range(300):
-        m = 2 + n % 3
-        periods = tuple(rng.randint(1, 4) for _ in range(m - 1))
-        genus = rng.randint(0, 3)
-        gammas = {(0,) * m}
-        for _ in range(rng.randint(0, 5)):
-            head = tuple(rng.randrange(a) for a in periods)
-            gammas.add(head + (rng.randint(0, 2 * genus - 2 + m) - sum(head),))
-        d = SemigroupDescription(m, genus, Lattice(periods), tuple(gammas))
-        lower = tuple(rng.randint(-4, 2) for _ in range(m))
-        width = {2: 6, 3: 3, 4: 2}[m]
-        cases.append((d, Box(lower, tuple(x + rng.randint(0, width) for x in lower))))
-    return cases
-
-
 def test_dense_class_counts_equal_per_point_enumeration():
     failing = invalid = 0
-    for d, box in _class_count_corpus():
+    for d, box in class_count_corpus():
         tables = verify._class_count_tables(d, box)
         want = None
         for k, (alpha, counts) in enumerate(_per_point_class_counts(d, box)):
@@ -301,9 +243,25 @@ def test_dense_class_counts_equal_per_point_enumeration():
     assert failing >= 5 and invalid >= 100
 
 
+def test_implementation_cross_checks_pass_on_every_corpus_description():
+    # qp-identity, poincare-index-independence, lattice-periodicity and check
+    # (b) of validate_description test only the implementation, so they pass
+    # on the corpus's invalid descriptions too
+    checks = dict(verify._CHECKS)
+    names = ("qp-identity", "poincare-index-independence", "lattice-periodicity")
+    for d, box in class_count_corpus():
+        assert [checks[name](d, box) for name in names] == [None] * 3, (d, box)
+    invalid = 0
+    for d in slab_corpus():
+        violations = validate_description(d)
+        assert not [v for v in violations if v.startswith("(b)")], d
+        invalid += bool(violations)
+    assert invalid >= 100
+
+
 def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4):
-    # the class counts and the lub sweep each make one walk, and the sweep
-    # asks neither dimension nor membership
+    # the class counts and the lub sweep each make one walk, and neither they
+    # nor the dim grid the counts are compared with ask a per-point query
     walks = []
     original = semigroup.lattice_translates
 
@@ -315,16 +273,10 @@ def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4
         raise AssertionError("a per-point query was called")
 
     monkeypatch.setattr(semigroup, "lattice_translates", counting)
-    # the check's other side, the dim grid, asks dimension by design; it is
-    # read here from per-point dimension taken before the queries are barred
-    true_dimension = semigroup.dimension
-
-    def per_point_grid(d, lower, upper):
-        return [true_dimension(d, a) for a in Box(lower, upper).points()]
-
-    monkeypatch.setattr(verify, "_dim_grid", per_point_grid)
     for name in ("absolute_maximals_below", "dimension", "is_member"):
         monkeypatch.setattr(semigroup, name, forbidden)
+    for module in (series, verify):
+        monkeypatch.setattr(module, "dimension", forbidden)
     for d, box in [
         (hermitian_q3, Box((-6, -6), (8, 8))),
         (genus0_m4, Box((-3,) * 4, (3,) * 4)),
