@@ -464,20 +464,21 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     d. dim(alpha) == 0 at every alpha with |alpha| < 0.
 
     (a) and (b) compare the list with the absolute maximal elements of the
-    slab 0 <= |alpha| <= 2g-2+m of the region.  The slab holds every listed
-    gamma by construction, and every absolute maximal element, since for
-    m >= 2 that implies maximal: dim is monotone, and both ends of
-    alpha - 1 <= alpha - 1 + e_i <= alpha - e_j (j != i) have dim(alpha) - 1,
-    so dim(alpha - 1 + e_i) = dim(alpha - 1) for every i.  Absolute maximal
-    asks that L(alpha) = dim(alpha) - dim(alpha - 1) be 1, so it is asked only
-    where the engine's L on the slab is 1.  (b) cannot fire
-    while ``dimension`` counts the set V(alpha) of last coordinates of the
-    translates beta <= alpha of listed gammas.  For alpha absolute maximal,
+    slab 0 <= |alpha| <= 2g-2+m of the region, which holds every listed gamma
+    by construction.  Absolute maximality is asked only at the unit terms of
+    ``semigroup_polynomial``: dim is monotone, and for alpha absolute maximal
+    alpha - 1 and each alpha - e_i have dim(alpha) - 1, so every corner
+    alpha - 1_J between them does and p(alpha) = 1; alpha is also maximal, as
+    dim(alpha - 1 + e_i) lies between those of alpha - 1 and alpha - e_j, j != i.
+    (b) and (d) cannot fire while ``dimension`` counts the set V(alpha) of last
+    coordinates of the translates beta <= alpha of listed gammas, so they are
+    cross-checks of the implementation.  For (b), with alpha absolute maximal,
     V(alpha - 1) is inside V(alpha - e_i), which is inside V(alpha), and both
     drops are 1, so V(alpha - e_i) is V(alpha) without alpha_m: every
     beta <= alpha with beta_m = alpha_m has beta_i = alpha_i for all i, one
-    such beta exists, and so alpha, a translate in the region, is listed.
-    (b) is therefore a cross-check of the implementation.
+    such beta exists, and so alpha, a translate in the region, is listed.  For
+    (d), a translate keeps its gamma's sum, at least 0, so none lies below a
+    point of sum -1.
 
     (c) and (d) are exact.  Sums and dim are lattice-invariant, so alpha runs
     over the layer ``sum_slab(s, s)``, the points (r, s - |r|) for the region
@@ -490,7 +491,7 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     from . import semigroup, series  # deferred: both build on this module
 
     listed = set(require_description(d).gamma_fundamental)
-    units = (a for a, c in series._slab_terms(d, "L") if c == 1)
+    units = (a for a, c in series.semigroup_polynomial(d).items() if c == 1)
     absolute = {a for a in units if semigroup.is_absolute_maximal(d, a)}
     violations = [
         f"(a) listed gamma {g} is not absolute maximal" for g in sorted(listed - absolute)

@@ -449,6 +449,8 @@ def two_point_profile(d: SemigroupDescription) -> TwoPointProfile:
     are nonnegative); membership is guaranteed once the sum reaches 2g.  A
     second scan runs along each row t = table[j] from s = -t and must meet its
     first member at s = j; a failure marks the description as inconsistent.
+    The row scan needs no guard: t <= 2g - j, so it starts at -t <= j and
+    stops at the member (j, t) by s = j, before s exceeds 2g - t.
     """
     if require_description(d).m != 2:
         raise ValueError("profiles are defined for two-point descriptions only")
@@ -465,8 +467,6 @@ def two_point_profile(d: SemigroupDescription) -> TwoPointProfile:
         s = -t
         while not is_member(d, (s, t)):
             s += 1
-            if s > 2 * d.genus - t:
-                raise ValueError(f"no member found in row {t}; description inconsistent")
         if s != j:
             raise ValueError(
                 f"staircase inversion failed: column {j} gives {t}, row {t} gives {s}"

@@ -297,22 +297,18 @@ def _slab_box(d: SemigroupDescription) -> Box:
     return Box((0,) * len(top) + (-sum(top),), top + (d.maximal_sum_bound,))
 
 
-def _slab_terms(d: SemigroupDescription, kind: str) -> list[tuple[IntTuple, int]]:
-    """The engine's nonzero terms on :func:`_slab_box` with sum in [0, 2g-2+m], in order."""
-    terms = series_on_box(d, kind, _slab_box(d)).terms()
-    return [(a, c) for a, c in terms if 0 <= sum(a) <= d.maximal_sum_bound]
-
-
 def semigroup_polynomial(d: SemigroupDescription) -> dict[IntTuple, int]:
     """Finitely supported part of P: its nonzero coefficients on the fundamental region.
 
     Keyed by the maximal elements inside the region, in lexicographic order;
     every absolute maximal element carries coefficient 1.  No maximal element
-    lies outside the slab 0 <= |alpha| <= 2g-2+m, so the engine's P there holds
-    every term, and ``is_maximal`` is asked only at its nonzero terms
-    (:func:`_slab_terms`).
+    lies outside the slab 0 <= |alpha| <= 2g-2+m, so the engine's P on
+    :func:`_slab_box` holds every term, and ``is_maximal`` is asked only at
+    its nonzero terms with sum in that range.
     """
-    return {a: c for a, c in _slab_terms(d, "P") if is_maximal(d, a)}
+    terms = series_on_box(d, "P", _slab_box(d)).terms()
+    top = d.maximal_sum_bound
+    return {a: c for a, c in terms if 0 <= sum(a) <= top and is_maximal(d, a)}
 
 
 def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:

@@ -6,9 +6,10 @@ quantities through a route independent of the primary fast paths, named in a
 comment together with the check's kind.  A description check can fail on a
 description that no semigroup has.  An implementation cross-check
 (``qp-identity``, ``poincare-index-independence``, ``lattice-periodicity``
-and check (b) of ``validate_description``) cannot fail on any description
-while the code is correct: it tests only the implementation.  A check that
-does not apply to the description raises :class:`_Skipped` with its reason.
+and checks (b) and (d) of ``validate_description``) cannot fail on any
+description while the code is correct: it tests only the implementation.  A
+check that does not apply to the description raises :class:`_Skipped` with
+its reason.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class _Skipped(Exception):
 
 
 def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | None:
-    # description check, with (b) an implementation cross-check, route: the listed
-    # gammas against per-point absolute maximality at the L terms 1 of the slab's
-    # engine table, and dimension against the Riemann-Roch regime on every prefix
+    # description check, with (b) and (d) implementation cross-checks, route: the
+    # listed gammas against per-point absolute maximality at the unit terms of the
+    # semigroup polynomial, and dimension against the Riemann-Roch regime on every prefix
     violations = validate_description(d)
     return violations[0] if violations else None
 

@@ -166,6 +166,19 @@ def test_description_structural_errors():
         SemigroupDescription(1, 0, lat, ((0, 0),))
 
 
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: SemigroupDescription(2, -1, Lattice((1,)), ((0, 0),)), "must be nonnegative"),
+        (lambda: SemigroupDescription(3, 0, Lattice((1,)), ((0, 0, 0),)), "disagrees with m"),
+        (lambda: SemigroupDescription.from_json_dict([]), "must be an object"),
+    ],
+)
+def test_description_input_checks(build, error):
+    with pytest.raises(ValueError, match=error):
+        build()
+
+
 def test_constructors_reject_non_integers():
     lat = Lattice((2,))
     for bad in [
@@ -325,20 +338,33 @@ def test_validate_trivial_two_point_genus0(genus0_m2):
     assert validate_description(genus0_m2) == []
 
 
-def test_validate_reports_an_unlisted_absolute_maximal(monkeypatch, hermitian_q3):
+def test_validate_reports_an_unlisted_absolute_maximal(monkeypatch, genus0_m4):
     # (b) cannot fire while dimension counts last-coordinate classes (see
     # validate_description), so the per-point test is made to report one
-    # extra at (1, 3): a non-member, as dim(0, 3) = dim(1, 3), but its L is 1,
-    # so the slab's L terms ask it
+    # extra at (0, 0, 0, 2): maximal, not absolute maximal, but a unit term
+    # of the polynomial, so it is asked
     original = semigroup.is_absolute_maximal
 
     def with_extra(d, alpha):
-        return alpha == (1, 3) or original(d, alpha)
+        return alpha == (0, 0, 0, 2) or original(d, alpha)
 
     monkeypatch.setattr(semigroup, "is_absolute_maximal", with_extra)
-    assert validate_description(hermitian_q3) == [
-        "(b) absolute maximal (1, 3) missing from the list"
+    assert validate_description(genus0_m4) == [
+        "(b) absolute maximal (0, 0, 0, 2) missing from the list"
     ]
+
+
+def test_validate_reports_a_nonzero_dimension_below_the_zero_sum(monkeypatch, hermitian_q3):
+    # (d) cannot fire while dimension counts translates (see
+    # validate_description), so dimension is made to return 1 at (1, -2);
+    # (0, -1) would not do, as it lies below the gamma (0, 0) and trips (a)
+    original = semigroup.dimension
+
+    def faulty(d, alpha):
+        return 1 if tuple(alpha) == (1, -2) else original(d, alpha)
+
+    monkeypatch.setattr(semigroup, "dimension", faulty)
+    assert validate_description(hermitian_q3) == ["(d) dim((1, -2)) = 1, expected 0 for sum -1"]
 
 
 _Q3_RR_VIOLATIONS = [

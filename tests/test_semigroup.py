@@ -762,6 +762,15 @@ def test_two_point_profile_rejects_non_integer_data(period, table):
         TwoPointProfile(period, table)
 
 
+@pytest.mark.parametrize(
+    "table, error",
+    [((0,), "table length must equal the period"), ((0, 2), "must cover all residues")],
+)
+def test_two_point_profile_rejects_a_malformed_table(table, error):
+    with pytest.raises(ValueError, match=error):
+        TwoPointProfile(2, table)
+
+
 def test_maximals_are_staircase_points(hermitian_q3):
     profile = two_point_profile(hermitian_q3)
     staircase = {(j, profile.sigma2(j)) for j in range(-8, 10)}

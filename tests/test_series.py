@@ -157,6 +157,12 @@ def test_box_series_requires_total_map():
         BoxSeries(box=box, kind="X", values=(0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("kind", ["X", "l", ""])
+def test_series_on_box_rejects_an_unknown_kind(hermitian_q3, kind):
+    with pytest.raises(ValueError, match="kind must be one of L, Q, P"):
+        series_on_box(hermitian_q3, kind, Box((0, 0), (1, 1)))
+
+
 def test_box_series_json_roundtrip(hermitian_q3):
     bs = series_on_box(hermitian_q3, "Q", Box((-3, -3), (4, 4)))
     sparse = [[list(a), c] for a, c in sorted(zip(bs.box.points(), bs.values)) if c != 0]
@@ -268,7 +274,7 @@ def test_one_pass_slab_scans_equal_the_two_pass_scan():
 
 def test_slab_scans_ask_the_predicates_only_at_engine_terms(monkeypatch, broken_m4):
     # is_maximal once per nonzero P term of the slab (q + 1 on Hermitian q),
-    # is_absolute_maximal only where the slab's L is 1
+    # is_absolute_maximal only at the polynomial's unit terms (q + 1 again)
     asked = {"max": [], "abs": []}
     monkeypatch.setattr(series, "is_maximal", partial(_recorded, is_maximal, asked["max"]))
     monkeypatch.setattr(
@@ -276,17 +282,20 @@ def test_slab_scans_ask_the_predicates_only_at_engine_terms(monkeypatch, broken_
     )
     h64 = hermitian_description(64)
     semigroup_polynomial(h64)
-    assert asked["max"] == [a for a, _ in series._slab_terms(h64, "P")]
+    terms = series_on_box(h64, "P", series._slab_box(h64)).terms()
+    assert asked["max"] == [a for a, _ in terms if 0 <= sum(a) <= h64.maximal_sum_bound]
     assert len(asked["max"]) == 65
-    for d in (hermitian_description(3), hermitian_description(16), broken_m4):
+    cases = [(hermitian_description(3), 4), (hermitian_description(16), 17), (broken_m4, 2)]
+    for d, count in cases:
+        units = [a for a, c in semigroup_polynomial(d).items() if c == 1]
         asked["abs"].clear()
         validate_description(d)
-        assert asked["abs"] == [a for a, c in series._slab_terms(d, "L") if c == 1], d.label
+        assert asked["abs"] == units and len(units) == count, d.label
 
 
 def test_reconstruction_keeps_its_own_route(monkeypatch, hermitian_q3, broken_m4):
-    # the lookup never reads the engine's slab: with the polynomial and the
-    # slab terms broken, the check runs and reports as before
+    # the lookup never reads the engine's slab: with the polynomial broken,
+    # the check runs and reports as before
     cases = [(hermitian_q3, Box((-6, -6), (8, 8))), (broken_m4, Box((-2,) * 4, (2,) * 4))]
     want = [list(reconstruction_violations(d, box)) for d, box in cases]
 
@@ -294,7 +303,6 @@ def test_reconstruction_keeps_its_own_route(monkeypatch, hermitian_q3, broken_m4
         raise AssertionError("the engine's slab was read")
 
     monkeypatch.setattr(series, "semigroup_polynomial", broken)
-    monkeypatch.setattr(series, "_slab_terms", broken)
     assert [list(reconstruction_violations(d, box)) for d, box in cases] == want
     assert want[0] == [] and want[1]
 

@@ -6,7 +6,8 @@ grammar (``except*`` is caught); it does not check standard-library APIs.
 ``pyproject.toml`` also declares no runtime dependency, so every absolute
 import under ``src/gwsemigroup`` must name a ``sys.stdlib_module_names`` entry.
 Cases shared by test modules live in ``tests/corpus.py``, so no file under
-``tests`` imports a ``test_*`` module.
+``tests`` imports a ``test_*`` module.  A module-level private name in the
+package that nothing refers to is a helper stranded when its last caller went.
 """
 
 import ast
@@ -53,3 +54,30 @@ def test_no_test_file_imports_a_test_module():
                 continue
             found += [f"{path.name}: {n}" for n in names if n.split(".")[0].startswith("test_")]
     assert found == []
+
+
+def test_every_private_module_name_in_the_package_is_referenced():
+    # a helper left behind when its last caller goes: a module-level def,
+    # class or assignment whose name starts with "_" and that no loaded
+    # Name, Attribute or import alias anywhere in the package refers to
+    defined, used = [], set()
+    for path in sorted((ROOT / "src" / "gwsemigroup").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, n) for n in names if n.startswith("_") and not n.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert len(defined) > 40
+    assert [f"{module}: {name}" for module, name in defined if name not in used] == []

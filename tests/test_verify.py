@@ -244,9 +244,9 @@ def test_dense_class_counts_equal_per_point_enumeration():
 
 
 def test_implementation_cross_checks_pass_on_every_corpus_description():
-    # qp-identity, poincare-index-independence, lattice-periodicity and check
-    # (b) of validate_description test only the implementation, so they pass
-    # on the corpus's invalid descriptions too
+    # qp-identity, poincare-index-independence, lattice-periodicity and checks
+    # (b) and (d) of validate_description test only the implementation, so
+    # they pass on the corpus's invalid descriptions too
     checks = dict(verify._CHECKS)
     names = ("qp-identity", "poincare-index-independence", "lattice-periodicity")
     for d, box in class_count_corpus():
@@ -254,7 +254,7 @@ def test_implementation_cross_checks_pass_on_every_corpus_description():
     invalid = 0
     for d in slab_corpus():
         violations = validate_description(d)
-        assert not [v for v in violations if v.startswith("(b)")], d
+        assert not [v for v in violations if v.startswith(("(b)", "(d)"))], d
         invalid += bool(violations)
     assert invalid >= 100
 
@@ -435,15 +435,15 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
     # the class counts ask nothing and the engine's P, Q and L add nothing to
     # the per-point calls of qp-identity, poincare-support,
     # polynomial-reconstruction and the symmetry equations.
-    # description-consistency asks is_absolute_maximal at the slab's L terms
-    # equal to 1, and dimension at every prefix for the a_{m-1} + 1 sums of
-    # (c) and sum -1 of (d)
+    # description-consistency asks is_maximal at the slab's nonzero P terms,
+    # is_absolute_maximal at the polynomial's unit terms, and dimension at
+    # every prefix for the a_{m-1} + 1 sums of (c) and sum -1 of (d)
     want = {
         (hermitian_q3, Box((-6, -6), (8, 8))): [
-            64, 0, 461, 289, 1156, 697, 111, 2976, 156, 22, 72,
+            68, 0, 461, 289, 1156, 697, 111, 2976, 156, 22, 72,
         ],
         (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
-            10, 0, 281, 625, 1552, 853, 78, 10220, 81, 20, 0,
+            47, 0, 281, 625, 1552, 853, 78, 10220, 81, 20, 0,
         ],
     }
     for (d, box), counts in want.items():

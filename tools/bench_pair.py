@@ -6,7 +6,9 @@ Run from the repository root, after committing the change::
         --seeds 901 902 903 904 905 906 907 908 909 910 --seconds 25
 
 Each commit is exported with ``git archive`` into its own temporary
-directory (``TMPDIR`` chooses where), and the benchmark command of
+directory (``TMPDIR`` chooses where), ``<tmp>/parent`` and ``<tmp>/change``:
+paths of equal length, since ``peak_rss_mb`` moves with the length of the
+checkout's path (about 1 MB on box-hermitian).  The benchmark command of
 ``BENCHMARK.json`` runs there, unmodified, from that commit's own files:
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` for every
 declared workload and seed.  The two commits run back to back on each
