@@ -21,6 +21,7 @@ ints; no floating point is used anywhere in the package.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, product
@@ -53,7 +54,10 @@ def int_tuple(values: Iterable[int], what: str = "entries") -> IntTuple:
 
     Bools, floats and strings are rejected instead of coerced, so ``True`` or
     ``1.5`` cannot silently become 1, and a non-iterable is a ValueError too.
+    So are a set and a mapping, whose iteration order is not the caller's.
     """
+    if not isinstance(values, (tuple, list)) and isinstance(values, (Set, Mapping)):
+        raise ValueError(f"{what} must be an ordered sequence of integers, got {values!r}")
     try:
         t = tuple(values)
     except TypeError:

@@ -9,11 +9,12 @@ over the 2^m corners of the unit cube below alpha, and Q is the same
 difference applied to L; :func:`_cube_difference` is that one operator for
 single points.
 
-On a box the same operators act on whole tables.  The box engine fills one
-flat ``dim`` grid (:func:`_dim_grid`) on the box grown below by one layer
-(two for Q), reads L as the grid minus its diagonal shift, and applies
-``prod_i (1 - shift_i)`` as m axis passes (:func:`_axis_differences`), each
-a slice difference that drops the first layer along its axis.  dim is
+On a box the same operators act on whole tables, and each series is a list
+of 0/1 steps: L the all-ones step, P the m unit steps, Q both, and the jump
+d_i the step e_i.  The box engine fills one flat ``dim`` grid
+(:func:`_dim_grid`) on the box grown below by the sum of the steps and
+applies ``prod_s (1 - shift_s)`` (:func:`_differences`), one slice
+difference per step that drops the first layer along its axes.  dim is
 periodic under the period lattice, so every last-axis row is a slice of one
 run per region prefix r (``semigroup._dim_run``), itself a slice of the
 description's dim table, so a box request asks ``dimension`` nothing.  The
@@ -146,11 +147,8 @@ def _dim_grid(d: SemigroupDescription, lower: IntTuple, upper: IntTuple) -> list
     return out
 
 
-def _window(values: list[int], shape: IntTuple, start: IntTuple, size: IntTuple) -> list[int]:
-    """The sub-table of the given size whose first cell has index offsets start.
-
-    Slices only the axes it narrows: one contiguous run per index of the axes before the last.
-    """
+def _runs(shape: IntTuple, start: IntTuple, size: IntTuple) -> tuple[list[int], int]:
+    """The contiguous runs of :func:`_window`: the first flat index of each, and their length."""
     last = max((axis for axis, (n, c) in enumerate(zip(shape, size)) if c != n), default=0)
     stride = prod(shape[last + 1:])
     run, firsts = size[last] * stride, [start[last] * stride]
@@ -158,33 +156,29 @@ def _window(values: list[int], shape: IntTuple, start: IntTuple, size: IntTuple)
         stride *= shape[axis + 1]
         span = range(start[axis] * stride, (start[axis] + size[axis]) * stride, stride)
         firsts = [k + f for k in span for f in firsts]
+    return firsts, run
+
+
+def _window(values: list[int], shape: IntTuple, start: IntTuple, size: IntTuple) -> list[int]:
+    """The sub-table of the given size whose first cell has index offsets start.
+
+    Slices only the axes it narrows: one contiguous run per index of the axes before the last.
+    """
+    firsts, run = _runs(shape, start, size)
     return reduce(iadd, (values[first:first + run] for first in firsts), [])
 
 
-def _window_difference(
-    values: list[int], shape: IntTuple, top: IntTuple, bottom: IntTuple, size: IntTuple
-) -> list[int]:
-    return list(map(sub, _window(values, shape, top, size), _window(values, shape, bottom, size)))
-
-
-def _diagonal_difference(values: list[int], shape: IntTuple) -> tuple[list[int], IntTuple]:
-    """v(x) - v(x - 1) at every cell outside the first layer of each axis."""
-    m = len(shape)
-    size = tuple(n - 1 for n in shape)
-    return _window_difference(values, shape, ones(m), zeros(m), size), size
-
-
-def _axis_differences(values: list[int], shape: IntTuple) -> tuple[list[int], IntTuple]:
-    """prod_i (1 - shift_i) applied to the table: one slice difference per block along each axis.
-
-    In each block c of the axes from i on, ``map(sub, c[stride:], c)`` subtracts each
-    layer from the next and stops at the shorter, dropping the first layer along axis i.
-    """
-    for axis in range(len(shape)):
-        stride, block = prod(shape[axis + 1:]), prod(shape[axis:])
-        cuts = (values[k:k + block] for k in range(0, len(values), block))
-        values = reduce(iadd, (map(sub, c[stride:], c) for c in cuts), [])
-    return values, tuple(n - 1 for n in shape)
+def _differences(values: list[int], shape: IntTuple, steps: list[IntTuple]) -> list[int]:
+    """prod_s (1 - shift_s) on the table for 0/1 steps s: v(x) - v(x - s) at each x
+    with x - s in it, dropping the first layer along the axes of s.  x - s lies one
+    flat offset before x, so each run of :func:`_runs` pairs with the run that offset earlier."""
+    for step in steps:
+        size, offset = tsub(shape, step), _flat(step, shape)
+        firsts, run = _runs(shape, step, size)
+        previous, values, shape = values, [], size
+        for k in firsts:
+            values += map(sub, previous[k:k + run], previous[k - offset:k - offset + run])
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -239,20 +233,18 @@ class BoxSeries:
 def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
     """The L, Q, or P coefficient at every point of the box, from one dim grid.
 
-    P is the axis differences of the grid on [lower - 1, upper], L the grid
-    minus its diagonal shift, and Q the axis differences of L, with the grid
-    taken on [lower - 2, upper].
+    Each series is :func:`_differences` of dim over a list of steps: L over
+    the all-ones step, P over the m unit steps, and Q over both, on the grid
+    grown below the box by the sum of the steps (by 2 for Q, else by 1).
     """
     if kind not in ("L", "Q", "P"):
         raise ValueError(f"kind must be one of L, Q, P; got {kind!r}")
-    require_box_dim(box, require_description(d).m)
-    grow = 2 if kind == "Q" else 1
-    values = _dim_grid(d, tuple(x - grow for x in box.lower), box.upper)
-    shape = tuple(u - l + 1 + grow for l, u in zip(box.lower, box.upper))
-    if kind != "P":
-        values, shape = _diagonal_difference(values, shape)
-    if kind != "L":
-        values, shape = _axis_differences(values, shape)
+    require_box_dim(box, m := require_description(d).m)
+    units = [unit(m, i) for i in range(1, m + 1)]
+    steps = {"L": [ones(m)], "Q": [ones(m)] + units, "P": units}[kind]
+    lower = tsub(box.lower, tuple(map(sum, zip(*steps))))
+    shape = tuple(u - l + 1 for l, u in zip(lower, box.upper))
+    values = _differences(_dim_grid(d, lower, box.upper), shape, steps)
     return BoxSeries(box=box, kind=kind, values=tuple(values))
 
 
@@ -401,40 +393,37 @@ def symmetry_violations(d: SemigroupDescription, box: Box) -> Iterator[tuple[str
     * ``q(alpha) = (-1)^{m-1} q(s - alpha + 1)``
     * ``d_i(alpha) + d_i(s - alpha - 1 + e_i) = 1`` for every direction i
 
-    Every value is read from two dim grids: the box grown by 2 below, and
-    the reflected box [s - upper - 1, s - lower + 1].  Both have the box's
-    shape plus 2; the tables taken from the reflected grid list the
-    reflected points backwards, so box point k pairs with entry -1 - k.
+    Each is a list of steps with sum g (the m unit steps; those and the all-ones
+    step; e_i), a sign c and a constant k: the difference of dim over the steps
+    (:func:`_differences`) at alpha is c times that at s - alpha - 1 + g, plus
+    k.  Every value is read from two dim grids of the box's shape plus 2: the
+    box grown by 2 below, and the reflected box [s - upper - 1, s - lower + 1].
+    Each identity cuts the box grown below by its g from both before it
+    differences them; the tables taken from the reflected grid list the
+    reflected points backwards, so box point n pairs with entry -1 - n.
     """
-    require_box_dim(box, require_description(d).m)
+    require_box_dim(box, m := require_description(d).m)
     sigma = next(_top_maximals(d), None)
     if sigma is None:
         raise ValueError(f"symmetry identities need a maximal element of sum {d.maximal_sum_bound}")
-    m = d.m
-    sign_m = 1 if m % 2 == 0 else -1
+    units = [unit(m, i) for i in range(1, m + 1)]
+    identities = [
+        ("poincare-reflection", units, (-1) ** m, 0),
+        ("aux-series-reflection", [ones(m)] + units, (-1) ** (m - 1), 0),
+    ] + [(f"jump-complement-i{i}", [e], -1, 1) for i, e in enumerate(units, 1)]
     size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))
-    grown = tuple(n + 1 for n in size)
     shape = tuple(n + 2 for n in size)
-    twos = (2,) * m
     # with v = alpha - lower and u = upper - alpha, the cell at offsets
     # v + 2 of near holds dim(alpha) and the cell at u of far dim(s - alpha - 1)
-    near = _dim_grid(d, tsub(box.lower, twos), box.upper)
+    near = _dim_grid(d, tsub(box.lower, (2,) * m), box.upper)
     far = _dim_grid(d, tsub(tsub(sigma, box.upper), ones(m)), tadd(tsub(sigma, box.lower), ones(m)))
-    p_near, _ = _axis_differences(_window(near, shape, ones(m), grown), grown)
-    p_far, _ = _axis_differences(_window(far, shape, zeros(m), grown), grown)
-    q_near, _ = _axis_differences(*_diagonal_difference(near, shape))
-    q_far, _ = _axis_differences(*_diagonal_difference(far, shape))
-    jumps_near, jumps_far = [], []
-    for i in range(1, m + 1):
-        e_i = unit(m, i)
-        jumps_near.append(_window_difference(near, shape, twos, tsub(twos, e_i), size))
-        jumps_far.append(_window_difference(far, shape, e_i, zeros(m), size))
-    for k, alpha in enumerate(box.points()):
-        r = -1 - k
-        if p_near[k] != sign_m * p_far[r]:
-            yield ("poincare-reflection", alpha)
-        if q_near[k] != -sign_m * q_far[r]:
-            yield ("aux-series-reflection", alpha)
-        for i in range(m):
-            if jumps_near[i][k] + jumps_far[i][r] != 1:
-                yield (f"jump-complement-i{i + 1}", alpha)
+    tables = []
+    for name, steps, c, k in identities:
+        cut = tuple(map(sum, zip(size, *steps)))
+        near_d = _differences(_window(near, shape, tsub(shape, cut), cut), cut, steps)
+        far_d = _differences(_window(far, shape, zeros(m), cut), cut, steps)
+        tables.append((name, near_d, far_d[::-1], c, k))
+    for n, alpha in enumerate(box.points()):
+        for name, near_d, far_d, c, k in tables:
+            if near_d[n] != c * far_d[n] + k:
+                yield (name, alpha)

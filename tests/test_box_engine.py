@@ -102,6 +102,32 @@ def test_window_equals_indexing_the_box_points():
             assert series._window(table, shape, start, size) == list(sub.points())
 
 
+def test_differences_equal_indexing_the_box_points():
+    # a table of a fixed integer function of the points of a box, in
+    # Box.points() order, differenced over random 0/1 steps, against the same
+    # differences taken by hand at each x and x - s, in any order of the steps
+    def f(x):
+        return sum((i + 2) * c ** 3 for i, c in enumerate(x)) + 7 * (sum(x) % 5) * x[0]
+
+    rng = random.Random(3030)
+    for m in range(1, 6):
+        for _ in range(40):
+            steps = []
+            for _ in range(rng.randint(1, 3)):
+                step = tuple(rng.randint(0, 1) for _ in range(m))
+                steps.append(step if any(step) else unit(m, rng.randint(1, m)))
+            grow = tuple(map(sum, zip(*steps)))
+            shape = tuple(g + rng.randint(1, 3) for g in grow)
+            box = Box((0,) * m, tuple(n - 1 for n in shape))
+            values = {x: f(x) for x in box.points()}
+            for s in steps:
+                values = {x: v - values[tsub(x, s)] for x, v in values.items() if tsub(x, s) in values}
+            want = [values[x] for x in Box(grow, box.upper).points()]
+            table = [f(x) for x in box.points()]
+            assert series._differences(table, shape, steps) == want, (shape, steps)
+            assert series._differences(table, shape, rng.sample(steps, len(steps))) == want
+
+
 # boxes spanning at least three periods along every constrained axis, so
 # that most cells repeat the class of another cell
 PERIODIC_CASES = [

@@ -1,6 +1,7 @@
 import random
 from itertools import accumulate, product
 from math import lcm
+from types import MappingProxyType
 
 import pytest
 
@@ -30,6 +31,7 @@ from gwsemigroup import (
 from gwsemigroup import semigroup, series
 from gwsemigroup.core import (
     Lattice,
+    SemigroupDescription,
     canonicalize,
     tadd,
     tsub,
@@ -283,6 +285,51 @@ def test_point_queries_accept_only_int_coordinates(hermitian_q3, query):
         with pytest.raises(ValueError):
             query(hermitian_q3, bad)
     assert query(hermitian_q3, [0, 0]) == query(hermitian_q3, (0, 0))
+
+
+# two integers in containers whose iteration order, or whose keys, the caller
+# did not give as coordinates; before the check a mapping leaked KeyError or
+# passed its keys as coordinates, and a set passed in its hash order
+UNORDERED = [{1, 2}, frozenset({1, 2}), {0: 1, 1: 2}, {-1: 0, 2: 1}, MappingProxyType({0: 1, 1: 2})]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        dimension,
+        is_member,
+        is_maximal,
+        is_absolute_maximal,
+        pytest.param(lambda d, alpha: dimension_jump(d, alpha, 1), id="dimension_jump"),
+        riemann_roch_basis,
+        absolute_maximals_below,
+        coeff_l,
+        coeff_p,
+        coeff_q,
+        pytest.param(lambda d, alpha: nabla_im_set(d, alpha, 1), id="nabla_im_set"),
+        pytest.param(lambda d, alpha: nabla_set(d, alpha, {1}), id="nabla_set"),
+        pytest.param(lambda d, alpha: canonicalize(d.lattice, alpha), id="canonicalize"),
+        pytest.param(lambda d, alpha: d.lattice.in_region(alpha), id="in_region"),
+        pytest.param(lambda d, seed: list(lattice_translates((4,), [seed], (5, 5))), id="seed"),
+        pytest.param(lambda d, upper: list(lattice_translates((4,), [(0, 0)], upper)), id="upper"),
+        pytest.param(lambda d, lo: list(lattice_translates((4,), [(0, 0)], (5, 5), lo)), id="lower"),
+        pytest.param(lambda d, alpha: genus0_dimension(2, alpha), id="genus0_dimension"),
+        pytest.param(lambda d, alpha: hermitian_dimension(3, alpha), id="hermitian_dimension"),
+        pytest.param(lambda d, periods: Lattice(periods), id="Lattice"),
+        pytest.param(lambda d, lower: Box(lower, (3, 3)), id="Box-lower"),
+        pytest.param(lambda d, upper: Box((0, 0), upper), id="Box-upper"),
+        pytest.param(
+            lambda d, gamma: SemigroupDescription(2, d.genus, d.lattice, ((0, 0), gamma)),
+            id="gamma",
+        ),
+    ],
+)
+def test_sets_and_mappings_are_not_ordered_integer_data(hermitian_q3, call):
+    for bad in UNORDERED:
+        with pytest.raises(ValueError, match="must be an ordered sequence of integers"):
+            call(hermitian_q3, bad)
+    # nabla_set's J is a subset, so a set stays the natural way to pass it
+    assert nabla_set(hermitian_q3, (4, 0), {1}) == nabla_set(hermitian_q3, (4, 0), [1])
 
 
 def test_dimension_jump_examples(hermitian_q3, genus0_m2):

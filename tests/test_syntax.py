@@ -7,11 +7,16 @@ grammar (``except*`` is caught); it does not check standard-library APIs.
 import under ``src/gwsemigroup`` must name a ``sys.stdlib_module_names`` entry.
 Cases shared by test modules live in ``tests/corpus.py``, so no file under
 ``tests`` imports a ``test_*`` module.  A module-level private name in the
-package that nothing refers to is a helper stranded when its last caller went.
+package that nothing refers to is a helper stranded when its last caller went,
+and a private name that a docstring, comment or README names in backticks but
+nothing under ``src`` defines is one whose mention outlived it.
 """
 
 import ast
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +86,25 @@ def test_every_private_module_name_in_the_package_is_referenced():
                 used.add(node.name)
     assert len(defined) > 40
     assert [f"{module}: {name}" for module, name in defined if name not in used] == []
+
+
+def test_every_private_name_the_docs_mention_is_defined():
+    # `_x`, `mod._x` and :func:`_x` in the docstrings and comments of the
+    # package and in README.md; the last dotted part must be a def, class or
+    # assigned name somewhere under src.  ROADMAP.md and CHANGES.md are history.
+    mention = re.compile(r"`(?:\w+\.)*(_(?!_)\w*)`")
+    texts = [(ROOT / "README.md").read_text(encoding="utf-8")]
+    defined = set()
+    for path in sorted((ROOT / "src" / "gwsemigroup").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type in (tokenize.COMMENT, tokenize.STRING):
+                texts.append(tok.string)
+        for node in ast.walk(ast.parse(source, str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+    named = {match.group(1) for text in texts for match in mention.finditer(text)}
+    assert len(named) > 8
+    assert sorted(named - defined) == []

@@ -456,3 +456,41 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
                 pass
             got.append(calls[0])
         assert dict(zip(CHECK_NAMES, got)) == dict(zip(CHECK_NAMES, counts)), d.label
+
+
+def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
+    # work gate beside the dimension calls: the dim grids (series._dim_grid)
+    # and the walks of the absolute maximal elements (semigroup._reach_tables)
+    # that each check builds, counted at every module binding of each.  A
+    # request builds 8 grids and walks twice; sharing tables across checks
+    # would lower these, and a change that moves one says why in CHANGES.md.
+    from gwsemigroup import backends, cli, core, plotting
+
+    built = {"_dim_grid": 0, "_reach_tables": 0}
+
+    def counting(name, real):
+        def call(*args):
+            built[name] += 1
+            return real(*args)
+
+        return call
+
+    for name, real in [("_dim_grid", series._dim_grid), ("_reach_tables", semigroup._reach_tables)]:
+        for module in (backends, cli, core, plotting, semigroup, series, verify):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    grids = [1, 1, 0, 2, 0, 1, 1, 0, 0, 2, 0]
+    walks = [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+    for d, box in [(hermitian_q3, Box((-6, -6), (8, 8))), (genus0_m4, Box((-1,) * 4, (1,) * 4))]:
+        got = []
+        for _, check in verify._CHECKS:
+            built.update(_dim_grid=0, _reach_tables=0)
+            try:
+                check(d, box)
+            except verify._Skipped:
+                pass
+            got.append((built["_dim_grid"], built["_reach_tables"]))
+        assert dict(zip(CHECK_NAMES, got)) == dict(zip(CHECK_NAMES, zip(grids, walks))), d.label
+        built.update(_dim_grid=0, _reach_tables=0)
+        run_verification(d, box)
+        assert built == {"_dim_grid": 8, "_reach_tables": 2}
