@@ -311,8 +311,22 @@ def is_maximal(d: SemigroupDescription, alpha: IntTuple) -> bool:
 
 
 def is_absolute_maximal(d: SemigroupDescription, alpha: IntTuple) -> bool:
-    """Member whose dimension drops by exactly 1 when all coordinates drop by 1."""
-    return is_member(d, alpha) and dimension(d, alpha) == dimension(d, tsub(alpha, ones(d.m))) + 1
+    """Member whose dimension drops by exactly 1 when all coordinates drop by 1.
+
+    The membership test of :func:`is_member`, written out here so that the
+    dim(alpha) it asks is read again for the last drop, while ``is_member``
+    itself stays one call deep.
+    """
+    la = dimension(d, alpha)
+    if la == 0:
+        return False
+    below = list(alpha)
+    for i in range(d.m):
+        below[i] -= 1
+        if dimension(d, tuple(below)) != la - 1:
+            return False
+        below[i] += 1
+    return dimension(d, tsub(alpha, ones(d.m))) == la - 1
 
 
 def _reach_tables(d: SemigroupDescription, box: Box) -> tuple[list, list, list[list[int]]]:
@@ -334,18 +348,24 @@ def _reach_tables(d: SemigroupDescription, box: Box) -> tuple[list, list, list[l
     return gens, flats, tables
 
 
+def _and_cells(tables: Iterable[Iterable[int]]) -> Iterator[int]:
+    """The AND of equal-sized tables, cell by cell."""
+    return reduce(partial(map, and_), tables)
+
+
 def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:
     """Members inside the box, generated as least upper bounds.
 
     A point z is the lub of m absolute maximal elements (repetition allowed)
     exactly when, for every coordinate i, one absolute maximal beta <= z has
     beta_i = z_i: the box points where the m tables of :func:`_reach_tables`,
-    ANDed, all hold.  The sweep never consults :func:`dimension`; equality
-    with the direct membership scan is a verification-suite check.
+    ANDed by :func:`_and_cells`, all hold.  The sweep never consults
+    :func:`dimension`.  The verification suite's lub-generation check ANDs
+    the same tables and compares them with membership read from the jumps
+    of one dim grid.
     """
     require_box_dim(box, require_description(d).m)
-    reach = reduce(partial(map, and_), _reach_tables(d, box)[2])
-    return {alpha for alpha, hit in zip(box.points(), reach) if hit}
+    return {alpha for alpha, hit in zip(box.points(), _and_cells(_reach_tables(d, box)[2])) if hit}
 
 
 def riemann_roch_basis(d: SemigroupDescription, alpha: IntTuple) -> list[IntTuple]:

@@ -181,6 +181,14 @@ def _differences(values: list[int], shape: IntTuple, steps: list[IntTuple]) -> l
     return values
 
 
+def _near_differences(near: list[int], size: IntTuple, steps: list[IntTuple]) -> list[int]:
+    """The difference of dim over the steps at every point of a box of this size,
+    from its dim grid grown by 2 below (no steps: the box's own dims)."""
+    shape = tuple(n + 2 for n in size)
+    cut = tuple(map(sum, zip(size, *steps)))
+    return _differences(_window(near, shape, tsub(shape, cut), cut), cut, steps)
+
+
 # ---------------------------------------------------------------------------
 # box series
 
@@ -261,8 +269,12 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
     the strides of the axes in J, and q(alpha) = p(alpha) - p(alpha - 1),
     whose cube lies one diagonal step further down the same table.
     """
-    p = series_on_box(d, "P", box)
-    q = series_on_box(d, "Q", box)
+    p, q = (series_on_box(d, kind, box).values for kind in "PQ")
+    yield from _qp_violations(d, box, p, q)
+
+
+def _qp_violations(d: SemigroupDescription, box: Box, p: tuple, q: tuple) -> Iterator[IntTuple]:
+    """:func:`qp_violations` against the engine's P and Q values on the box."""
     lower = tuple(x - 2 for x in box.lower)
     dims = [dimension(d, a) for a in Box(lower, box.upper).points()]
     shape = tuple(u - l + 1 for l, u in zip(lower, box.upper))
@@ -272,7 +284,7 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
         for corner in product((0, 1), repeat=d.m)
     ]
     back = sum(strides)
-    for alpha, p_value, q_value in zip(box.points(), p.values, q.values):
+    for alpha, p_value, q_value in zip(box.points(), p, q):
         k = _flat(list(map(sub, alpha, lower)), shape)
         here = sum(sign * dims[k - offset] for offset, sign in corners)
         below = sum(sign * dims[k - back - offset] for offset, sign in corners)
@@ -313,7 +325,11 @@ def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[Int
     first cell with the last coordinate counted up, so each row asks
     :func:`canonicalize` once.
     """
-    p = series_on_box(d, "P", box).values
+    yield from _reconstruction_violations(d, box, series_on_box(d, "P", box).values)
+
+
+def _reconstruction_violations(d: SemigroupDescription, box: Box, p: tuple) -> Iterator[IntTuple]:
+    """:func:`reconstruction_violations` against the engine's P values on the box."""
     slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
     poly = {a: c for a in slab if is_maximal(d, a) and (c := coeff_p(d, a))}
     lo, width = box.lower[-1], box.upper[-1] - box.lower[-1] + 1
@@ -406,6 +422,16 @@ def symmetry_violations(d: SemigroupDescription, box: Box) -> Iterator[tuple[str
     sigma = next(_top_maximals(d), None)
     if sigma is None:
         raise ValueError(f"symmetry identities need a maximal element of sum {d.maximal_sum_bound}")
+    near = _dim_grid(d, tsub(box.lower, (2,) * m), box.upper)
+    yield from _symmetry_violations(d, box, sigma, near)
+
+
+def _symmetry_violations(
+    d: SemigroupDescription, box: Box, sigma: IntTuple, near: list[int]
+) -> Iterator[tuple[str, IntTuple]]:
+    """:func:`symmetry_violations` for this sigma, from near, the dim grid
+    on the box grown by 2 below."""
+    m = d.m
     units = [unit(m, i) for i in range(1, m + 1)]
     identities = [
         ("poincare-reflection", units, (-1) ** m, 0),
@@ -415,14 +441,12 @@ def symmetry_violations(d: SemigroupDescription, box: Box) -> Iterator[tuple[str
     shape = tuple(n + 2 for n in size)
     # with v = alpha - lower and u = upper - alpha, the cell at offsets
     # v + 2 of near holds dim(alpha) and the cell at u of far dim(s - alpha - 1)
-    near = _dim_grid(d, tsub(box.lower, (2,) * m), box.upper)
     far = _dim_grid(d, tsub(tsub(sigma, box.upper), ones(m)), tadd(tsub(sigma, box.lower), ones(m)))
     tables = []
     for name, steps, c, k in identities:
         cut = tuple(map(sum, zip(size, *steps)))
-        near_d = _differences(_window(near, shape, tsub(shape, cut), cut), cut, steps)
         far_d = _differences(_window(far, shape, zeros(m), cut), cut, steps)
-        tables.append((name, near_d, far_d[::-1], c, k))
+        tables.append((name, _near_differences(near, size, steps), far_d[::-1], c, k))
     for n, alpha in enumerate(box.points()):
         for name, near_d, far_d, c, k in tables:
             if near_d[n] != c * far_d[n] + k:

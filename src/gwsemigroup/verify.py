@@ -10,12 +10,25 @@ and checks (b) and (d) of ``validate_description``) cannot fail on any
 description while the code is correct: it tests only the implementation.  A
 check that does not apply to the description raises :class:`_Skipped` with
 its reason.
+
+A request's checks share one :class:`_Request`, whose tables are each built
+once, on the first read, so a skipped check builds nothing and a check's time
+includes the tables it is the first to read.  ``near`` is the dim grid on the
+box grown by 2 below; ``dims`` is its box window, and ``members`` is read off
+its jumps.  ``p`` and ``q`` are the engine's P and Q from ``series_on_box``,
+and ``reach`` is the walk of ``semigroup._reach_tables``.  The box's points
+are not held: as a list they would outweigh the other tables together.
+``dimension-class-counts`` reads ``dims`` and ``reach``;
+``lub-generation`` reads ``reach`` and ``members``; ``riemann-roch-regime``
+reads ``dims``; ``qp-identity``, ``poincare-support`` and
+``polynomial-reconstruction`` read ``p``, and ``qp-identity`` also ``q``;
+``symmetry-equations`` reads ``near``.  The per-point routes stay per point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import product
 from math import prod
 from operator import add
@@ -34,6 +47,7 @@ from .core import (
     validate_description,
 )
 from .semigroup import (
+    _and_cells,
     _reach_tables,
     _reached,
     _running,
@@ -41,17 +55,17 @@ from .semigroup import (
     is_absolute_maximal,
     is_maximal,
     is_member,
-    members_from_lubs,
     two_point_profile,
 )
 from .series import (
     _dim_grid,
+    _near_differences,
+    _qp_violations,
+    _reconstruction_violations,
+    _symmetry_violations,
     _top_maximals,
     coeff_p,
-    qp_violations,
-    reconstruction_violations,
     series_on_box,
-    symmetry_violations,
 )
 
 __all__ = ["CheckResult", "run_verification"]
@@ -68,15 +82,57 @@ class _Skipped(Exception):
     """Raised by a check that does not apply; the message is the reason."""
 
 
-def _check_description_consistency(d: SemigroupDescription, box: Box) -> str | None:
+class _Request:
+    """The tables of one verify request on description d and box, each built on its first read.
+
+    No table lives on the description, so they die with the request.
+    """
+
+    def __init__(self, d: SemigroupDescription, box: Box) -> None:
+        self.d, self.box = d, box
+        self.size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))
+
+    @cached_property
+    def near(self) -> list[int]:
+        """dim on the box grown by 2 below, from one dim grid."""
+        return _dim_grid(self.d, tsub(self.box.lower, (2,) * self.d.m), self.box.upper)
+
+    @cached_property
+    def dims(self) -> list[int]:
+        """dim on the box: the box window of near."""
+        return _near_differences(self.near, self.size, [])
+
+    @cached_property
+    def members(self) -> list[bool]:
+        """Membership on the box as ``is_member`` defines it: dim > 0 and every
+        jump 1, read from the jumps of near alone (a jump of 1 makes dim > 0)."""
+        m = self.d.m
+        jumps = (_near_differences(self.near, self.size, [unit(m, i)]) for i in range(1, m + 1))
+        return list(_and_cells(map((1).__eq__, jump) for jump in jumps))
+
+    @cached_property
+    def p(self) -> tuple[int, ...]:
+        return series_on_box(self.d, "P", self.box).values
+
+    @cached_property
+    def q(self) -> tuple[int, ...]:
+        return series_on_box(self.d, "Q", self.box).values
+
+    @cached_property
+    def reach(self) -> tuple[list, list, list[list[int]]]:
+        """The walk of ``semigroup._reach_tables``; its tables are read, never written."""
+        return _reach_tables(self.d, self.box)
+
+
+def _check_description_consistency(request: _Request) -> str | None:
     # description check, with (b) and (d) implementation cross-checks, route: the
     # listed gammas against per-point absolute maximality at the unit terms of the
     # semigroup polynomial, and dimension against the Riemann-Roch regime on every prefix
-    violations = validate_description(d)
+    violations = validate_description(request.d)
     return violations[0] if violations else None
 
 
-def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
+def _class_count_tables(request: _Request) -> list[list[int]]:
     """Table i holds |{beta_i : beta in Gamma(alpha)}| at every box point alpha.
 
     Gamma(alpha) is the part of G below alpha.  Cell (v, x) of reach table i
@@ -87,11 +143,11 @@ def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
     least beta_i; those counts are added into the box's first layer along
     axis i, and a running sum along axis i counts the values up to alpha_i.
     """
-    lower = box.lower
-    size = tuple(u - l + 1 for l, u in zip(lower, box.upper))
-    gens, flats, reach = _reach_tables(d, box)
+    lower, size, m = request.box.lower, request.size, request.d.m
+    gens, flats, reach = request.reach
     tables = []
     for i, marks in enumerate(reach):
+        marks = marks.copy()
         others = size[:i] + size[i + 1:]
         stride = prod(size[i + 1:])
         block = size[i] * stride
@@ -103,7 +159,7 @@ def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
                 below.setdefault(beta[i], []).append(k // block * stride + k % block)
         first_layer = [0] * prod(others)
         for cells in below.values():
-            first_layer = list(map(add, first_layer, _reached(cells, others, range(d.m - 1))))
+            first_layer = list(map(add, first_layer, _reached(cells, others, range(m - 1))))
         for n, first in enumerate(range(0, len(marks), block)):
             layer = first_layer[n * stride:(n + 1) * stride]
             marks[first:first + stride] = map(add, marks[first:first + stride], layer)
@@ -111,36 +167,40 @@ def _class_count_tables(d: SemigroupDescription, box: Box) -> list[list[int]]:
     return tables
 
 
-def _check_class_counts(d: SemigroupDescription, box: Box) -> str | None:
+def _check_class_counts(request: _Request) -> str | None:
     # description check, route: classes of Gamma(alpha) counted from one enumeration
     # of the absolute maximal elements, never from the dim table that dimension and
-    # the grid read.  dimension counts by the last coordinate, and every other
-    # coordinate gives the same count on a valid description, so unequal
-    # counts also flag a broken one, which description-consistency reports first.
-    dims = _dim_grid(d, box.lower, box.upper)
-    for alpha, want, *counts in zip(box.points(), dims, *_class_count_tables(d, box)):
+    # the grid read, against the request's dims.  dimension counts by the last
+    # coordinate, and every other coordinate gives the same count on a valid
+    # description, so unequal counts also flag a broken one, which
+    # description-consistency reports first.
+    tables = _class_count_tables(request)
+    for alpha, want, *counts in zip(request.box.points(), request.dims, *tables):
         if any(c != want for c in counts):
             return f"at {alpha}: class counts {counts} vs dimension {want}"
     return None
 
 
-def _check_lub_generation(d: SemigroupDescription, box: Box) -> str | None:
-    # description check, route: members as lubs of absolute maximal elements, a sweep
-    # that never calls dimension, against per-point is_member
-    swept = members_from_lubs(d, box)
-    scanned = {a for a in box.points() if is_member(d, a)}
-    if swept != scanned:
-        diff = sorted(swept.symmetric_difference(scanned))[0]
-        return f"lub sweep and membership scan disagree at {diff}"
+def _check_lub_generation(request: _Request) -> str | None:
+    # description check, route: members as lubs of absolute maximal elements, the
+    # AND of the reach tables that members_from_lubs reads, a sweep that never calls
+    # dimension, against the request's members, read from the jumps of its dim grid
+    # (the grid that class counts check by enumeration, built as the grids of the
+    # engine's P and Q are, which qp-identity checks against per-point dimension);
+    # the first box point where they differ is the least point of the sets' difference
+    lubs = _and_cells(request.reach[2])
+    for alpha, hit, member in zip(request.box.points(), lubs, request.members):
+        if bool(hit) != member:
+            return f"lub sweep and membership scan disagree at {alpha}"
     return None
 
 
-def _check_qp_identity(d: SemigroupDescription, box: Box) -> str | None:
+def _check_qp_identity(request: _Request) -> str | None:
     # implementation cross-check, route: dimension once at each raw point of the box
     # grown by two below, no lattice reduction, each p and q the unit-cube difference of
     # its 2^m corners there, against the engine's P and Q, read from dim in row form;
     # both read the dim table, which dimension-class-counts checks by enumeration
-    alpha = next(qp_violations(d, box), None)
+    alpha = next(_qp_violations(request.d, request.box, request.p, request.q), None)
     return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 
 
@@ -158,23 +218,25 @@ def _p_from_direction(dim: Callable[[IntTuple], int], alpha: IntTuple, i: int) -
     return total
 
 
-def _check_index_independence(d: SemigroupDescription, box: Box) -> str | None:
+def _check_index_independence(request: _Request) -> str | None:
     # implementation cross-check, route: the paper's p from the jumps in each
     # direction, against the unit-cube difference of coeff_p, on a spread sample
     # of the box; the jumps of all m directions share one memo of dimension at
     # raw points, which dies with the check
+    d = request.d
     dim = cache(partial(dimension, d))
-    for alpha in spread_sample(list(box.points()), 400):
+    for alpha in spread_sample(list(request.box.points()), 400):
         vals = {coeff_p(d, alpha)} | {_p_from_direction(dim, alpha, i) for i in range(1, d.m + 1)}
         if len(vals) != 1:
             return f"p at {alpha} depends on the direction: {sorted(vals)}"
     return None
 
 
-def _check_poincare_support(d: SemigroupDescription, box: Box) -> str | None:
+def _check_poincare_support(request: _Request) -> str | None:
     # description check, route: per-point membership and maximality, against the engine's P
     # (an absolute maximal element is maximal, so p == 0 needs only the last test)
-    for alpha, p in zip(box.points(), series_on_box(d, "P", box).values):
+    d = request.d
+    for alpha, p in zip(request.box.points(), request.p):
         if p != 0 and not is_member(d, alpha):
             return f"nonzero p({alpha}) = {p} at a non-member"
         if p != 0 and not is_maximal(d, alpha):
@@ -184,14 +246,14 @@ def _check_poincare_support(d: SemigroupDescription, box: Box) -> str | None:
     return None
 
 
-def _check_reconstruction(d: SemigroupDescription, box: Box) -> str | None:
+def _check_reconstruction(request: _Request) -> str | None:
     # description check, route: per-point coeff_p at the region's maxima, its own
     # (not semigroup_polynomial, which reads the engine), against the engine's P
-    alpha = next(reconstruction_violations(d, box), None)
+    alpha = next(_reconstruction_violations(request.d, request.box, request.p), None)
     return None if alpha is None else f"polynomial lookup disagrees with p at {alpha}"
 
 
-def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
+def _check_periodicity(request: _Request) -> str | None:
     # implementation cross-check, route: each per-point query at alpha and at
     # alpha + eta, two raw points that the grid fills from one class value.  The
     # table is built per call, so a query rebound at module level is the one asked.
@@ -202,7 +264,8 @@ def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
         ("absolute maximality", is_absolute_maximal),
         ("p", coeff_p),
     ]
-    for alpha in spread_sample(list(box.points()), 150):
+    d = request.d
+    for alpha in spread_sample(list(request.box.points()), 150):
         here = [query(d, alpha) for _, query in queries]
         for eta in d.lattice.generators:
             shifted = tadd(alpha, eta)
@@ -212,36 +275,36 @@ def _check_periodicity(d: SemigroupDescription, box: Box) -> str | None:
     return None
 
 
-def _check_riemann_roch_regime(d: SemigroupDescription, box: Box) -> str | None:
-    # description check, route: the genus alone fixes dim off the slab 0 <= |alpha| < 2g - 1
-    lo = 2 * d.genus - 1
-    for alpha in box.points():
+def _check_riemann_roch_regime(request: _Request) -> str | None:
+    # description check, route: the genus alone fixes dim off the slab 0 <= |alpha| < 2g - 1,
+    # against the request's dims
+    genus = request.d.genus
+    for alpha, got in zip(request.box.points(), request.dims):
         s = sum(alpha)
-        if s >= lo:
-            want = s + 1 - d.genus
-            got = dimension(d, alpha)
-            if got != want:
-                return f"dim({alpha}) = {got}, Riemann-Roch predicts {want}"
-        elif s < 0 and dimension(d, alpha) != 0:
+        if s >= 2 * genus - 1:
+            if got != s + 1 - genus:
+                return f"dim({alpha}) = {got}, Riemann-Roch predicts {s + 1 - genus}"
+        elif s < 0 and got != 0:
             return f"dim({alpha}) nonzero below the zero-sum hyperplane"
     return None
 
 
-def _check_symmetry(d: SemigroupDescription, box: Box) -> str | None:
+def _check_symmetry(request: _Request) -> str | None:
     # description check, route: the grid at the reflected box s - alpha, against the
-    # grid at the box, through the three symmetry identities
-    sigma = next(_top_maximals(d), None)
+    # request's near grid at the box, through the three symmetry identities
+    sigma = next(_top_maximals(request.d), None)
     if sigma is None:
         raise _Skipped("not symmetric")
-    failure = next(symmetry_violations(d, box), None)
+    failure = next(_symmetry_violations(request.d, request.box, sigma, request.near), None)
     if failure is not None:
         name, alpha = failure
         return f"{name} fails at {alpha} (sigma = {sigma})"
     return None
 
 
-def _check_two_point_profile(d: SemigroupDescription, box: Box) -> str | None:
+def _check_two_point_profile(request: _Request) -> str | None:
     # description check, route: the staircase from column and row scans of is_member
+    d = request.d
     if d.m != 2:
         raise _Skipped("m != 2")
     try:
@@ -276,10 +339,11 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 def run_verification(d: SemigroupDescription, box: Box) -> list[CheckResult]:
     """Run every check; results are ordered and deterministic."""
     require_box_dim(box, require_description(d).m)
+    request = _Request(d, box)
     results = []
     for name, fn in _CHECKS:
         try:
-            counterexample = fn(d, box)
+            counterexample = fn(request)
         except _Skipped as skip:
             results.append(CheckResult(name, True, f"skipped: {skip}"))
             continue

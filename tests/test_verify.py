@@ -11,6 +11,7 @@ from gwsemigroup import (
     hermitian_description,
     is_absolute_maximal,
     is_maximal,
+    is_member,
     members_from_lubs,
     qp_violations,
     reconstruction_violations,
@@ -92,7 +93,7 @@ def test_index_independence_catches_a_single_point_fault(monkeypatch, hermitian_
         return original(d, alpha) + (1 if alpha == (2, 2) else 0)
 
     monkeypatch.setattr(verify, "coeff_p", faulty)
-    detail = verify._check_index_independence(hermitian_q3, Box((0, 0), (4, 4)))
+    detail = verify._check_index_independence(verify._Request(hermitian_q3, Box((0, 0), (4, 4))))
     assert detail == "p at (2, 2) depends on the direction: [1, 2]"
 
 
@@ -107,7 +108,7 @@ def test_qp_identity_cross_checks_the_box_engine(monkeypatch, hermitian_q3):
         return values
 
     monkeypatch.setattr(series, "_dim_grid", faulty)
-    detail = verify._check_qp_identity(hermitian_q3, Box((-4, -4), (6, 6)))
+    detail = verify._check_qp_identity(verify._Request(hermitian_q3, Box((-4, -4), (6, 6))))
     assert detail == "engine p or q disagrees with per-point p at (2, 2)"
 
 
@@ -133,6 +134,104 @@ def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
     assert rows["polynomial-reconstruction"].detail.endswith("at (2, 3)")
     failed = {name for name, r in rows.items() if not r.passed}
     assert failed == {"qp-identity", "poincare-support", "polynomial-reconstruction"}
+
+
+@pytest.mark.parametrize("alpha", [(2, 2), (1, 1)])
+def test_a_near_grid_fault_reaches_the_checks_that_read_it(hermitian_q3, alpha):
+    # the request's near grid raised by 1 at one box cell: the class counts
+    # disagree with its dims there, and membership flips there, so the lub
+    # sweep first disagrees with the grid there too.  The member (2, 2) gets
+    # jumps of 2; the non-member (1, 1), whose jumps are 0, gets jumps of 1
+    box = Box((-4, -4), (6, 6))
+    request = verify._Request(hermitian_q3, box)
+    grown = Box(tuple(x - 2 for x in box.lower), box.upper)
+    request.near[list(grown.points()).index(alpha)] += 1
+    count = dimension(hermitian_q3, alpha)
+    assert verify._check_class_counts(request) == (
+        f"at {alpha}: class counts {[count] * 2} vs dimension {count + 1}"
+    )
+    assert request.members[list(box.points()).index(alpha)] != is_member(hermitian_q3, alpha)
+    want = f"lub sweep and membership scan disagree at {alpha}"
+    assert verify._check_lub_generation(request) == want
+    fresh = verify._Request(hermitian_q3, box)
+    assert [verify._check_class_counts(fresh), verify._check_lub_generation(fresh)] == [None, None]
+
+
+@pytest.mark.parametrize(
+    "alpha, detail",
+    [
+        ((-1, 0), "dim((-1, 0)) nonzero below the zero-sum hyperplane"),
+        ((3, 3), "dim((3, 3)) = 5, Riemann-Roch predicts 4"),
+    ],
+)
+def test_riemann_roch_regime_reads_the_request_dims(hermitian_q3, alpha, detail):
+    # the near grid raised by 1 at a box cell off the slab 0 <= |alpha| < 2g - 1
+    box = Box((-4, -4), (6, 6))
+    request = verify._Request(hermitian_q3, box)
+    request.near[list(Box((-6, -6), (6, 6)).points()).index(alpha)] += 1
+    assert verify._check_riemann_roch_regime(request) == detail
+
+
+def _request_cases():
+    # the class-count corpus with its boxes, then every slab-corpus
+    # description, valid or not, on a box around the origin
+    yield from class_count_corpus()
+    for d in slab_corpus():
+        yield d, Box((-2,) * d.m, (2,) * d.m) if d.m < 4 else Box((-1,) * d.m, (1,) * d.m)
+
+
+def test_request_dims_and_members_equal_per_point_queries():
+    invalid = 0
+    for d, box in _request_cases():
+        request = verify._Request(d, box)
+        points = list(box.points())
+        assert request.dims == [dimension(d, a) for a in points], (d, box)
+        assert request.members == [is_member(d, a) for a in points], (d, box)
+        invalid += bool(validate_description(d))
+    assert invalid >= 300
+
+
+def _lub_scan(d, box):
+    # lub-generation as a per-point scan: the sweep against is_member at every box point
+    swept = members_from_lubs(d, box)
+    scanned = {a for a in box.points() if is_member(d, a)}
+    if swept != scanned:
+        return f"lub sweep and membership scan disagree at {sorted(swept ^ scanned)[0]}"
+    return None
+
+
+def _riemann_roch_scan(d, box):
+    # riemann-roch-regime as a per-point scan: dimension asked at every box point
+    for alpha in box.points():
+        s, got = sum(alpha), dimension(d, alpha)
+        if s >= 2 * d.genus - 1 and got != s + 1 - d.genus:
+            return f"dim({alpha}) = {got}, Riemann-Roch predicts {s + 1 - d.genus}"
+        if s < 0 and got != 0:
+            return f"dim({alpha}) nonzero below the zero-sum hyperplane"
+    return None
+
+
+def test_verification_rows_equal_the_per_point_scans():
+    # the rows of lub-generation and riemann-roch-regime, which read the
+    # request's grid, are those of the per-point scans they replace, and
+    # sharing tables moves no other row from what the check gives alone
+    scans = {"lub-generation": _lub_scan, "riemann-roch-regime": _riemann_roch_scan}
+    failing = dict.fromkeys(scans, 0)
+    for d, box in class_count_corpus():
+        want = []
+        for name, check in verify._CHECKS:
+            try:
+                detail = scans[name](d, box) if name in scans else check(verify._Request(d, box))
+            except verify._Skipped as skip:
+                want.append(verify.CheckResult(name, True, f"skipped: {skip}"))
+                continue
+            want.append(verify.CheckResult(name, detail is None, detail or ""))
+        rows = run_verification(d, box)
+        assert rows == want, (d, box)
+        for r in rows:
+            if r.name in scans:
+                failing[r.name] += not r.passed
+    assert min(failing.values()) >= 50, failing
 
 
 def test_requests_leave_only_the_dim_table():
@@ -215,7 +314,7 @@ def test_two_point_profile_check_flags_a_member_below_the_staircase(monkeypatch,
     # the true table is (0, 5, 2, -1); a period too high in column 1 puts
     # the member (1, 8) just below the staircase
     monkeypatch.setattr(verify, "two_point_profile", lambda d: TwoPointProfile(4, (0, 9, 2, -1)))
-    detail = verify._check_two_point_profile(hermitian_q3, Box((0, 0), (1, 1)))
+    detail = verify._check_two_point_profile(verify._Request(hermitian_q3, Box((0, 0), (1, 1))))
     assert detail == "(1, 8) is a member below the staircase"
 
 
@@ -230,14 +329,14 @@ def _per_point_class_counts(d, box):
 def test_dense_class_counts_equal_per_point_enumeration():
     failing = invalid = 0
     for d, box in class_count_corpus():
-        tables = verify._class_count_tables(d, box)
+        tables = verify._class_count_tables(verify._Request(d, box))
         want = None
         for k, (alpha, counts) in enumerate(_per_point_class_counts(d, box)):
             assert [t[k] for t in tables] == counts, (d, box, alpha)
             dim = dimension(d, alpha)
             if want is None and any(c != dim for c in counts):
                 want = f"at {alpha}: class counts {counts} vs dimension {dim}"
-        assert verify._check_class_counts(d, box) == want, (d, box)
+        assert verify._check_class_counts(verify._Request(d, box)) == want, (d, box)
         failing += want is not None
         invalid += bool(validate_description(d))
     assert failing >= 5 and invalid >= 100
@@ -250,7 +349,7 @@ def test_implementation_cross_checks_pass_on_every_corpus_description():
     checks = dict(verify._CHECKS)
     names = ("qp-identity", "poincare-index-independence", "lattice-periodicity")
     for d, box in class_count_corpus():
-        assert [checks[name](d, box) for name in names] == [None] * 3, (d, box)
+        assert [checks[name](verify._Request(d, box)) for name in names] == [None] * 3, (d, box)
     invalid = 0
     for d in slab_corpus():
         violations = validate_description(d)
@@ -282,7 +381,7 @@ def test_class_counts_walk_the_lattice_once(monkeypatch, hermitian_q3, genus0_m4
         (genus0_m4, Box((-3,) * 4, (3,) * 4)),
     ]:
         walks.clear()
-        assert verify._check_class_counts(d, box) is None
+        assert verify._check_class_counts(verify._Request(d, box)) is None
         assert len(walks) == 1
         walks.clear()
         assert members_from_lubs(d, box)
@@ -304,7 +403,7 @@ def test_class_count_tables_stay_box_sized(monkeypatch, hermitian_q3):
     monkeypatch.setattr(verify, "_running", recording)
     monkeypatch.setattr(semigroup, "_running", recording)
     box = Box((0, 0), (0, 400))
-    assert verify._check_class_counts(hermitian_q3, box) is None
+    assert verify._check_class_counts(verify._Request(hermitian_q3, box)) is None
     assert 0 < max(sizes) <= box.point_count()
 
 
@@ -319,7 +418,7 @@ def test_far_boxes_follow_riemann_roch(genus0_m3, hermitian_q3):
         points = list(box.points())
         assert min(map(sum, points)) >= 2 * d.genus - 1 + d.m
         want = [sum(alpha) + 1 - d.genus for alpha in points]
-        assert verify._class_count_tables(d, box) == [want] * d.m
+        assert verify._class_count_tables(verify._Request(d, box)) == [want] * d.m
         assert members_from_lubs(d, box) == set(points)
 
 
@@ -339,7 +438,7 @@ def test_periodicity_reports_the_first_query_that_differs(monkeypatch, genus0_m4
         ("is_absolute_maximal", "absolute maximality"),
         ("coeff_p", "p"),
     ]
-    assert verify._check_periodicity(genus0_m4, box) is None
+    assert verify._check_periodicity(verify._Request(genus0_m4, box)) is None
     for name, word in reversed(queries):
         original = getattr(verify, name)
 
@@ -351,7 +450,7 @@ def test_periodicity_reports_the_first_query_that_differs(monkeypatch, genus0_m4
 
         monkeypatch.setattr(verify, name, faulty)
         want = f"{word} not periodic at {alpha} + {eta}"
-        assert verify._check_periodicity(genus0_m4, box) == want
+        assert verify._check_periodicity(verify._Request(genus0_m4, box)) == want
 
 
 def test_qp_identity_asks_dimension_once_per_raw_point(monkeypatch, hermitian_q3, genus0_m3):
@@ -414,7 +513,8 @@ def test_index_independence_asks_dimension_once_per_raw_point(monkeypatch, genus
         return original(d, alpha)
 
     monkeypatch.setattr(verify, "dimension", counting)
-    assert verify._check_index_independence(genus0_m4, Box((-3,) * 4, (3,) * 4)) is None
+    request = verify._Request(genus0_m4, Box((-3,) * 4, (3,) * 4))
+    assert verify._check_index_independence(request) is None
     assert calls and len(set(calls)) == len(calls)
 
 
@@ -432,18 +532,20 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
     for module in (semigroup, series, verify):
         monkeypatch.setattr(module, "dimension", counting)
     # a dim grid is sliced from the dim table and asks dimension nothing, so
-    # the class counts ask nothing and the engine's P, Q and L add nothing to
+    # the class counts, lub-generation and riemann-roch-regime, which read the
+    # request's grid, ask nothing, and the engine's P and Q add nothing to
     # the per-point calls of qp-identity, poincare-support,
-    # polynomial-reconstruction and the symmetry equations.
-    # description-consistency asks is_maximal at the slab's nonzero P terms,
-    # is_absolute_maximal at the polynomial's unit terms, and dimension at
-    # every prefix for the a_{m-1} + 1 sums of (c) and sum -1 of (d)
+    # polynomial-reconstruction and the symmetry equations, which scan for
+    # sigma once.  description-consistency asks is_maximal at the slab's
+    # nonzero P terms, is_absolute_maximal (m + 2 calls at a member) at the
+    # polynomial's unit terms, and dimension at every prefix for the
+    # a_{m-1} + 1 sums of (c) and sum -1 of (d)
     want = {
         (hermitian_q3, Box((-6, -6), (8, 8))): [
-            68, 0, 461, 289, 1156, 697, 111, 2976, 156, 22, 72,
+            64, 0, 0, 289, 1156, 615, 111, 2876, 0, 11, 72,
         ],
         (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
-            47, 0, 281, 625, 1552, 853, 78, 10220, 81, 20, 0,
+            45, 0, 0, 625, 1552, 832, 78, 10020, 0, 10, 0,
         ],
     }
     for (d, box), counts in want.items():
@@ -451,7 +553,7 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
         for _, check in verify._CHECKS:
             calls[0] = 0
             try:
-                check(d, box)
+                check(verify._Request(d, box))
             except verify._Skipped:
                 pass
             got.append(calls[0])
@@ -461,9 +563,12 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
 def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
     # work gate beside the dimension calls: the dim grids (series._dim_grid)
     # and the walks of the absolute maximal elements (semigroup._reach_tables)
-    # that each check builds, counted at every module binding of each.  A
-    # request builds 8 grids and walks twice; sharing tables across checks
-    # would lower these, and a change that moves one says why in CHANGES.md.
+    # that each check builds alone, on a fresh request, counted at every module
+    # binding of each.  A request shares its tables across checks, so it builds
+    # 5 grids and walks once: the slab grid of description-consistency's
+    # polynomial, and the request's near grid, reflected grid (far) and the
+    # grids of the engine's P and Q.  A change that moves one says why in
+    # CHANGES.md.
     from gwsemigroup import backends, cli, core, plotting
 
     built = {"_dim_grid": 0, "_reach_tables": 0}
@@ -479,18 +584,18 @@ def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
         for module in (backends, cli, core, plotting, semigroup, series, verify):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
-    grids = [1, 1, 0, 2, 0, 1, 1, 0, 0, 2, 0]
+    grids = [1, 1, 1, 2, 0, 1, 1, 0, 1, 2, 0]
     walks = [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
     for d, box in [(hermitian_q3, Box((-6, -6), (8, 8))), (genus0_m4, Box((-1,) * 4, (1,) * 4))]:
         got = []
         for _, check in verify._CHECKS:
             built.update(_dim_grid=0, _reach_tables=0)
             try:
-                check(d, box)
+                check(verify._Request(d, box))
             except verify._Skipped:
                 pass
             got.append((built["_dim_grid"], built["_reach_tables"]))
         assert dict(zip(CHECK_NAMES, got)) == dict(zip(CHECK_NAMES, zip(grids, walks))), d.label
         built.update(_dim_grid=0, _reach_tables=0)
         run_verification(d, box)
-        assert built == {"_dim_grid": 8, "_reach_tables": 2}
+        assert built == {"_dim_grid": 5, "_reach_tables": 1}
