@@ -11,9 +11,10 @@ Input faults are the library's to find: every ``ValueError`` it raises on a
 request is one, and :func:`main` maps it to exit 2 with the library's text.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error (an ``--out`` that
-cannot be written included), 3 resource cap (a box or the fundamental slab's
-box above ``--cap``, ``DEFAULT_CAP`` for ``query``; a ``query basis`` or
-``gen`` listing more than ``DEFAULT_CAP`` points or entries).
+cannot be written included), 3 resource cap: after the usage checks and before
+any work, :func:`_capped` holds to ``--cap`` (``DEFAULT_CAP`` without it) the
+fundamental slab's box, which bounds ``d.dim_table``, the ``--box``, the basis
+table and basis of ``query basis``, and the entries of the JSON ``gen`` writes.
 All outputs are deterministic: identical inputs give byte-identical bytes.
 """
 
@@ -28,6 +29,7 @@ from .backends import genus0_description, hermitian_description
 from .core import Box, IntTuple, SemigroupDescription, load_description, require_box_dim
 from .plotting import render_membership_svg
 from .semigroup import (
+    _basis_table_bound,
     dimension,
     is_absolute_maximal,
     is_maximal,
@@ -51,7 +53,7 @@ class UsageError(ValueError):
     pass
 
 
-class _CapExceeded(Exception):
+class _CapExceeded(ValueError):
     pass
 
 
@@ -89,15 +91,14 @@ def _load(path: str) -> SemigroupDescription:
         raise UsageError(f"cannot load description {path!r}: {exc}") from None
 
 
-def _capped(args: argparse.Namespace, what: str, box: Box) -> Box:
-    """The box, once within ``--cap`` points (``DEFAULT_CAP`` for ``query``): exit 3 above it."""
+def _capped(args: argparse.Namespace, what: str, n: int, unit: str = "points") -> None:
+    """The one size gate: exit 3 when n is above ``--cap`` (``DEFAULT_CAP`` without it)."""
     cap = getattr(args, "cap", DEFAULT_CAP)
     if cap < 1:
         raise UsageError(f"cap must be a positive integer, got {cap}")
-    if (n := box.point_count()) > cap:
+    if n > cap:
         hint = " (raise --cap to override)" if hasattr(args, "cap") else ""
-        raise _CapExceeded(f"{what} holds {n} points, above the cap of {cap}{hint}")
-    return box
+        raise _CapExceeded(f"{what} holds {n} {unit}, above the cap of {cap}{hint}")
 
 
 def _box(args: argparse.Namespace, d: SemigroupDescription) -> Box:
@@ -106,8 +107,9 @@ def _box(args: argparse.Namespace, d: SemigroupDescription) -> Box:
         raise UsageError(f"{args.command} requires --box")
     box = parse_box(args.box)
     require_box_dim(box, d.m)
-    _capped(args, "the fundamental slab's box", _slab_box(d))  # d.dim_table holds at most twice it
-    return _capped(args, "box", box)
+    _capped(args, "the fundamental slab's box", _slab_box(d).point_count())
+    _capped(args, "box", box.point_count())
+    return box
 
 
 def _point(a: Iterable[int]) -> str:
@@ -121,12 +123,12 @@ def _json(payload: object, indent: int | None = None) -> str:
 # ---------------------------------------------------------------------------
 # subcommands: each returns (output text, exit code)
 
-# gen family -> (the flag giving its parameter, fixture builder, what its JSON
-# lists, that list's integer entries at a parameter >= 2): q + 1 gammas of two
+# gen family -> (the flag giving its parameter, fixture builder, the integer
+# entries its JSON lists at a parameter >= 2): q + 1 gammas of two
 # coordinates, or m - 1 generator rows of m coordinates
 _FAMILIES = {
-    "hermitian": ("q", hermitian_description, "gamma", lambda q: 2 * (q + 1)),
-    "genus0": ("m", genus0_description, "lattice generator", lambda m: m * (m - 1)),
+    "hermitian": ("q", hermitian_description, lambda q: 2 * (q + 1)),
+    "genus0": ("m", genus0_description, lambda m: m * (m - 1)),
 }
 
 _QUERIES = {
@@ -139,23 +141,23 @@ _QUERIES = {
 
 
 def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
-    flag, build, what, size = _FAMILIES[args.family]
+    flag, build, size = _FAMILIES[args.family]
     value = getattr(args, flag)
     if value is None:
         raise UsageError(f"gen {args.family} requires --{flag}")
     # the output's size is known before the build; a parameter < 2 is the builder's to refuse
-    if value > 1 and (n := size(value)) > DEFAULT_CAP:
-        raise _CapExceeded(f"{n} {what} entries are above the cap of {DEFAULT_CAP}")
+    if value > 1:
+        _capped(args, f"the {args.family} JSON", size(value), "integer entries")
     return build(value).dumps(), EXIT_OK
 
 
 def _cmd_query(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
     alpha = parse_tuple(args.alpha)
-    _capped(args, "the fundamental slab's box", _slab_box(d))  # d.dim_table holds at most twice it
-    # a basis lists dim(alpha) points, so its size is known before it is built
-    if args.op == "basis" and (n := dimension(d, alpha)) > DEFAULT_CAP:
-        raise _CapExceeded(f"a basis of {n} points is above the cap of {DEFAULT_CAP}")
+    _capped(args, "the fundamental slab's box", _slab_box(d).point_count())
+    if args.op == "basis":  # both sizes are known before either is built
+        _capped(args, "the basis table", _basis_table_bound(d))
+        _capped(args, "a basis", dimension(d, alpha))
     result = _QUERIES[args.op](d, alpha)
     if args.format == "json":
         return _json({"op": args.op, "alpha": alpha, "result": result}), EXIT_OK
@@ -175,7 +177,7 @@ def _cmd_series(args: argparse.Namespace) -> tuple[str, int]:
     if args.kind == "polynomial":
         if args.box is not None:
             raise UsageError("series polynomial reads the fundamental slab and takes no --box")
-        _capped(args, "the fundamental slab's box", _slab_box(d))
+        _capped(args, "the fundamental slab's box", _slab_box(d).point_count())
         terms = list(semigroup_polynomial(d).items())
         if args.format == "text":
             return _terms_text(terms), EXIT_OK
@@ -278,10 +280,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise UsageError(f"cannot write {args.out!r}: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return EXIT_CAP if isinstance(exc, _CapExceeded) else EXIT_USAGE
     return code
 
 

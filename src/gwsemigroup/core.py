@@ -96,13 +96,6 @@ def ceildiv(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def spread_sample(items: list, cap: int) -> list:
-    """All items if there are at most cap, else every (n // cap + 1)-th from the first."""
-    if len(items) <= cap:
-        return items
-    return items[:: len(items) // cap + 1]
-
-
 def json_array(items: list[str], depth: int) -> str:
     """The items' JSON texts as one array, laid out as ``json.dumps(...,
     indent=2)`` lays out an array at nesting depth ``depth``: ``[]`` when
@@ -465,7 +458,9 @@ def validate_description(d: SemigroupDescription) -> list[str]:
        sum in [0, 2g-2+m] is missing from the list;
     c. dim(alpha) == |alpha| + 1 - g at every alpha with |alpha| >= 2g-1
        (consistency with the claimed genus);
-    d. dim(alpha) == 0 at every alpha with |alpha| < 0.
+    d. dim(alpha) == 0 at every alpha with |alpha| < 0;
+    e. gamma + delta is a member for every pair of listed gammas (repetition
+       allowed) with |gamma + delta| < 2g (closure under addition).
 
     (a) and (b) compare the list with the absolute maximal elements of the
     slab 0 <= |alpha| <= 2g-2+m of the region, which holds every listed gamma
@@ -491,6 +486,14 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     dim - (s + 1 - g) never rises.  If it is 0 at the sums 2g-1, ...,
     2g-1+a_{m-1}, every class has stepped, so each later step is 1 and it
     stays 0.  dim is nonnegative and never falls, so 0 at sum -1 gives 0 below.
+
+    (e) is closure of the absolute maximal elements under addition:
+    (gamma + k eta) + (delta + l eta) = (gamma + delta) + (k + l) eta, and
+    membership is lattice-invariant, so one sum per pair of listed gammas
+    decides it.  Every point of sum >= 2g is a member, as (c) makes every jump
+    there 1.  Every member is a lub of absolute maximal elements, and the sum
+    of two lubs is a lub of pairwise sums, so closure under lub, which
+    ``lub-generation`` checks, carries (e) to all members.
     """
     from . import semigroup, series  # deferred: both build on this module
 
@@ -518,5 +521,12 @@ def validate_description(d: SemigroupDescription) -> list[str]:
         got = semigroup.dimension(d, alpha)
         if got != 0:
             violations.append(f"(d) dim({alpha}) = {got}, expected 0 for sum -1")
+
+    gammas = d.gamma_fundamental
+    for k, gamma in enumerate(gammas):
+        for delta in gammas[k:]:
+            total = tadd(gamma, delta)
+            if sum(total) < 2 * d.genus and not semigroup.is_member(d, total):
+                violations.append(f"(e) {gamma} + {delta} = {total} is not a member")
 
     return violations

@@ -5,11 +5,11 @@ outcomes into :class:`CheckResult` rows for reporting.  Every check re-derives
 quantities through a route independent of the primary fast paths, named in a
 comment together with the check's kind.  A description check can fail on a
 description that no semigroup has.  An implementation cross-check
-(``qp-identity``, ``poincare-index-independence``, ``lattice-periodicity``
-and checks (b) and (d) of ``validate_description``) cannot fail on any
-description while the code is correct: it tests only the implementation.  A
-check that does not apply to the description raises :class:`_Skipped` with
-its reason.
+(``qp-identity``, ``poincare-index-independence``, ``lattice-periodicity``,
+checks (b) and (d) of ``validate_description`` and the below-hyperplane
+branch of ``riemann-roch-regime``) cannot fail on any description while the
+code is correct: it tests only the implementation.  A check that does not
+apply to the description raises :class:`_Skipped` with its reason.
 
 A request's checks share one :class:`_Request`, whose tables are each built
 once, on the first read, so a skipped check builds nothing and a check's time
@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from itertools import product
+from itertools import islice, product
 from math import prod
 from operator import add
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import (
     Box,
@@ -40,7 +40,6 @@ from .core import (
     SemigroupDescription,
     require_box_dim,
     require_description,
-    spread_sample,
     tadd,
     tsub,
     unit,
@@ -127,7 +126,8 @@ class _Request:
 def _check_description_consistency(request: _Request) -> str | None:
     # description check, with (b) and (d) implementation cross-checks, route: the
     # listed gammas against per-point absolute maximality at the unit terms of the
-    # semigroup polynomial, and dimension against the Riemann-Roch regime on every prefix
+    # semigroup polynomial, dimension against the Riemann-Roch regime on every prefix,
+    # and per-point membership at the sums of listed pairs for closure (e)
     violations = validate_description(request.d)
     return violations[0] if violations else None
 
@@ -204,6 +204,12 @@ def _check_qp_identity(request: _Request) -> str | None:
     return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 
 
+def _spread(box: Box, cap: int) -> Iterator[IntTuple]:
+    """All box points if there are at most cap, else every (n // cap + 1)-th from the first."""
+    n = box.point_count()
+    return islice(box.points(), 0, None, 1 if n <= cap else n // cap + 1)
+
+
 def _p_from_direction(dim: Callable[[IntTuple], int], alpha: IntTuple, i: int) -> int:
     # The paper's route to p(alpha) from direction i alone: the jumps
     # d_i(x) = dim(x) - dim(x - e_i) at x = alpha - 1_K over the subsets K of
@@ -225,7 +231,7 @@ def _check_index_independence(request: _Request) -> str | None:
     # raw points, which dies with the check
     d = request.d
     dim = cache(partial(dimension, d))
-    for alpha in spread_sample(list(request.box.points()), 400):
+    for alpha in _spread(request.box, 400):
         vals = {coeff_p(d, alpha)} | {_p_from_direction(dim, alpha, i) for i in range(1, d.m + 1)}
         if len(vals) != 1:
             return f"p at {alpha} depends on the direction: {sorted(vals)}"
@@ -265,7 +271,7 @@ def _check_periodicity(request: _Request) -> str | None:
         ("p", coeff_p),
     ]
     d = request.d
-    for alpha in spread_sample(list(request.box.points()), 150):
+    for alpha in _spread(request.box, 150):
         here = [query(d, alpha) for _, query in queries]
         for eta in d.lattice.generators:
             shifted = tadd(alpha, eta)
@@ -277,7 +283,9 @@ def _check_periodicity(request: _Request) -> str | None:
 
 def _check_riemann_roch_regime(request: _Request) -> str | None:
     # description check, route: the genus alone fixes dim off the slab 0 <= |alpha| < 2g - 1,
-    # against the request's dims
+    # against the request's dims.  The branch below the hyperplane is an implementation
+    # cross-check: the constructor rejects every gamma of negative sum, so no translate
+    # lies below a point of sum < 0, and no description can fire it.
     genus = request.d.genus
     for alpha, got in zip(request.box.points(), request.dims):
         s = sum(alpha)

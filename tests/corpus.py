@@ -7,6 +7,7 @@ the corpora built from it are deterministic: the same seed gives the same
 descriptions and boxes.  Not collected by pytest (no ``test_`` prefix).
 """
 
+import itertools
 import json
 import random
 
@@ -94,6 +95,19 @@ def slab_corpus():
     yield from (d for d, _ in class_count_corpus())
     yield from (random_description(rng, periods=4) for _ in range(160))
     yield from (random_description(rng, m=5) for _ in range(40))
+
+
+def two_point_corpus():
+    """Every m = 2 description with period 1-4 and genus 0-5 whose column 0
+    lists (0, 0) and each other column j at most one gamma (j, s - j),
+    0 <= s <= 2g; a valid one lists one per column (the staircase of
+    ``TwoPointProfile``).  Most are not valid descriptions."""
+    for a in range(1, 5):
+        for g in range(6):
+            choices = [[None] + [(j, s - j) for s in range(2 * g + 1)] for j in range(1, a)]
+            for picked in itertools.product(*choices):
+                gammas = ((0, 0),) + tuple(p for p in picked if p is not None)
+                yield SemigroupDescription(2, g, Lattice((a,)), gammas)
 
 
 def json_reference(x) -> str:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gwsemigroup
-from gwsemigroup import cli, series
+from gwsemigroup import cli, semigroup, series
 from gwsemigroup.cli import UsageError, main, parse_box, parse_tuple
 from gwsemigroup.core import Box, Lattice, SemigroupDescription, load_description, save_description
 from gwsemigroup.series import series_on_box
@@ -148,6 +148,56 @@ def test_query_basis_above_the_cap_exits_3_before_building(capsys, q3_file, monk
     assert code == 3 and out == ""
     assert "99999999997" in err and str(cli.DEFAULT_CAP) in err
     assert "--cap" not in err and "Traceback" not in err
+
+
+def test_query_basis_above_the_cap_by_its_table_exits_3_before_building(
+    capsys, tmp_path, monkeypatch
+):
+    # periods (97, 89) and genus 2: the slab's box holds 97 * 89 * 190 =
+    # 1640270 points, but the 24 listed last coordinates fall in 24 classes
+    # mod 89, and each class holds at least lcm / 89 = 97 entries of each of
+    # the 97 * 89 rows of the basis table: 20097624 at least, above the cap
+    d = SemigroupDescription(3, 2, Lattice((97, 89)), tuple((j, 0, -j) for j in range(24)))
+    path = tmp_path / "wide.json"
+    save_description(d, path)
+
+    def tripwire(self):
+        raise AssertionError("the basis table was built")
+
+    monkeypatch.setattr(SemigroupDescription, "least_translates", property(tripwire))
+    bound = semigroup._basis_table_bound(d)
+    assert bound >= 97 * 89 * 24 * 97 > cli.DEFAULT_CAP
+    code, out, err = run_cli(capsys, ["query", "basis", "0,0,0", "--desc", str(path)])
+    assert (code, out) == (3, "") and "Traceback" not in err
+    assert f"the basis table holds {bound} points, above the cap of {cli.DEFAULT_CAP}" in err
+    assert "--cap" not in err
+
+
+def test_query_basis_within_the_cap_builds_a_table_within_its_bound(
+    capsys, tmp_path, monkeypatch
+):
+    # periods (31, 29), genus 2 and 12 gammas: a slab's box of 57536 points
+    # and a basis table of 345807 entries, which the bound 399156 holds
+    gammas = ((0, 0, 0),) + tuple((2 * j, j, 5 - 3 * j) for j in range(1, 12))
+    d = SemigroupDescription(3, 2, Lattice((31, 29)), gammas)
+    path = tmp_path / "coprime.json"
+    save_description(d, path)
+    build = SemigroupDescription.__dict__["least_translates"].func
+    tables = []
+
+    def recording(self):
+        tables.append(build(self))
+        return tables[-1]
+
+    monkeypatch.setattr(SemigroupDescription, "least_translates", property(recording))
+    code, out, _ = run_cli(capsys, ["query", "basis", "5,5,5", "--desc", str(path)])
+    assert code == 0 and len(tables) == 1
+    assert sum(len(vs) for vs, _, _ in tables[0]) == 345807
+    assert semigroup._basis_table_bound(d) == 399156
+    monkeypatch.undo()
+    object.__setattr__(d, "least_translates", tables[0])  # the cached table, not a second build
+    basis = gwsemigroup.riemann_roch_basis(d, (5, 5, 5))
+    assert out == " ".join("(" + ",".join(map(str, b)) + ")" for b in basis) + "\n"
 
 
 def test_gen_genus0_above_the_cap_exits_3_before_building(capsys, monkeypatch):

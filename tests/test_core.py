@@ -13,7 +13,6 @@ from gwsemigroup.core import (
     canonicalize,
     load_description,
     save_description,
-    spread_sample,
     tadd,
     unit,
     validate_description,
@@ -21,19 +20,7 @@ from gwsemigroup.core import (
 )
 from gwsemigroup.series import series_on_box
 
-from corpus import H3_MOVED_22, H3_WITHOUT_22, json_reference
-
-
-# ---------------------------------------------------------------------------
-# sampling
-
-def test_spread_sample_keeps_every_step_th_item():
-    # the rule verify and the Riemann-Roch probe share: all items up to the
-    # cap, else every (n // cap + 1)-th one from the first
-    assert spread_sample([1, 2, 3], 3) == [1, 2, 3]
-    assert spread_sample(list(range(10)), 3) == [0, 4, 8]
-    assert spread_sample(list(range(800)), 400) == list(range(0, 800, 3))
-    assert len(spread_sample(list(range(12996)), 400)) == 394
+from corpus import H3_MOVED_22, H3_WITHOUT_22, json_reference, two_point_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +375,53 @@ _Q3_RR_VIOLATIONS = [
 ]
 
 
+def _box_closure_failures(d):
+    # closure under addition by a box scan, not by (e): members x and y of
+    # [-w, w]^2, w = 2g + a + 4, with x in the fundamental region (membership
+    # is lattice-invariant) and both sums below 2g, whose sum is a box point
+    # and not a member
+    a, bound = d.lattice.periods[0], 2 * d.genus
+    w = bound + a + 4
+    box = Box((-w, -w), (w, w))
+    low = [p for p in box.points() if sum(p) < bound and semigroup.is_member(d, p)]
+    return [
+        (x, y)
+        for x in low
+        if 0 <= x[0] < a
+        for y in low
+        if max(map(abs, z := tadd(x, y))) <= w and not semigroup.is_member(d, z)
+    ]
+
+
+def test_closure_check_flags_exactly_the_unclosed_two_point_descriptions():
+    # the exhaustive m = 2 corpus: 84 descriptions pass (a)-(d); the box scan
+    # finds two members summing to a non-member in 27 of them, and on those
+    # (e), and only (e), fires
+    valid = unclosed = 0
+    for d in two_point_corpus():
+        violations = validate_description(d)
+        if any(not v.startswith("(e) ") for v in violations):
+            continue
+        assert bool(violations) == bool(_box_closure_failures(d)), d
+        valid += not violations
+        unclosed += bool(violations)
+    assert (valid, unclosed) == (57, 27)
+    d = SemigroupDescription(2, 2, Lattice((4,)), ((0, 0), (1, 2), (2, -1), (3, 1)))
+    assert validate_description(d) == ["(e) (2, -1) + (2, -1) = (4, -2) is not a member"]
+
+
 def test_validate_mutant_violation_lists(genus0_m3):
     # Exact lists, order included: (a) and (b) come from the slab's absolute
     # maximal elements, (c) from the Riemann-Roch probes at the sums 2g-1 ..
-    # 2g-1+a_{m-1} (5 .. 9 on h3, 1 .. 2 at periods (2, 1)), sum by sum.
-    assert validate_description(H3_WITHOUT_22) == _Q3_RR_VIOLATIONS
+    # 2g-1+a_{m-1} (5 .. 9 on h3, 1 .. 2 at periods (2, 1)), sum by sum, and
+    # (e) from the pairs of listed gammas in list order, each with its repeat.
+    doubled = "(e) (3, -1) + (3, -1) = (6, -2) is not a member"
+    assert validate_description(H3_WITHOUT_22) == [*_Q3_RR_VIOLATIONS, doubled]
     assert validate_description(H3_MOVED_22) == [
         "(a) listed gamma (2, 3) is not absolute maximal",
         *_Q3_RR_VIOLATIONS,
+        "(e) (0, 0) + (2, 3) = (2, 3) is not a member",
+        doubled,
     ]
     gammas = genus0_m3.gamma_fundamental + ((0, 0, 1),)
     extra = SemigroupDescription(3, 0, genus0_m3.lattice, gammas)

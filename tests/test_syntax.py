@@ -2,7 +2,8 @@
 
 ``pyproject.toml`` admits Python 3.10, so no file may use newer syntax.
 ``ast.parse`` with ``feature_version=(3, 10)`` rejects most, not all, newer
-grammar (``except*`` is caught); it does not check standard-library APIs.
+grammar (``except*`` is caught); it does not check standard-library APIs, so
+a list of the names the standard library gained after 3.10 does.
 ``pyproject.toml`` also declares no runtime dependency, so every absolute
 import under ``src/gwsemigroup`` must name a ``sys.stdlib_module_names`` entry.
 Cases shared by test modules live in ``tests/corpus.py``, so no file under
@@ -32,6 +33,77 @@ def test_every_python_file_parses_as_python_3_10():
             ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
         except SyntaxError as exc:
             failures.append(f"{path.relative_to(ROOT)}:{exc.lineno}: {exc.msg}")
+    assert failures == []
+
+
+# what the standard library gained in 3.11-3.13: modules, builtins, attributes
+# of a module (read through an import or an attribute), and methods
+NEWER_MODULES = {"tomllib"}
+NEWER_BUILTINS = {"ExceptionGroup", "BaseExceptionGroup"}
+NEWER_METHODS = {"add_note"}
+NEWER_NAMES = {
+    "asyncio": {"Barrier", "Runner", "TaskGroup", "timeout", "timeout_at"},
+    "contextlib": {"chdir"},
+    "datetime": {"UTC"},
+    "enum": {"EnumCheck", "FlagBoundary", "ReprEnum", "StrEnum", "global_enum", "verify"},
+    "hashlib": {"file_digest"},
+    "itertools": {"batched"},
+    "logging": {"getLevelNamesMapping"},
+    "math": {"cbrt", "exp2", "sumprod"},
+    "operator": {"call"},
+    "re": {"NOFLAG"},
+    "sys": {"exception"},
+    "typing": {
+        "LiteralString", "Never", "NotRequired", "ReadOnly", "Required", "Self",
+        "TypeIs", "TypeVarTuple", "Unpack", "assert_never", "assert_type",
+        "clear_overloads", "dataclass_transform", "get_overloads", "override",
+        "reveal_type",
+    },
+    "warnings": {"deprecated"},
+}
+
+
+def _newer_stdlib_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    aliases = {}  # local name -> the module it was imported as
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                aliases[alias.asname or alias.name.split(".")[0]] = alias.name
+                found += [alias.name] if alias.name.split(".")[0] in NEWER_MODULES else []
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] in NEWER_MODULES:
+                found.append(node.module)
+            newer = NEWER_NAMES.get(node.module, set())
+            found += [f"{node.module}.{a.name}" for a in node.names if a.name in newer]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if node.attr in NEWER_METHODS:
+                found.append(f".{node.attr}")
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                module = aliases[node.value.id]
+                if node.attr in NEWER_NAMES.get(module, set()):
+                    found.append(f"{module}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in NEWER_BUILTINS:
+            found.append(node.id)
+    return found
+
+
+def test_no_python_file_uses_a_standard_library_name_newer_than_3_10():
+    sample = (
+        "import tomllib\nimport typing as t\nfrom enum import Enum, StrEnum\n"
+        "import datetime\nx: t.Self = datetime.UTC\nerr = ExceptionGroup('', [])\n"
+        "err.add_note('')\nfrom itertools import batched, pairwise\n"
+    )
+    assert sorted(_newer_stdlib_names(sample)) == [
+        ".add_note", "ExceptionGroup", "datetime.UTC", "enum.StrEnum",
+        "itertools.batched", "tomllib", "typing.Self",
+    ]
+    failures = []
+    for path in sorted(path for top in TOPS for path in (ROOT / top).rglob("*.py")):
+        names = _newer_stdlib_names(path.read_text(encoding="utf-8"))
+        failures += [f"{path.relative_to(ROOT)}: {name}" for name in names]
     assert failures == []
 
 

@@ -24,7 +24,7 @@ from gwsemigroup import (
     symmetry_violations,
 )
 from gwsemigroup import semigroup, series, verify
-from gwsemigroup.core import spread_sample, tadd, validate_description
+from gwsemigroup.core import tadd, validate_description
 from gwsemigroup.verify import CHECK_NAMES
 
 from corpus import H3_MOVED_22, H3_WITHOUT_15, H3_WITHOUT_22, class_count_corpus, slab_corpus
@@ -422,13 +422,36 @@ def test_far_boxes_follow_riemann_roch(genus0_m3, hermitian_q3):
         assert members_from_lubs(d, box) == set(points)
 
 
+def test_sampled_points_are_every_step_th_box_point():
+    # the sample of index independence and periodicity, taken without listing
+    # the box, equals the list expression it replaced: every point up to the
+    # cap (n == cap included), else every (n // cap + 1)-th from the first
+    def listed(box, cap):
+        items = list(box.points())
+        return items if len(items) <= cap else items[:: len(items) // cap + 1]
+
+    cases = [
+        (Box((0,), (2,)), 3, 3),
+        (Box((0,), (9,)), 3, 3),
+        (Box((0, 0), (19, 19)), 400, 400),
+        (Box((0, 0), (799, 0)), 400, 267),
+        (Box((0, 0), (113, 113)), 400, 394),
+        (Box((-1,) * 4, (1,) * 4), 150, 81),
+        (Box((-5, 0, 2), (6, 12, 8)), 150, 137),
+    ]
+    for box, cap, count in cases:
+        sample = list(verify._spread(box, cap))
+        assert sample == listed(box, cap) and len(sample) == count, box
+    assert list(verify._spread(Box((0,), (9,)), 3)) == [(0,), (4,), (8,)]
+
+
 def test_periodicity_reports_the_first_query_that_differs(monkeypatch, genus0_m4):
     # queries made wrong one by one, last first, only at alpha + eta for the
     # first sample point and the last generator: the report names the first
     # wrong query in the order membership, dimension, maximality, absolute
     # maximality, p
     box = Box((-1,) * 4, (1,) * 4)
-    alpha = spread_sample(list(box.points()), 150)[0]
+    alpha = next(verify._spread(box, 150))
     eta = genus0_m4.lattice.generators[-1]
     target = tadd(alpha, eta)
     queries = [
@@ -538,11 +561,13 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
     # polynomial-reconstruction and the symmetry equations, which scan for
     # sigma once.  description-consistency asks is_maximal at the slab's
     # nonzero P terms, is_absolute_maximal (m + 2 calls at a member) at the
-    # polynomial's unit terms, and dimension at every prefix for the
-    # a_{m-1} + 1 sums of (c) and sum -1 of (d)
+    # polynomial's unit terms, dimension at every prefix for the
+    # a_{m-1} + 1 sums of (c) and sum -1 of (d), and is_member (m + 1 calls
+    # at a member) at the sums below 2g of listed pairs for (e): 4 on h3,
+    # none at genus 0
     want = {
         (hermitian_q3, Box((-6, -6), (8, 8))): [
-            64, 0, 0, 289, 1156, 615, 111, 2876, 0, 11, 72,
+            76, 0, 0, 289, 1156, 615, 111, 2876, 0, 11, 72,
         ],
         (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
             45, 0, 0, 625, 1552, 832, 78, 10020, 0, 10, 0,
