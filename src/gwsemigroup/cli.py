@@ -26,10 +26,16 @@ import sys
 from typing import Iterable
 
 from .backends import genus0_description, hermitian_description
-from .core import Box, IntTuple, SemigroupDescription, load_description, require_box_dim
+from .core import (
+    Box,
+    IntTuple,
+    SemigroupDescription,
+    load_description,
+    require_box_dim,
+    require_point,
+)
 from .plotting import render_membership_svg
 from .semigroup import (
-    _basis_table_bound,
     dimension,
     is_absolute_maximal,
     is_maximal,
@@ -153,10 +159,10 @@ def _cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_query(args: argparse.Namespace) -> tuple[str, int]:
     d = _load(args.desc)
-    alpha = parse_tuple(args.alpha)
+    alpha = require_point(parse_tuple(args.alpha), d.m)
     _capped(args, "the fundamental slab's box", _slab_box(d).point_count())
     if args.op == "basis":  # both sizes are known before either is built
-        _capped(args, "the basis table", _basis_table_bound(d))
+        _capped(args, "the basis table", d._least_translate_count())
         _capped(args, "a basis", dimension(d, alpha))
     result = _QUERIES[args.op](d, alpha)
     if args.format == "json":

@@ -375,6 +375,22 @@ class SemigroupDescription:
             rows.append((tuple(vs), tuple(map(least.get, vs)), vs.index(top)))
         return tuple(rows)
 
+    def _least_translate_count(self) -> int:
+        """The entries of :attr:`least_translates`, counted without building it.
+
+        A row's v of class c mod a = a_{m-1} run in steps of a from the least
+        base B_c of the class up to below B + lcm(periods), B the row's largest
+        base: sum_c ceil((B + lcm(periods) - B_c) / a) of them.
+        """
+        per = self.lattice.periods
+        a, period, total = per[-1], lcm(*per), 0
+        for r in product(*(range(p) for p in per)):
+            bases = self._bases(r)
+            top = max(bases) + period
+            least = {b % a: b for b in sorted(bases, reverse=True)}  # the least wins
+            total += sum(ceildiv(top - b, a) for b in least.values())
+        return total
+
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -368,27 +368,6 @@ def members_from_lubs(d: SemigroupDescription, box: Box) -> set[IntTuple]:
     return {alpha for alpha, hit in zip(box.points(), _and_cells(_reach_tables(d, box)[2])) if hit}
 
 
-def _basis_table_bound(d: SemigroupDescription) -> int:
-    """An upper bound on the entries of ``d.least_translates``, without building it.
-
-    With a = a_{m-1}, L = lcm(periods) and S = sum(periods): a base is
-    gamma_m - c for the last greedy carry c of ``SemigroupDescription._bases``,
-    a multiple of a.  Each carry step c' = floor((x - g + c) / a_i) a_i, with
-    0 <= x, g < a_i, keeps c' <= 0 and c' > c - 2 a_i, so -2S < c <= 0: a
-    base lies in [gamma_m, gamma_m + 2S) and is gamma_m mod a.  So a row's
-    v fall in K classes mod a, K the classes of the listed gamma_m, and the v
-    of one class run in steps of a from its least base B_c up to below B + L,
-    B the row's largest base: L / a + ceil((B - B_c) / a) of them, where
-    B - B_c <= W = max gamma_m - min gamma_m + 2S - 1.  The table has
-    prod(periods) rows, so it holds at most prod(periods) K (L / a +
-    ceil(W / a)) entries.  With one gamma it holds prod(periods) L / a.
-    """
-    per = require_description(d).lattice.periods
-    a, lasts = per[-1], [g[-1] for g in d.gamma_fundamental]
-    width = max(lasts) - min(lasts) + 2 * sum(per) - 1
-    return prod(per) * len({t % a for t in lasts}) * (lcm(*per) // a + ceildiv(width, a))
-
-
 def riemann_roch_basis(d: SemigroupDescription, alpha: IntTuple) -> list[IntTuple]:
     """Pole vectors of a monomial-style basis of the space at alpha.
 
@@ -414,8 +393,8 @@ def riemann_roch_basis(d: SemigroupDescription, alpha: IntTuple) -> list[IntTupl
     base B of the row on, every gamma of v's class reaches v, so E(r, v + L)
     = E(r, v) + L (e_{m-1} - e_0).  The table keeps the window [least base,
     B + L), and past it each entry of [B, B + L) continues as one arithmetic
-    progression; :func:`_basis_table_bound` bounds its size.  A call costs a
-    bisect and a sort of the dim(alpha) points.
+    progression; ``SemigroupDescription._least_translate_count`` counts its
+    entries.  A call costs a bisect and a sort of the dim(alpha) points.
     """
     alpha = require_point(alpha, require_description(d).m)
     per = d.lattice.periods

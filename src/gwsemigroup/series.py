@@ -19,9 +19,12 @@ periodic under the period lattice, so every last-axis row is a slice of one
 run per region prefix r (``semigroup._dim_run``), itself a slice of the
 description's dim table, so a box request asks ``dimension`` nothing.  The
 flat table, in ``Box.points()`` order, is the result: a
-:class:`BoxSeries` holds it as ``values``.  Infinite formal series
-cannot be multiplied in general, so each identity here is checked
-coefficientwise on a finite box, by an iterator over the violating points.
+:class:`BoxSeries` holds it as ``values``.  :func:`series_on_box` grows its
+grid by its own steps.  Each identity iterator builds one :class:`_Request`,
+and the checks of a ``verify`` request share one: its P, Q, dims and jumps
+are differences of one grid grown by 2.  Infinite formal series cannot be
+multiplied in general, so each identity here is checked coefficientwise on
+a finite box, by an iterator over the violating points.
 The same reasoning turns the lattice-sum factorization of P into a
 fundamental-region lookup: translates of the region tile Z^m, so exactly
 one lattice translate contributes to each monomial, and the semigroup
@@ -31,7 +34,7 @@ polynomial is a plain dict from those region points to their coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import compress, product
 from math import prod
 from operator import iadd, sub
@@ -54,8 +57,10 @@ from .core import (
     zeros,
 )
 from .semigroup import (
+    _and_cells,
     _dim_run,
     _flat,
+    _reach_tables,
     dimension,
     is_maximal,
     is_member,
@@ -181,14 +186,6 @@ def _differences(values: list[int], shape: IntTuple, steps: list[IntTuple]) -> l
     return values
 
 
-def _near_differences(near: list[int], size: IntTuple, steps: list[IntTuple]) -> list[int]:
-    """The difference of dim over the steps at every point of a box of this size,
-    from its dim grid grown by 2 below (no steps: the box's own dims)."""
-    shape = tuple(n + 2 for n in size)
-    cut = tuple(map(sum, zip(size, *steps)))
-    return _differences(_window(near, shape, tsub(shape, cut), cut), cut, steps)
-
-
 # ---------------------------------------------------------------------------
 # box series
 
@@ -256,6 +253,57 @@ def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
     return BoxSeries(box=box, kind=kind, values=tuple(values))
 
 
+class _Request:
+    """The tables of one box request on description d, each built on its first read.
+
+    ``near`` is the dim grid on the box grown by 2 below, and ``dims``,
+    ``members``, ``p`` and ``q`` are its :meth:`differences`; ``reach`` is
+    the walk of ``semigroup._reach_tables``.  No table lives on the
+    description, so they die with the request.
+    """
+
+    def __init__(self, d: SemigroupDescription, box: Box) -> None:
+        require_box_dim(box, require_description(d).m)
+        self.d, self.box = d, box
+        self.size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))
+        self.units = [unit(d.m, i) for i in range(1, d.m + 1)]
+
+    def differences(self, steps: list[IntTuple]) -> list[int]:
+        """The difference of dim over the steps at every box point, from near
+        (no steps: the box's own dims)."""
+        shape = tuple(n + 2 for n in self.size)
+        cut = tuple(map(sum, zip(self.size, *steps)))
+        return _differences(_window(self.near, shape, tsub(shape, cut), cut), cut, steps)
+
+    @cached_property
+    def near(self) -> list[int]:
+        """dim on the box grown by 2 below, from one dim grid."""
+        return _dim_grid(self.d, tsub(self.box.lower, (2,) * self.d.m), self.box.upper)
+
+    @cached_property
+    def dims(self) -> list[int]:
+        return self.differences([])
+
+    @cached_property
+    def members(self) -> list[bool]:
+        """Membership on the box as ``is_member`` defines it: dim > 0 and every
+        jump 1, read from the jumps of near alone (a jump of 1 makes dim > 0)."""
+        return list(_and_cells(map((1).__eq__, self.differences([e])) for e in self.units))
+
+    @cached_property
+    def p(self) -> list[int]:
+        return self.differences(self.units)
+
+    @cached_property
+    def q(self) -> list[int]:
+        return self.differences([ones(self.d.m)] + self.units)
+
+    @cached_property
+    def reach(self) -> tuple[list, list, list[list[int]]]:
+        """The walk of ``semigroup._reach_tables``; its tables are read, never written."""
+        return _reach_tables(self.d, self.box)
+
+
 # ---------------------------------------------------------------------------
 # functional equation of Q against P
 
@@ -269,12 +317,12 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
     the strides of the axes in J, and q(alpha) = p(alpha) - p(alpha - 1),
     whose cube lies one diagonal step further down the same table.
     """
-    p, q = (series_on_box(d, kind, box).values for kind in "PQ")
-    yield from _qp_violations(d, box, p, q)
+    yield from _qp_violations(_Request(d, box))
 
 
-def _qp_violations(d: SemigroupDescription, box: Box, p: tuple, q: tuple) -> Iterator[IntTuple]:
-    """:func:`qp_violations` against the engine's P and Q values on the box."""
+def _qp_violations(request: _Request) -> Iterator[IntTuple]:
+    """:func:`qp_violations` against the request's P and Q."""
+    d, box = request.d, request.box
     lower = tuple(x - 2 for x in box.lower)
     dims = [dimension(d, a) for a in Box(lower, box.upper).points()]
     shape = tuple(u - l + 1 for l, u in zip(lower, box.upper))
@@ -284,7 +332,7 @@ def _qp_violations(d: SemigroupDescription, box: Box, p: tuple, q: tuple) -> Ite
         for corner in product((0, 1), repeat=d.m)
     ]
     back = sum(strides)
-    for alpha, p_value, q_value in zip(box.points(), p, q):
+    for alpha, p_value, q_value in zip(box.points(), request.p, request.q):
         k = _flat(list(map(sub, alpha, lower)), shape)
         here = sum(sign * dims[k - offset] for offset, sign in corners)
         below = sum(sign * dims[k - back - offset] for offset, sign in corners)
@@ -325,11 +373,12 @@ def reconstruction_violations(d: SemigroupDescription, box: Box) -> Iterator[Int
     first cell with the last coordinate counted up, so each row asks
     :func:`canonicalize` once.
     """
-    yield from _reconstruction_violations(d, box, series_on_box(d, "P", box).values)
+    yield from _reconstruction_violations(_Request(d, box))
 
 
-def _reconstruction_violations(d: SemigroupDescription, box: Box, p: tuple) -> Iterator[IntTuple]:
-    """:func:`reconstruction_violations` against the engine's P values on the box."""
+def _reconstruction_violations(request: _Request) -> Iterator[IntTuple]:
+    """:func:`reconstruction_violations` against the request's P."""
+    d, box, p = request.d, request.box, request.p
     slab = d.lattice.sum_slab(0, d.maximal_sum_bound)
     poly = {a: c for a in slab if is_maximal(d, a) and (c := coeff_p(d, a))}
     lo, width = box.lower[-1], box.upper[-1] - box.lower[-1] + 1
@@ -418,35 +467,31 @@ def symmetry_violations(d: SemigroupDescription, box: Box) -> Iterator[tuple[str
     differences them; the tables taken from the reflected grid list the
     reflected points backwards, so box point n pairs with entry -1 - n.
     """
-    require_box_dim(box, m := require_description(d).m)
+    request = _Request(d, box)
     sigma = next(_top_maximals(d), None)
     if sigma is None:
         raise ValueError(f"symmetry identities need a maximal element of sum {d.maximal_sum_bound}")
-    near = _dim_grid(d, tsub(box.lower, (2,) * m), box.upper)
-    yield from _symmetry_violations(d, box, sigma, near)
+    yield from _symmetry_violations(request, sigma)
 
 
-def _symmetry_violations(
-    d: SemigroupDescription, box: Box, sigma: IntTuple, near: list[int]
-) -> Iterator[tuple[str, IntTuple]]:
-    """:func:`symmetry_violations` for this sigma, from near, the dim grid
-    on the box grown by 2 below."""
+def _symmetry_violations(request: _Request, sigma: IntTuple) -> Iterator[tuple[str, IntTuple]]:
+    """:func:`symmetry_violations` for this sigma, from the request's near grid."""
+    d, box, units = request.d, request.box, request.units
     m = d.m
-    units = [unit(m, i) for i in range(1, m + 1)]
     identities = [
         ("poincare-reflection", units, (-1) ** m, 0),
         ("aux-series-reflection", [ones(m)] + units, (-1) ** (m - 1), 0),
     ] + [(f"jump-complement-i{i}", [e], -1, 1) for i, e in enumerate(units, 1)]
-    size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))
-    shape = tuple(n + 2 for n in size)
+    near = [request.differences(steps) for _, steps, _, _ in identities]
+    shape = tuple(n + 2 for n in request.size)
     # with v = alpha - lower and u = upper - alpha, the cell at offsets
-    # v + 2 of near holds dim(alpha) and the cell at u of far dim(s - alpha - 1)
+    # v + 2 of the near grid holds dim(alpha) and the cell at u of far dim(s - alpha - 1)
     far = _dim_grid(d, tsub(tsub(sigma, box.upper), ones(m)), tadd(tsub(sigma, box.lower), ones(m)))
     tables = []
-    for name, steps, c, k in identities:
-        cut = tuple(map(sum, zip(size, *steps)))
+    for (name, steps, c, k), near_d in zip(identities, near):
+        cut = tuple(map(sum, zip(request.size, *steps)))
         far_d = _differences(_window(far, shape, zeros(m), cut), cut, steps)
-        tables.append((name, _near_differences(near, size, steps), far_d[::-1], c, k))
+        tables.append((name, near_d, far_d[::-1], c, k))
     for n, alpha in enumerate(box.points()):
         for name, near_d, far_d, c, k in tables:
             if near_d[n] != c * far_d[n] + k:

@@ -11,13 +11,14 @@ branch of ``riemann-roch-regime``) cannot fail on any description while the
 code is correct: it tests only the implementation.  A check that does not
 apply to the description raises :class:`_Skipped` with its reason.
 
-A request's checks share one :class:`_Request`, whose tables are each built
-once, on the first read, so a skipped check builds nothing and a check's time
-includes the tables it is the first to read.  ``near`` is the dim grid on the
-box grown by 2 below; ``dims`` is its box window, and ``members`` is read off
-its jumps.  ``p`` and ``q`` are the engine's P and Q from ``series_on_box``,
-and ``reach`` is the walk of ``semigroup._reach_tables``.  The box's points
-are not held: as a list they would outweigh the other tables together.
+A request's checks share one ``series._Request``, whose tables are each
+built once, on the first read, so a skipped check builds nothing and a
+check's time includes the tables it is the first to read.  ``near`` is the
+dim grid on the box grown by 2 below; ``dims`` is its box window,
+``members`` is read off its jumps, and ``p`` and ``q`` are its differences
+over P's and Q's steps; ``reach`` is the walk of ``semigroup._reach_tables``.
+The box's points are not held: as a list they would outweigh the other
+tables together.
 ``dimension-class-counts`` reads ``dims`` and ``reach``;
 ``lub-generation`` reads ``reach`` and ``members``; ``riemann-roch-regime``
 reads ``dims``; ``qp-identity``, ``poincare-support`` and
@@ -28,7 +29,7 @@ reads ``dims``; ``qp-identity``, ``poincare-support`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from itertools import islice, product
 from math import prod
 from operator import add
@@ -38,8 +39,6 @@ from .core import (
     Box,
     IntTuple,
     SemigroupDescription,
-    require_box_dim,
-    require_description,
     tadd,
     tsub,
     unit,
@@ -47,7 +46,6 @@ from .core import (
 )
 from .semigroup import (
     _and_cells,
-    _reach_tables,
     _reached,
     _running,
     dimension,
@@ -57,14 +55,12 @@ from .semigroup import (
     two_point_profile,
 )
 from .series import (
-    _dim_grid,
-    _near_differences,
     _qp_violations,
     _reconstruction_violations,
+    _Request,
     _symmetry_violations,
     _top_maximals,
     coeff_p,
-    series_on_box,
 )
 
 __all__ = ["CheckResult", "run_verification"]
@@ -79,48 +75,6 @@ class CheckResult:
 
 class _Skipped(Exception):
     """Raised by a check that does not apply; the message is the reason."""
-
-
-class _Request:
-    """The tables of one verify request on description d and box, each built on its first read.
-
-    No table lives on the description, so they die with the request.
-    """
-
-    def __init__(self, d: SemigroupDescription, box: Box) -> None:
-        self.d, self.box = d, box
-        self.size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))
-
-    @cached_property
-    def near(self) -> list[int]:
-        """dim on the box grown by 2 below, from one dim grid."""
-        return _dim_grid(self.d, tsub(self.box.lower, (2,) * self.d.m), self.box.upper)
-
-    @cached_property
-    def dims(self) -> list[int]:
-        """dim on the box: the box window of near."""
-        return _near_differences(self.near, self.size, [])
-
-    @cached_property
-    def members(self) -> list[bool]:
-        """Membership on the box as ``is_member`` defines it: dim > 0 and every
-        jump 1, read from the jumps of near alone (a jump of 1 makes dim > 0)."""
-        m = self.d.m
-        jumps = (_near_differences(self.near, self.size, [unit(m, i)]) for i in range(1, m + 1))
-        return list(_and_cells(map((1).__eq__, jump) for jump in jumps))
-
-    @cached_property
-    def p(self) -> tuple[int, ...]:
-        return series_on_box(self.d, "P", self.box).values
-
-    @cached_property
-    def q(self) -> tuple[int, ...]:
-        return series_on_box(self.d, "Q", self.box).values
-
-    @cached_property
-    def reach(self) -> tuple[list, list, list[list[int]]]:
-        """The walk of ``semigroup._reach_tables``; its tables are read, never written."""
-        return _reach_tables(self.d, self.box)
 
 
 def _check_description_consistency(request: _Request) -> str | None:
@@ -185,9 +139,9 @@ def _check_lub_generation(request: _Request) -> str | None:
     # description check, route: members as lubs of absolute maximal elements, the
     # AND of the reach tables that members_from_lubs reads, a sweep that never calls
     # dimension, against the request's members, read from the jumps of its dim grid
-    # (the grid that class counts check by enumeration, built as the grids of the
-    # engine's P and Q are, which qp-identity checks against per-point dimension);
-    # the first box point where they differ is the least point of the sets' difference
+    # (the grid that class counts check by enumeration, and whose P and Q
+    # qp-identity checks against per-point dimension); the first box point
+    # where they differ is the least point of the sets' difference
     lubs = _and_cells(request.reach[2])
     for alpha, hit, member in zip(request.box.points(), lubs, request.members):
         if bool(hit) != member:
@@ -198,9 +152,10 @@ def _check_lub_generation(request: _Request) -> str | None:
 def _check_qp_identity(request: _Request) -> str | None:
     # implementation cross-check, route: dimension once at each raw point of the box
     # grown by two below, no lattice reduction, each p and q the unit-cube difference of
-    # its 2^m corners there, against the engine's P and Q, read from dim in row form;
-    # both read the dim table, which dimension-class-counts checks by enumeration
-    alpha = next(_qp_violations(request.d, request.box, request.p, request.q), None)
+    # its 2^m corners there, against the request's P and Q, differences of its dim grid
+    # in row form; both read the dim table, which dimension-class-counts checks by
+    # enumeration
+    alpha = next(_qp_violations(request), None)
     return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 
 
@@ -239,7 +194,7 @@ def _check_index_independence(request: _Request) -> str | None:
 
 
 def _check_poincare_support(request: _Request) -> str | None:
-    # description check, route: per-point membership and maximality, against the engine's P
+    # description check, route: per-point membership and maximality, against the request's P
     # (an absolute maximal element is maximal, so p == 0 needs only the last test)
     d = request.d
     for alpha, p in zip(request.box.points(), request.p):
@@ -254,8 +209,8 @@ def _check_poincare_support(request: _Request) -> str | None:
 
 def _check_reconstruction(request: _Request) -> str | None:
     # description check, route: per-point coeff_p at the region's maxima, its own
-    # (not semigroup_polynomial, which reads the engine), against the engine's P
-    alpha = next(_reconstruction_violations(request.d, request.box, request.p), None)
+    # (not semigroup_polynomial, which reads the engine), against the request's P
+    alpha = next(_reconstruction_violations(request), None)
     return None if alpha is None else f"polynomial lookup disagrees with p at {alpha}"
 
 
@@ -303,7 +258,7 @@ def _check_symmetry(request: _Request) -> str | None:
     sigma = next(_top_maximals(request.d), None)
     if sigma is None:
         raise _Skipped("not symmetric")
-    failure = next(_symmetry_violations(request.d, request.box, sigma, request.near), None)
+    failure = next(_symmetry_violations(request, sigma), None)
     if failure is not None:
         name, alpha = failure
         return f"{name} fails at {alpha} (sigma = {sigma})"
@@ -346,7 +301,6 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 
 def run_verification(d: SemigroupDescription, box: Box) -> list[CheckResult]:
     """Run every check; results are ordered and deterministic."""
-    require_box_dim(box, require_description(d).m)
     request = _Request(d, box)
     results = []
     for name, fn in _CHECKS:

@@ -110,6 +110,33 @@ def two_point_corpus():
                 yield SemigroupDescription(2, g, Lattice((a,)), gammas)
 
 
+def named_fixtures():
+    """The named valid fixtures: h2-h5, h7-h9, g2-g5 and ``PERIODIC_M3``."""
+    hermitian = [hermitian_description(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    return hermitian + [genus0_description(m) for m in range(2, 6)] + [PERIODIC_M3]
+
+
+def one_step_mutants(d):
+    """(kind, genus, periods, gammas) of every one-step change of d: ``drop``
+    a nonzero gamma, ``shift`` one's last coordinate by 1 either way, ``add``
+    an unlisted region point of sum 0..2g-2+m, or move the ``genus`` or one
+    ``period`` by 1 either way.  Some are not descriptions at all."""
+    g, per, gammas = d.genus, d.lattice.periods, d.gamma_fundamental
+    for gamma in gammas:
+        if any(gamma):
+            yield "drop", g, per, tuple(x for x in gammas if x != gamma)
+            for step in (-1, 1):
+                moved = gamma[:-1] + (gamma[-1] + step,)
+                yield "shift", g, per, tuple(moved if x == gamma else x for x in gammas)
+    for point in d.lattice.sum_slab(0, d.maximal_sum_bound):
+        if point not in gammas:
+            yield "add", g, per, gammas + (point,)
+    for step in (-1, 1):
+        yield "genus", g + step, per, gammas
+        for i in range(len(per)):
+            yield "period", g, per[:i] + (per[i] + step,) + per[i + 1:], gammas
+
+
 def json_reference(x) -> str:
     """What ``dumps`` must write: the stdlib encoder on ``to_json_dict``."""
     return json.dumps(x.to_json_dict(), sort_keys=True, indent=2) + "\n"

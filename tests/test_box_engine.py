@@ -80,6 +80,17 @@ def test_series_on_box_equals_per_point_coefficients(kind):
         assert dict(zip(box.points(), bs.values)) == want, (d, box)
 
 
+def test_series_on_box_equals_the_request_differences():
+    # series_on_box grows its grid by its own steps and no verify check reads
+    # it: its L, P and Q equal a request's differences of the grid grown by 2
+    for d, box in class_count_corpus():
+        request = series._Request(d, box)
+        units = request.units
+        for kind, steps in [("L", [ones(d.m)]), ("P", units), ("Q", [ones(d.m)] + units)]:
+            want = request.differences(steps)
+            assert list(series_on_box(d, kind, box).values) == want, (d, box, kind)
+
+
 def test_engine_cases_cover_width_one_axes_and_broken_descriptions():
     widths = [tuple(u - l for l, u in zip(b.lower, b.upper)) for _, b in ENGINE_CASES]
     assert sum(0 in w for w in widths) >= 10

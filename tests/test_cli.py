@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gwsemigroup
-from gwsemigroup import cli, semigroup, series
+from gwsemigroup import cli, series
 from gwsemigroup.cli import UsageError, main, parse_box, parse_tuple
 from gwsemigroup.core import Box, Lattice, SemigroupDescription, load_description, save_description
 from gwsemigroup.series import series_on_box
@@ -156,28 +156,51 @@ def test_query_basis_above_the_cap_by_its_table_exits_3_before_building(
     # periods (97, 89) and genus 2: the slab's box holds 97 * 89 * 190 =
     # 1640270 points, but the 24 listed last coordinates fall in 24 classes
     # mod 89, and each class holds at least lcm / 89 = 97 entries of each of
-    # the 97 * 89 rows of the basis table: 20097624 at least, above the cap
-    d = SemigroupDescription(3, 2, Lattice((97, 89)), tuple((j, 0, -j) for j in range(24)))
-    path = tmp_path / "wide.json"
-    save_description(d, path)
+    # the 97 * 89 rows of the basis table: 20298391 in all, above the cap
+    path = _wide_description_file(tmp_path)
 
     def tripwire(self):
         raise AssertionError("the basis table was built")
 
     monkeypatch.setattr(SemigroupDescription, "least_translates", property(tripwire))
-    bound = semigroup._basis_table_bound(d)
-    assert bound >= 97 * 89 * 24 * 97 > cli.DEFAULT_CAP
+    count = load_description(path)._least_translate_count()
+    assert count == 20298391 >= 97 * 89 * 24 * 97 > cli.DEFAULT_CAP
     code, out, err = run_cli(capsys, ["query", "basis", "0,0,0", "--desc", str(path)])
     assert (code, out) == (3, "") and "Traceback" not in err
-    assert f"the basis table holds {bound} points, above the cap of {cli.DEFAULT_CAP}" in err
+    assert f"the basis table holds {count} points, above the cap of {cli.DEFAULT_CAP}" in err
     assert "--cap" not in err
+
+
+def _wide_description_file(tmp_path):
+    d = SemigroupDescription(3, 2, Lattice((97, 89)), tuple((j, 0, -j) for j in range(24)))
+    path = tmp_path / "wide.json"
+    save_description(d, path)
+    return str(path)
+
+
+def test_query_checks_the_point_before_any_cap(capsys, tmp_path, monkeypatch):
+    # a wrong-length point is a usage error, exit 2, even where the slab's box
+    # (h256: 16843009 points) or the basis table ((97, 89): 20298391 entries)
+    # is above the cap, and nothing is sized
+    h256 = tmp_path / "h256.json"
+    assert main(["gen", "hermitian", "--q", "256", "--out", str(h256)]) == 0
+    monkeypatch.setattr(cli, "_capped", None)
+    wide = _wide_description_file(tmp_path)
+    cases = [
+        ("dim", "1,2,3", h256, "tuple of length 3, expected m=2"),
+        ("basis", "0,0", wide, "tuple of length 2, expected m=3"),
+    ]
+    for op, alpha, path, message in cases:
+        code, out, err = run_cli(capsys, ["query", op, alpha, "--desc", str(path)])
+        assert (code, out) == (2, "") and "Traceback" not in err, op
+        assert message in err, op
 
 
 def test_query_basis_within_the_cap_builds_a_table_within_its_bound(
     capsys, tmp_path, monkeypatch
 ):
     # periods (31, 29), genus 2 and 12 gammas: a slab's box of 57536 points
-    # and a basis table of 345807 entries, which the bound 399156 holds
+    # and a basis table of 345807 entries, counted before it is built
     gammas = ((0, 0, 0),) + tuple((2 * j, j, 5 - 3 * j) for j in range(1, 12))
     d = SemigroupDescription(3, 2, Lattice((31, 29)), gammas)
     path = tmp_path / "coprime.json"
@@ -193,7 +216,7 @@ def test_query_basis_within_the_cap_builds_a_table_within_its_bound(
     code, out, _ = run_cli(capsys, ["query", "basis", "5,5,5", "--desc", str(path)])
     assert code == 0 and len(tables) == 1
     assert sum(len(vs) for vs, _, _ in tables[0]) == 345807
-    assert semigroup._basis_table_bound(d) == 399156
+    assert d._least_translate_count() == 345807
     monkeypatch.undo()
     object.__setattr__(d, "least_translates", tables[0])  # the cached table, not a second build
     basis = gwsemigroup.riemann_roch_basis(d, (5, 5, 5))

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,14 @@ from gwsemigroup.core import (
 )
 from gwsemigroup.series import series_on_box
 
-from corpus import H3_MOVED_22, H3_WITHOUT_22, json_reference, two_point_corpus
+from corpus import (
+    H3_MOVED_22,
+    H3_WITHOUT_22,
+    json_reference,
+    named_fixtures,
+    one_step_mutants,
+    two_point_corpus,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +416,34 @@ def test_closure_check_flags_exactly_the_unclosed_two_point_descriptions():
     assert (valid, unclosed) == (57, 27)
     d = SemigroupDescription(2, 2, Lattice((4,)), ((0, 0), (1, 2), (2, -1), (3, 1)))
     assert validate_description(d) == ["(e) (2, -1) + (2, -1) = (4, -2) is not a member"]
+
+
+def test_every_one_step_mutant_of_a_named_fixture_is_caught():
+    # each mutant is refused by the constructor or fails validate_description;
+    # the kill matrix counts them by kind and by the first violated sub-check
+    kills = Counter()
+    for d in named_fixtures():
+        assert validate_description(d) == [], d.label
+        for kind, genus, periods, gammas in one_step_mutants(d):
+            try:
+                mutant = SemigroupDescription(d.m, genus, Lattice(periods), gammas)
+            except ValueError:
+                kills[kind, "refused"] += 1
+                continue
+            violations = validate_description(mutant)
+            assert violations, (d.label, kind, genus, periods, gammas)
+            kills[kind, violations[0][:3]] += 1
+    assert kills == {
+        ("add", "(a)"): 1798,
+        ("drop", "(c)"): 39,
+        ("shift", "(a)"): 71,
+        ("shift", "refused"): 7,
+        ("genus", "(c)"): 13,
+        ("genus", "refused"): 11,
+        ("period", "(a)"): 6,
+        ("period", "(c)"): 13,
+        ("period", "refused"): 19,
+    }
 
 
 def test_validate_mutant_violation_lists(genus0_m3):

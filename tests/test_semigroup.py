@@ -738,20 +738,19 @@ def test_riemann_roch_basis_past_the_window(
         # the size bound of the table: a window of at most 2g + 3 sum(periods) + lcm
         bound = 2 * d.genus + 3 * sum(per) + lcm(*per)
         assert all(len(vs) <= bound for vs, _, _ in d.least_translates), d
-        # and the whole table within the bound the CLI caps before building it
-        assert sum(len(vs) for vs, _, _ in d.least_translates) <= semigroup._basis_table_bound(d)
+        # and the whole table is the count the CLI caps before building it
+        assert sum(len(vs) for vs, _, _ in d.least_translates) == d._least_translate_count()
         for alpha in _dim_zero(d, rng, count):
             assert riemann_roch_basis(d, alpha) == [] == _least_per_last_coordinate(d, alpha)
 
 
 def test_basis_table_bound_is_tight_for_one_gamma():
-    # one gamma: L / a entries a row, and the bound adds ceil((2S - 1) / a)
+    # one gamma: L / a entries a row, counted exactly without the table
     for per in [(31, 29), (13, 11), (4, 6, 9), (5,), (1, 1)]:
         d = SemigroupDescription(len(per) + 1, 3, Lattice(per), ((0,) * (len(per) + 1),))
         a, rows = per[-1], prod(per)
+        assert d._least_translate_count() == rows * lcm(*per) // a
         assert sum(len(vs) for vs, _, _ in d.least_translates) == rows * lcm(*per) // a
-        slack = -(-(2 * sum(per) - 1) // a)
-        assert semigroup._basis_table_bound(d) == rows * (lcm(*per) // a + slack)
 
 
 def test_riemann_roch_basis_does_not_enumerate(monkeypatch, hermitian_q3, genus0_m4, broken_m4):

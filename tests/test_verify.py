@@ -113,21 +113,17 @@ def test_qp_identity_cross_checks_the_box_engine(monkeypatch, hermitian_q3):
 
 
 def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
-    # only the engine's P raised by 1 at one point: qp-identity compares it
+    # only the request's P raised by 1 at one point: qp-identity compares it
     # with per-point p, and the support and reconstruction checks read it
-    original = series.series_on_box
+    original = series._Request.p.func
     box = Box((-4, -4), (6, 6))
 
-    def faulty(d, kind, box):
-        result = original(d, kind, box)
-        if kind != "P":
-            return result
-        values = list(result.values)
-        values[list(box.points()).index((2, 3))] += 1
-        return series.BoxSeries(box, kind, tuple(values))
+    def faulty(request):
+        values = original(request)
+        values[list(request.box.points()).index((2, 3))] += 1
+        return values
 
-    monkeypatch.setattr(series, "series_on_box", faulty)
-    monkeypatch.setattr(verify, "series_on_box", faulty)
+    monkeypatch.setattr(series._Request, "p", property(faulty))
     rows = {r.name: r for r in run_verification(hermitian_q3, box)}
     assert rows["qp-identity"].detail == "engine p or q disagrees with per-point p at (2, 3)"
     assert rows["poincare-support"].detail == "nonzero p((2, 3)) = 1 at a non-maximal member"
@@ -590,10 +586,10 @@ def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
     # and the walks of the absolute maximal elements (semigroup._reach_tables)
     # that each check builds alone, on a fresh request, counted at every module
     # binding of each.  A request shares its tables across checks, so it builds
-    # 5 grids and walks once: the slab grid of description-consistency's
-    # polynomial, and the request's near grid, reflected grid (far) and the
-    # grids of the engine's P and Q.  A change that moves one says why in
-    # CHANGES.md.
+    # 3 grids and walks once: the slab grid of description-consistency's
+    # polynomial, and the request's near grid, of which P and Q are
+    # differences, and reflected grid (far).  A change that moves one says
+    # why in CHANGES.md.
     from gwsemigroup import backends, cli, core, plotting
 
     built = {"_dim_grid": 0, "_reach_tables": 0}
@@ -609,7 +605,7 @@ def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
         for module in (backends, cli, core, plotting, semigroup, series, verify):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
-    grids = [1, 1, 1, 2, 0, 1, 1, 0, 1, 2, 0]
+    grids = [1, 1, 1, 1, 0, 1, 1, 0, 1, 2, 0]
     walks = [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
     for d, box in [(hermitian_q3, Box((-6, -6), (8, 8))), (genus0_m4, Box((-1,) * 4, (1,) * 4))]:
         got = []
@@ -623,4 +619,4 @@ def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
         assert dict(zip(CHECK_NAMES, got)) == dict(zip(CHECK_NAMES, zip(grids, walks))), d.label
         built.update(_dim_grid=0, _reach_tables=0)
         run_verification(d, box)
-        assert built == {"_dim_grid": 5, "_reach_tables": 1}
+        assert built == {"_dim_grid": 3, "_reach_tables": 1}
