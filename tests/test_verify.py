@@ -1,9 +1,12 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from gwsemigroup import (
     Box,
+    Lattice,
+    SemigroupDescription,
     TwoPointProfile,
     absolute_maximals_below,
     dimension,
@@ -27,7 +30,15 @@ from gwsemigroup import semigroup, series, verify
 from gwsemigroup.core import tadd, validate_description
 from gwsemigroup.verify import CHECK_NAMES
 
-from corpus import H3_MOVED_22, H3_WITHOUT_15, H3_WITHOUT_22, class_count_corpus, slab_corpus
+from corpus import (
+    H3_MOVED_22,
+    H3_WITHOUT_15,
+    H3_WITHOUT_22,
+    class_count_corpus,
+    named_fixtures,
+    one_step_mutants,
+    slab_corpus,
+)
 
 
 def test_verification_passes_on_fixtures(hermitian_q3, genus0_m3):
@@ -620,3 +631,62 @@ def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
         built.update(_dim_grid=0, _reach_tables=0)
         run_verification(d, box)
         assert built == {"_dim_grid": 3, "_reach_tables": 1}
+
+
+def test_every_one_step_mutant_fails_a_verify_check():
+    # the per-check kill matrix: every constructible one-step mutant of the
+    # named fixtures of genus <= 3 and m <= 4 (h2, h3, g2-g4 and
+    # PERIODIC_M3) fails some check of run_verification, on
+    # [-w, w]^2 with w = 2g + a + 4 at m = 2 and on [-1, 1]^m above; the
+    # matrix counts each failing check of each mutant by the mutant's kind.
+    # The implementation cross-checks kill nothing.
+    kills, counts = Counter(), Counter()
+    for d in named_fixtures():
+        if d.genus > 3 or d.m > 4:
+            continue
+        for kind, genus, periods, gammas in one_step_mutants(d):
+            try:
+                mutant = SemigroupDescription(d.m, genus, Lattice(periods), gammas)
+            except ValueError:
+                counts["refused"] += 1
+                continue
+            w = 2 * genus + periods[0] + 4 if d.m == 2 else 1
+            rows = run_verification(mutant, Box((-w,) * d.m, (w,) * d.m))
+            failed = [r.name for r in rows if not r.passed]
+            assert failed, (d.label, kind, genus, periods, gammas)
+            counts["mutants"] += 1
+            kills.update((kind, name) for name in failed)
+    assert counts == {"mutants": 88, "refused": 17}
+    cross_checks = {"qp-identity", "poincare-index-independence", "lattice-periodicity"}
+    assert not [key for key in kills if key[1] in cross_checks]
+    assert kills == {
+        ("add", "description-consistency"): 55,
+        ("add", "dimension-class-counts"): 27,
+        ("add", "lub-generation"): 27,
+        ("add", "poincare-support"): 19,
+        ("add", "polynomial-reconstruction"): 19,
+        ("add", "riemann-roch-regime"): 19,
+        ("add", "symmetry-equations"): 4,
+        ("add", "two-point-profile"): 13,
+        ("drop", "description-consistency"): 6,
+        ("drop", "riemann-roch-regime"): 6,
+        ("drop", "symmetry-equations"): 3,
+        ("drop", "two-point-profile"): 5,
+        ("genus", "description-consistency"): 7,
+        ("genus", "riemann-roch-regime"): 6,
+        ("genus", "symmetry-equations"): 1,
+        ("period", "description-consistency"): 10,
+        ("period", "dimension-class-counts"): 6,
+        ("period", "lub-generation"): 6,
+        ("period", "poincare-support"): 5,
+        ("period", "polynomial-reconstruction"): 5,
+        ("period", "riemann-roch-regime"): 8,
+        ("period", "symmetry-equations"): 3,
+        ("period", "two-point-profile"): 3,
+        ("shift", "description-consistency"): 10,
+        ("shift", "dimension-class-counts"): 9,
+        ("shift", "lub-generation"): 9,
+        ("shift", "riemann-roch-regime"): 10,
+        ("shift", "symmetry-equations"): 4,
+        ("shift", "two-point-profile"): 8,
+    }
