@@ -491,7 +491,9 @@ def validate_description(d: SemigroupDescription) -> list[str]:
     V(alpha - 1) is inside V(alpha - e_i), which is inside V(alpha), and both
     drops are 1, so V(alpha - e_i) is V(alpha) without alpha_m: every
     beta <= alpha with beta_m = alpha_m has beta_i = alpha_i for all i, one
-    such beta exists, and so alpha, a translate in the region, is listed.  For
+    such beta exists, and so alpha, a translate in the region, is listed.  The
+    same argument outside the region lets ``poincare-support`` in ``verify`` ask
+    absolute maximality only at the listed gammas' translates in its box.  For
     (d), a translate keeps its gamma's sum, at least 0, so none lies below a
     point of sum -1.
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import compress, product
 from math import prod
-from operator import iadd, sub
+from operator import add, iadd, sub
 from typing import Callable, Iterator
 
 from .core import (
@@ -312,10 +312,10 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
 
     That route never reads a dim grid: ``dimension`` is asked once at every
     raw point of [lower - 2, upper], with no lattice reduction, and kept in
-    ``Box.points()`` order.  p(alpha) is the signed sum of the 2^m cells at
-    fixed offsets below alpha's cell, the offset of corner J being the sum of
-    the strides of the axes in J, and q(alpha) = p(alpha) - p(alpha - 1),
-    whose cube lies one diagonal step further down the same table.
+    ``Box.points()`` order.  p is formed at every raw cell as 2^m shifted sums
+    of the whole table, corner J at the offset the sum of J's strides with sign
+    (-1)^|J|; the box's cells are read at flat indices stepped by the strides,
+    and q(alpha) = p(alpha) - p(alpha - 1) one diagonal step further down.
     """
     yield from _qp_violations(_Request(d, box))
 
@@ -327,16 +327,14 @@ def _qp_violations(request: _Request) -> Iterator[IntTuple]:
     dims = [dimension(d, a) for a in Box(lower, box.upper).points()]
     shape = tuple(u - l + 1 for l, u in zip(lower, box.upper))
     strides = [prod(shape[axis + 1:]) for axis in range(d.m)]
-    corners = [
-        (sum(s for s, c in zip(strides, corner) if c), -1 if sum(corner) & 1 else 1)
-        for corner in product((0, 1), repeat=d.m)
-    ]
+    p = [0] * len(dims)
+    for corner in product((0, 1), repeat=d.m):
+        offset = sum(compress(strides, corner))
+        p[offset:] = map(sub if sum(corner) & 1 else add, p[offset:], dims)
     back = sum(strides)
-    for alpha, p_value, q_value in zip(box.points(), request.p, request.q):
-        k = _flat(list(map(sub, alpha, lower)), shape)
-        here = sum(sign * dims[k - offset] for offset, sign in corners)
-        below = sum(sign * dims[k - back - offset] for offset, sign in corners)
-        if p_value != here or q_value != here - below:
+    cells = map(sum, product(*(range(2 * s, n * s, s) for n, s in zip(shape, strides))))
+    for alpha, k, p_value, q_value in zip(box.points(), cells, request.p, request.q):
+        if p_value != p[k] or q_value != p[k] - p[k - back]:
             yield alpha
 
 

@@ -23,7 +23,8 @@ tables together.
 ``lub-generation`` reads ``reach`` and ``members``; ``riemann-roch-regime``
 reads ``dims``; ``qp-identity``, ``poincare-support`` and
 ``polynomial-reconstruction`` read ``p``, and ``qp-identity`` also ``q``;
-``symmetry-equations`` reads ``near``.  The per-point routes stay per point.
+``symmetry-equations`` reads ``near``.  The per-point routes stay per point;
+``poincare-support`` asks absolute maximality only at the listed translates.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .semigroup import (
     is_absolute_maximal,
     is_maximal,
     is_member,
+    lattice_translates,
     two_point_profile,
 )
 from .series import (
@@ -151,10 +153,10 @@ def _check_lub_generation(request: _Request) -> str | None:
 
 def _check_qp_identity(request: _Request) -> str | None:
     # implementation cross-check, route: dimension once at each raw point of the box
-    # grown by two below, no lattice reduction, each p and q the unit-cube difference of
-    # its 2^m corners there, against the request's P and Q, differences of its dim grid
-    # in row form; both read the dim table, which dimension-class-counts checks by
-    # enumeration
+    # grown by two below, no lattice reduction, p the unit-cube difference at every raw
+    # cell from 2^m shifted sums of that table and q(alpha) = p(alpha) - p(alpha - 1),
+    # against the request's P and Q, differences of its dim grid in row form; both read
+    # the dim table, which dimension-class-counts checks by enumeration
     alpha = next(_qp_violations(request), None)
     return None if alpha is None else f"engine p or q disagrees with per-point p at {alpha}"
 
@@ -194,15 +196,17 @@ def _check_index_independence(request: _Request) -> str | None:
 
 
 def _check_poincare_support(request: _Request) -> str | None:
-    # description check, route: per-point membership and maximality, against the request's P
-    # (an absolute maximal element is maximal, so p == 0 needs only the last test)
-    d = request.d
-    for alpha, p in zip(request.box.points(), request.p):
-        if p != 0 and not is_member(d, alpha):
-            return f"nonzero p({alpha}) = {p} at a non-member"
+    # description check, route: per-point maximality where p != 0 (membership only names
+    # the failure), and absolute maximality where p != 1 at the listed gammas' translates
+    # in the box, which hold every absolute maximal point by the argument of check (b) of
+    # validate_description, against the request's P
+    d, box = request.d, request.box
+    listed = set(lattice_translates(d.lattice.periods, d.gamma_fundamental, box.upper, box.lower))
+    for alpha, p in zip(box.points(), request.p):
         if p != 0 and not is_maximal(d, alpha):
-            return f"nonzero p({alpha}) = {p} at a non-maximal member"
-        if p != 1 and is_absolute_maximal(d, alpha):
+            kind = "non-maximal member" if is_member(d, alpha) else "non-member"
+            return f"nonzero p({alpha}) = {p} at a {kind}"
+        if p != 1 and alpha in listed and is_absolute_maximal(d, alpha):
             return f"p({alpha}) = {p} at an absolute maximal (expected 1)"
     return None
 

@@ -31,6 +31,7 @@ from gwsemigroup.core import tadd, validate_description
 from gwsemigroup.verify import CHECK_NAMES
 
 from corpus import (
+    H3_EXTRA_GAMMA,
     H3_MOVED_22,
     H3_WITHOUT_15,
     H3_WITHOUT_22,
@@ -38,6 +39,7 @@ from corpus import (
     named_fixtures,
     one_step_mutants,
     slab_corpus,
+    two_point_corpus,
 )
 
 
@@ -141,6 +143,84 @@ def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
     assert rows["polynomial-reconstruction"].detail.endswith("at (2, 3)")
     failed = {name for name, r in rows.items() if not r.passed}
     assert failed == {"qp-identity", "poincare-support", "polynomial-reconstruction"}
+
+
+@pytest.mark.parametrize("box", [Box((0, 0), (4, 4)), Box((-2, -2), (2, 2))])
+def test_poincare_support_catches_p_lowered_at_an_absolute_maximal(hermitian_q3, box):
+    # the request's P lowered to 0 at the listed gamma (2, 2), inside the box
+    # and at its upper corner: the support check asks absolute maximality there
+    request = verify._Request(hermitian_q3, box)
+    request.p[list(box.points()).index((2, 2))] = 0
+    detail = verify._check_poincare_support(request)
+    assert detail == "p((2, 2)) = 0 at an absolute maximal (expected 1)"
+
+
+def _listed_translates(d, box):
+    return set(semigroup.lattice_translates(d.lattice.periods, d.gamma_fundamental, box.upper, box.lower))
+
+
+def _support_scan(request):
+    # poincare-support as a full scan: membership, maximality and absolute
+    # maximality asked at every box point where p could break them
+    d = request.d
+    for alpha, p in zip(request.box.points(), request.p):
+        if p != 0 and not is_member(d, alpha):
+            return f"nonzero p({alpha}) = {p} at a non-member"
+        if p != 0 and not is_maximal(d, alpha):
+            return f"nonzero p({alpha}) = {p} at a non-maximal member"
+        if p != 1 and is_absolute_maximal(d, alpha):
+            return f"p({alpha}) = {p} at an absolute maximal (expected 1)"
+    return None
+
+
+def test_absolute_maximal_box_points_are_listed_translates():
+    # the support check asks absolute maximality only at the translates of the
+    # listed gammas in the box: on valid and invalid descriptions alike, every
+    # absolute maximal box point is one, and the check equals the full scan.
+    # The two-point corpus runs on [-1, a] x [-1, 2g + 1], a period of columns
+    # around the listed sums 0..2g with one layer past each side
+    cases = class_count_corpus() + [
+        (d, Box((-1, -1), (d.lattice.periods[0], 2 * d.genus + 1))) for d in two_point_corpus()
+    ]
+    absolute = failing = 0
+    for d, box in cases:
+        listed = _listed_translates(d, box)
+        for alpha in box.points():
+            if is_absolute_maximal(d, alpha):
+                assert alpha in listed, (d, box, alpha)
+                absolute += 1
+        request = verify._Request(d, box)
+        want = _support_scan(request)
+        assert verify._check_poincare_support(request) == want, (d, box)
+        failing += want is not None
+    assert absolute >= 10000 and failing >= 40
+
+
+def test_poincare_support_asks_absolute_maximality_at_listed_translates_off_p_1(monkeypatch):
+    # work gate: is_absolute_maximal is asked once at each translate of a
+    # listed gamma in the box whose p is not 1, in box order, and nowhere else.
+    # A failing check stops at its first violation, so it asks a prefix
+    asked = []
+    original = verify.is_absolute_maximal
+
+    def counting(d, alpha):
+        asked.append(alpha)
+        return original(d, alpha)
+
+    monkeypatch.setattr(verify, "is_absolute_maximal", counting)
+    mutants = [(H3_EXTRA_GAMMA, Box((-6, -6), (8, 8))), (H3_MOVED_22, Box((-6, -6), (8, 8)))]
+    total = 0
+    for d, box in class_count_corpus() + mutants:
+        request = verify._Request(d, box)
+        listed = _listed_translates(d, box)
+        want = [alpha for alpha, p in zip(box.points(), request.p) if p != 1 and alpha in listed]
+        asked.clear()
+        if verify._check_poincare_support(request) is None:
+            assert asked == want, (d, box)
+            total += len(asked)
+        else:
+            assert asked == want[:len(asked)], (d, box)
+    assert total == 102
 
 
 @pytest.mark.parametrize("alpha", [(2, 2), (1, 1)])
@@ -566,7 +646,10 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
     # request's grid, ask nothing, and the engine's P and Q add nothing to
     # the per-point calls of qp-identity, poincare-support,
     # polynomial-reconstruction and the symmetry equations, which scan for
-    # sigma once.  description-consistency asks is_maximal at the slab's
+    # sigma once.  poincare-support asks is_maximal where p != 0 (2m + 2 calls
+    # at a maximal point: 12 on h3, 45 on g4) and is_absolute_maximal only at
+    # listed translates where p != 1, none on a valid description.
+    # description-consistency asks is_maximal at the slab's
     # nonzero P terms, is_absolute_maximal (m + 2 calls at a member) at the
     # polynomial's unit terms, dimension at every prefix for the
     # a_{m-1} + 1 sums of (c) and sum -1 of (d), and is_member (m + 1 calls
@@ -574,10 +657,10 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
     # none at genus 0
     want = {
         (hermitian_q3, Box((-6, -6), (8, 8))): [
-            76, 0, 0, 289, 1156, 615, 111, 2876, 0, 11, 72,
+            76, 0, 0, 289, 1156, 72, 111, 2876, 0, 11, 72,
         ],
         (genus0_m4, Box((-1,) * 4, (1,) * 4)): [
-            45, 0, 0, 625, 1552, 832, 78, 10020, 0, 10, 0,
+            45, 0, 0, 625, 1552, 450, 78, 10020, 0, 10, 0,
         ],
     }
     for (d, box), counts in want.items():
