@@ -35,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import compress, product
+from heapq import merge
+from itertools import compress, count, groupby, product, repeat
 from math import prod
-from operator import add, iadd, sub
+from operator import add, iadd, ne, sub
 from typing import Callable, Iterator
 
 from .core import (
@@ -186,6 +187,22 @@ def _differences(values: list[int], shape: IntTuple, steps: list[IntTuple]) -> l
     return values
 
 
+def _mismatches(got: list[int], want: list[int]) -> Iterator[int]:
+    """The flat indices where two equal-sized tables differ, in order; none,
+    after one list compare, when the tables are equal."""
+    if got != want:
+        yield from compress(count(), map(ne, got, want))
+
+
+def _point(box: Box, n: int) -> IntTuple:
+    """The n-th point of ``box.points()``: ``semigroup._flat`` inverted, offset by the lower corner."""
+    alpha = []
+    for l, u in zip(reversed(box.lower), reversed(box.upper)):
+        n, x = divmod(n, u - l + 1)
+        alpha.append(l + x)
+    return tuple(reversed(alpha))
+
+
 # ---------------------------------------------------------------------------
 # box series
 
@@ -257,7 +274,8 @@ class _Request:
     """The tables of one box request on description d, each built on its first read.
 
     ``near`` is the dim grid on the box grown by 2 below, and ``dims``,
-    ``members``, ``p`` and ``q`` are its :meth:`differences`; ``reach`` is
+    ``jumps`` (one table per direction), ``p`` and ``q`` are its
+    :meth:`differences`; ``members`` is read off the jumps, and ``reach`` is
     the walk of ``semigroup._reach_tables``.  No table lives on the
     description, so they die with the request.
     """
@@ -285,10 +303,15 @@ class _Request:
         return self.differences([])
 
     @cached_property
+    def jumps(self) -> list[list[int]]:
+        """The jump d_i = dim - dim(. - e_i) on the box, for i = 1..m."""
+        return [self.differences([e]) for e in self.units]
+
+    @cached_property
     def members(self) -> list[bool]:
         """Membership on the box as ``is_member`` defines it: dim > 0 and every
-        jump 1, read from the jumps of near alone (a jump of 1 makes dim > 0)."""
-        return list(_and_cells(map((1).__eq__, self.differences([e])) for e in self.units))
+        jump 1, read from the jumps alone (a jump of 1 makes dim > 0)."""
+        return list(_and_cells(map((1).__eq__, jump) for jump in self.jumps))
 
     @cached_property
     def p(self) -> list[int]:
@@ -314,8 +337,9 @@ def qp_violations(d: SemigroupDescription, box: Box) -> Iterator[IntTuple]:
     raw point of [lower - 2, upper], with no lattice reduction, and kept in
     ``Box.points()`` order.  p is formed at every raw cell as 2^m shifted sums
     of the whole table, corner J at the offset the sum of J's strides with sign
-    (-1)^|J|; the box's cells are read at flat indices stepped by the strides,
-    and q(alpha) = p(alpha) - p(alpha - 1) one diagonal step further down.
+    (-1)^|J|, and q(alpha) = p(alpha) - p(alpha - 1) one diagonal step further
+    down; the box's cells are read at flat indices stepped by the strides.
+    Points come in box order, once each, where p or q differs.
     """
     yield from _qp_violations(_Request(d, box))
 
@@ -332,10 +356,13 @@ def _qp_violations(request: _Request) -> Iterator[IntTuple]:
         offset = sum(compress(strides, corner))
         p[offset:] = map(sub if sum(corner) & 1 else add, p[offset:], dims)
     back = sum(strides)
-    cells = map(sum, product(*(range(2 * s, n * s, s) for n, s in zip(shape, strides))))
-    for alpha, k, p_value, q_value in zip(box.points(), cells, request.p, request.q):
-        if p_value != p[k] or q_value != p[k] - p[k - back]:
-            yield alpha
+    q = [0] * back + list(map(sub, p[back:], p))
+    cells = [0]
+    for n, s in zip(shape, strides):
+        cells = [k + j for k in cells for j in range(2 * s, n * s, s)]
+    p_box, q_box = (list(map(table.__getitem__, cells)) for table in (p, q))
+    for n, _ in groupby(merge(_mismatches(request.p, p_box), _mismatches(request.q, q_box))):
+        yield _point(box, n)
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +491,7 @@ def symmetry_violations(d: SemigroupDescription, box: Box) -> Iterator[tuple[str
     Each identity cuts the box grown below by its g from both before it
     differences them; the tables taken from the reflected grid list the
     reflected points backwards, so box point n pairs with entry -1 - n.
+    Failures come in box order, and at one point in the order above.
     """
     request = _Request(d, box)
     sigma = next(_top_maximals(d), None)
@@ -473,24 +501,23 @@ def symmetry_violations(d: SemigroupDescription, box: Box) -> Iterator[tuple[str
 
 
 def _symmetry_violations(request: _Request, sigma: IntTuple) -> Iterator[tuple[str, IntTuple]]:
-    """:func:`symmetry_violations` for this sigma, from the request's near grid."""
+    """:func:`symmetry_violations` for this sigma, against the request's P, Q and jumps."""
     d, box, units = request.d, request.box, request.units
     m = d.m
     identities = [
-        ("poincare-reflection", units, (-1) ** m, 0),
-        ("aux-series-reflection", [ones(m)] + units, (-1) ** (m - 1), 0),
-    ] + [(f"jump-complement-i{i}", [e], -1, 1) for i, e in enumerate(units, 1)]
-    near = [request.differences(steps) for _, steps, _, _ in identities]
+        ("poincare-reflection", units, (-1) ** m, 0, request.p),
+        ("aux-series-reflection", [ones(m)] + units, (-1) ** (m - 1), 0, request.q),
+    ] + [
+        (f"jump-complement-i{i}", [e], -1, 1, jump) for i, (e, jump) in enumerate(zip(units, request.jumps), 1)
+    ]
     shape = tuple(n + 2 for n in request.size)
-    # with v = alpha - lower and u = upper - alpha, the cell at offsets
-    # v + 2 of the near grid holds dim(alpha) and the cell at u of far dim(s - alpha - 1)
+    # with u = upper - alpha, the cell at offsets u of far holds dim(s - alpha - 1)
     far = _dim_grid(d, tsub(tsub(sigma, box.upper), ones(m)), tadd(tsub(sigma, box.lower), ones(m)))
-    tables = []
-    for (name, steps, c, k), near_d in zip(identities, near):
+    failures = []
+    for j, (_, steps, c, k, near_d) in enumerate(identities):
         cut = tuple(map(sum, zip(request.size, *steps)))
         far_d = _differences(_window(far, shape, zeros(m), cut), cut, steps)
-        tables.append((name, near_d, far_d[::-1], c, k))
-    for n, alpha in enumerate(box.points()):
-        for name, near_d, far_d, c, k in tables:
-            if near_d[n] != c * far_d[n] + k:
-                yield (name, alpha)
+        want = list(map(k.__add__ if c == 1 else k.__sub__, reversed(far_d)))
+        failures.append(zip(_mismatches(near_d, want), repeat(j)))
+    for n, j in merge(*failures):
+        yield (identities[j][0], _point(box, n))

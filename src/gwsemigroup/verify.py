@@ -6,24 +6,29 @@ quantities through a route independent of the primary fast paths, named in a
 comment together with the check's kind.  A description check can fail on a
 description that no semigroup has.  An implementation cross-check
 (``qp-identity``, ``poincare-index-independence``, ``lattice-periodicity``,
-checks (b) and (d) of ``validate_description`` and the below-hyperplane
-branch of ``riemann-roch-regime``) cannot fail on any description while the
-code is correct: it tests only the implementation.  A check that does not
+checks (b) and (d) of ``validate_description``, the below-hyperplane
+branch of ``riemann-roch-regime`` and the absolute-maximal branch of
+``poincare-support``) cannot fail on any description while the code is
+correct: it tests only the implementation.  A check that does not
 apply to the description raises :class:`_Skipped` with its reason.
 
 A request's checks share one ``series._Request``, whose tables are each
 built once, on the first read, so a skipped check builds nothing and a
 check's time includes the tables it is the first to read.  ``near`` is the
 dim grid on the box grown by 2 below; ``dims`` is its box window,
-``members`` is read off its jumps, and ``p`` and ``q`` are its differences
-over P's and Q's steps; ``reach`` is the walk of ``semigroup._reach_tables``.
+``jumps`` its differences over each unit step, ``members`` is read off the
+jumps, and ``p`` and ``q`` are its differences over P's and Q's steps;
+``reach`` is the walk of ``semigroup._reach_tables``.
 The box's points are not held: as a list they would outweigh the other
 tables together.
 ``dimension-class-counts`` reads ``dims`` and ``reach``;
 ``lub-generation`` reads ``reach`` and ``members``; ``riemann-roch-regime``
 reads ``dims``; ``qp-identity``, ``poincare-support`` and
 ``polynomial-reconstruction`` read ``p``, and ``qp-identity`` also ``q``;
-``symmetry-equations`` reads ``near``.  The per-point routes stay per point;
+``symmetry-equations`` reads ``p``, ``q`` and ``jumps``.  The class counts,
+lub-generation, qp-identity and symmetry-equations compare whole tables
+(``series._mismatches``): a passing verdict is one list compare per table.
+The per-point routes stay per point;
 ``poincare-support`` asks absolute maximality only at the listed translates.
 """
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from heapq import merge
 from itertools import islice, product
 from math import prod
 from operator import add
@@ -57,6 +63,8 @@ from .semigroup import (
     two_point_profile,
 )
 from .series import (
+    _mismatches,
+    _point,
     _qp_violations,
     _reconstruction_violations,
     _Request,
@@ -130,11 +138,12 @@ def _check_class_counts(request: _Request) -> str | None:
     # coordinate, and every other coordinate gives the same count on a valid
     # description, so unequal counts also flag a broken one, which
     # description-consistency reports first.
-    tables = _class_count_tables(request)
-    for alpha, want, *counts in zip(request.box.points(), request.dims, *tables):
-        if any(c != want for c in counts):
-            return f"at {alpha}: class counts {counts} vs dimension {want}"
-    return None
+    tables, dims = _class_count_tables(request), request.dims
+    n = next(merge(*(_mismatches(table, dims) for table in tables)), None)
+    if n is None:
+        return None
+    counts = [table[n] for table in tables]
+    return f"at {_point(request.box, n)}: class counts {counts} vs dimension {dims[n]}"
 
 
 def _check_lub_generation(request: _Request) -> str | None:
@@ -144,11 +153,8 @@ def _check_lub_generation(request: _Request) -> str | None:
     # (the grid that class counts check by enumeration, and whose P and Q
     # qp-identity checks against per-point dimension); the first box point
     # where they differ is the least point of the sets' difference
-    lubs = _and_cells(request.reach[2])
-    for alpha, hit, member in zip(request.box.points(), lubs, request.members):
-        if bool(hit) != member:
-            return f"lub sweep and membership scan disagree at {alpha}"
-    return None
+    n = next(_mismatches(list(_and_cells(request.reach[2])), request.members), None)
+    return None if n is None else f"lub sweep and membership scan disagree at {_point(request.box, n)}"
 
 
 def _check_qp_identity(request: _Request) -> str | None:
@@ -199,7 +205,9 @@ def _check_poincare_support(request: _Request) -> str | None:
     # description check, route: per-point maximality where p != 0 (membership only names
     # the failure), and absolute maximality where p != 1 at the listed gammas' translates
     # in the box, which hold every absolute maximal point by the argument of check (b) of
-    # validate_description, against the request's P
+    # validate_description, against the request's P.  The absolute-maximal branch is an
+    # implementation cross-check: by (b), p = 1 at every absolute maximal point wherever
+    # dim is monotone, and dimension = |V(alpha)| always is, so no description fires it.
     d, box = request.d, request.box
     listed = set(lattice_translates(d.lattice.periods, d.gamma_fundamental, box.upper, box.lower))
     for alpha, p in zip(box.points(), request.p):

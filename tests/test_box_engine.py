@@ -113,6 +113,25 @@ def test_window_equals_indexing_the_box_points():
             assert series._window(table, shape, start, size) == list(sub.points())
 
 
+def test_point_and_mismatches_equal_indexing_the_box_points():
+    # the n-th box point and the flat indices where two tables differ, against
+    # the listed points and a scan of both tables, with m = 1..5 and axes of
+    # width 1 among them
+    rng = random.Random(6060)
+    for m in range(1, 6):
+        for _ in range(20):
+            lower = tuple(rng.randint(-3, 3) for _ in range(m))
+            box = Box(lower, tuple(x + rng.choice([0, rng.randint(0, 3)]) for x in lower))
+            points = list(box.points())
+            assert [series._point(box, n) for n in range(len(points))] == points
+            table = [rng.randint(0, 2) for _ in points]
+            other = [x if rng.random() < 0.7 else x + 1 for x in table]
+            want = [n for n, (a, b) in enumerate(zip(table, other)) if a != b]
+            assert list(series._mismatches(table, other)) == want
+            assert list(series._mismatches(table, table[:])) == []
+    assert series._point(Box((5,), (5,)), 0) == (5,)
+
+
 def test_differences_equal_indexing_the_box_points():
     # a table of a fixed integer function of the points of a box, in
     # Box.points() order, differenced over random 0/1 steps, against the same

@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -27,7 +28,7 @@ from gwsemigroup import (
     symmetry_violations,
 )
 from gwsemigroup import semigroup, series, verify
-from gwsemigroup.core import tadd, validate_description
+from gwsemigroup.core import tadd, tsub, unit, validate_description
 from gwsemigroup.verify import CHECK_NAMES
 
 from corpus import (
@@ -127,7 +128,8 @@ def test_qp_identity_cross_checks_the_box_engine(monkeypatch, hermitian_q3):
 
 def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
     # only the request's P raised by 1 at one point: qp-identity compares it
-    # with per-point p, and the support and reconstruction checks read it
+    # with per-point p, and the support, reconstruction and symmetry checks
+    # read it (symmetry against P at the reflected point, from its own grid)
     original = series._Request.p.func
     box = Box((-4, -4), (6, 6))
 
@@ -141,8 +143,9 @@ def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
     assert rows["qp-identity"].detail == "engine p or q disagrees with per-point p at (2, 3)"
     assert rows["poincare-support"].detail == "nonzero p((2, 3)) = 1 at a non-maximal member"
     assert rows["polynomial-reconstruction"].detail.endswith("at (2, 3)")
+    assert rows["symmetry-equations"].detail == "poincare-reflection fails at (2, 3) (sigma = (1, 5))"
     failed = {name for name, r in rows.items() if not r.passed}
-    assert failed == {"qp-identity", "poincare-support", "polynomial-reconstruction"}
+    assert failed == {"qp-identity", "poincare-support", "polynomial-reconstruction", "symmetry-equations"}
 
 
 @pytest.mark.parametrize("box", [Box((0, 0), (4, 4)), Box((-2, -2), (2, 2))])
@@ -395,6 +398,142 @@ def test_violation_iterators_yield_every_failure():
     assert len(failures) > 1
     assert sorted(failures, key=lambda f: points.index(f[1])) == failures
     assert list(qp_violations(mutant, box)) == []
+
+
+def _scan_class_counts(request):
+    # the per-point scans the table compares replaced, over the same tables
+    tables = verify._class_count_tables(request)
+    for alpha, want, *counts in zip(request.box.points(), request.dims, *tables):
+        if any(c != want for c in counts):
+            return f"at {alpha}: class counts {counts} vs dimension {want}"
+    return None
+
+
+def _scan_lub_generation(request):
+    lubs = semigroup._and_cells(request.reach[2])
+    for alpha, hit, member in zip(request.box.points(), lubs, request.members):
+        if bool(hit) != member:
+            return f"lub sweep and membership scan disagree at {alpha}"
+    return None
+
+
+def _scan_qp(request):
+    d, box = request.d, request.box
+    grown = Box(tuple(x - 2 for x in box.lower), box.upper)
+    dims = dict(zip(grown.points(), (dimension(d, a) for a in grown.points())))
+
+    def p(alpha):
+        return sum((-1) ** sum(c) * dims[tsub(alpha, c)] for c in product((0, 1), repeat=d.m))
+
+    for alpha, p_value, q_value in zip(box.points(), request.p, request.q):
+        if p_value != p(alpha) or q_value != p(alpha) - p(tsub(alpha, (1,) * d.m)):
+            yield alpha
+
+
+def _scan_symmetry(request, sigma):
+    d, box, m = request.d, request.box, request.d.m
+    units = [unit(m, i) for i in range(1, m + 1)]
+    identities = [
+        ("poincare-reflection", units, (-1) ** m, 0, request.p),
+        ("aux-series-reflection", [(1,) * m] + units, (-1) ** (m - 1), 0, request.q),
+    ] + [(f"jump-complement-i{i}", [e], -1, 1, j) for i, (e, j) in enumerate(zip(units, request.jumps), 1)]
+    far = verify._Request(d, Box(tsub(tsub(sigma, box.upper), (1,) * m), tadd(tsub(sigma, box.lower), (1,) * m)))
+    far_box = list(far.box.points())
+    tables = []
+    for name, steps, c, k, near in identities:
+        # the difference over the steps at s - alpha - 1 + g, read off the far grid
+        values = dict(zip(far_box, far.differences(steps)))
+        grow = tuple(map(sum, zip(*steps)))
+        tables.append((name, near, c, k, lambda a, v=values, g=grow: v[tadd(tsub(tsub(sigma, a), (1,) * m), g)]))
+    for n, alpha in enumerate(box.points()):
+        for name, near, c, k, far_at in tables:
+            if near[n] != c * far_at(alpha) + k:
+                yield (name, alpha)
+
+
+def _table_checks(request):
+    # the four checks that decide by table compares, with their scans
+    sigma = next(series._top_maximals(request.d), None)
+    return [
+        (verify._check_class_counts(request), _scan_class_counts(request)),
+        (verify._check_lub_generation(request), _scan_lub_generation(request)),
+        (list(series._qp_violations(request)), list(_scan_qp(request))),
+        (sigma and list(series._symmetry_violations(request, sigma)), sigma and list(_scan_symmetry(request, sigma))),
+    ]
+
+
+def test_table_compares_report_what_the_per_point_scans_did():
+    failing = Counter()
+    for d, box in class_count_corpus():
+        for n, (got, want) in enumerate(_table_checks(verify._Request(d, box))):
+            assert got == want, (d, box, n)
+            failing[n] += bool(got)
+    assert failing[0] >= 5 and failing[1] >= 5 and failing[3] >= 5, failing
+
+
+def test_table_compares_order_faults_in_different_tables(monkeypatch, hermitian_q3):
+    # two faults in different tables (or identities), the later table's at
+    # the earlier point: each check reports the earlier point first, and qp
+    # reports a point where both p and q fail once
+    box = Box((-4, -4), (6, 6))
+    at = list(box.points()).index
+    early, late, both = at((0, 3)), at((2, 5)), at((4, 4))
+    original = verify._class_count_tables
+
+    def faulty_counts(request):
+        tables = original(request)
+        tables[1][early] += 1
+        tables[0][late] += 1
+        return tables
+
+    monkeypatch.setattr(verify, "_class_count_tables", faulty_counts)
+    request = verify._Request(hermitian_q3, box)
+    for (p_at, q_at) in [(late, early), (both, both)]:
+        request.p[p_at] += 1
+        request.q[q_at] += 1
+    # members are read off the jumps, so they are flipped before a jump is raised
+    request.members[early] = not request.members[early]
+    request.reach[2][0][late] ^= 1  # (2, 5) is a member, so its lub cell drops to 0
+    request.jumps[1][early] += 1
+    checks = _table_checks(request)
+    for got, want in checks:
+        assert got == want
+    assert [got for got, _ in checks] == [
+        "at (0, 3): class counts [2, 3] vs dimension 2",
+        "lub sweep and membership scan disagree at (0, 3)",
+        [(0, 3), (2, 5), (4, 4)],
+        [
+            ("aux-series-reflection", (0, 3)),
+            ("jump-complement-i2", (0, 3)),
+            ("poincare-reflection", (2, 5)),
+            ("poincare-reflection", (4, 4)),
+            ("aux-series-reflection", (4, 4)),
+        ],
+    ]
+
+
+def test_table_checks_never_enumerate_the_box(monkeypatch, hermitian_q3, genus0_m4):
+    # work gate in place of a wall-clock one: the four table-compare checks
+    # pass without listing the request's box; qp-identity lists only its raw
+    # box grown by 2 below, once
+    listed = []
+    points = Box.points
+
+    def counting(box):
+        listed.append(box)
+        return points(box)
+
+    def tripwire():
+        raise AssertionError("the request's box was enumerated")
+
+    monkeypatch.setattr(Box, "points", counting)
+    checks = [verify._check_class_counts, verify._check_lub_generation, verify._check_qp_identity, verify._check_symmetry]
+    for d, box in [(hermitian_q3, Box((-6, -6), (8, 8))), (genus0_m4, Box((-1,) * 4, (1,) * 4))]:
+        object.__setattr__(box, "points", tripwire)
+        request = verify._Request(d, box)
+        listed.clear()
+        assert [check(request) for check in checks] == [None] * 4
+        assert listed == [Box(tuple(x - 2 for x in box.lower), box.upper)]
 
 
 def test_two_point_profile_check_flags_a_member_below_the_staircase(monkeypatch, hermitian_q3):
