@@ -145,7 +145,8 @@ def test_checks_reading_the_engine_p_catch_a_p_fault(monkeypatch, hermitian_q3):
     assert rows["polynomial-reconstruction"].detail.endswith("at (2, 3)")
     assert rows["symmetry-equations"].detail == "poincare-reflection fails at (2, 3) (sigma = (1, 5))"
     failed = {name for name, r in rows.items() if not r.passed}
-    assert failed == {"qp-identity", "poincare-support", "polynomial-reconstruction", "symmetry-equations"}
+    readers = {"qp-identity", "poincare-support", "polynomial-reconstruction", "symmetry-equations"}
+    assert failed == readers
 
 
 @pytest.mark.parametrize("box", [Box((0, 0), (4, 4)), Box((-2, -2), (2, 2))])
@@ -431,34 +432,36 @@ def _scan_qp(request):
 
 
 def _scan_symmetry(request, sigma):
+    # each identity's difference at alpha against c times that at
+    # s - alpha - 1 + g plus k, read by point off a request on the reflected box
     d, box, m = request.d, request.box, request.d.m
     units = [unit(m, i) for i in range(1, m + 1)]
     identities = [
         ("poincare-reflection", units, (-1) ** m, 0, request.p),
         ("aux-series-reflection", [(1,) * m] + units, (-1) ** (m - 1), 0, request.q),
-    ] + [(f"jump-complement-i{i}", [e], -1, 1, j) for i, (e, j) in enumerate(zip(units, request.jumps), 1)]
-    far = verify._Request(d, Box(tsub(tsub(sigma, box.upper), (1,) * m), tadd(tsub(sigma, box.lower), (1,) * m)))
-    far_box = list(far.box.points())
+    ] + [(f"jump-complement-i{i}", [units[i - 1]], -1, 1, j) for i, j in enumerate(request.jumps, 1)]
+    base = tsub(sigma, (1,) * m)
+    far = verify._Request(d, Box(tsub(base, box.upper), tadd(tsub(sigma, box.lower), (1,) * m)))
     tables = []
     for name, steps, c, k, near in identities:
-        # the difference over the steps at s - alpha - 1 + g, read off the far grid
-        values = dict(zip(far_box, far.differences(steps)))
+        reflected = dict(zip(far.box.points(), far.differences(steps)))
         grow = tuple(map(sum, zip(*steps)))
-        tables.append((name, near, c, k, lambda a, v=values, g=grow: v[tadd(tsub(tsub(sigma, a), (1,) * m), g)]))
+        tables.append((name, near, c, k, reflected, grow))
     for n, alpha in enumerate(box.points()):
-        for name, near, c, k, far_at in tables:
-            if near[n] != c * far_at(alpha) + k:
+        for name, near, c, k, reflected, grow in tables:
+            if near[n] != c * reflected[tadd(tsub(base, alpha), grow)] + k:
                 yield (name, alpha)
 
 
 def _table_checks(request):
     # the four checks that decide by table compares, with their scans
     sigma = next(series._top_maximals(request.d), None)
+    symmetry = [series._symmetry_violations, _scan_symmetry]
     return [
         (verify._check_class_counts(request), _scan_class_counts(request)),
         (verify._check_lub_generation(request), _scan_lub_generation(request)),
         (list(series._qp_violations(request)), list(_scan_qp(request))),
-        (sigma and list(series._symmetry_violations(request, sigma)), sigma and list(_scan_symmetry(request, sigma))),
+        tuple(sigma and list(scan(request, sigma)) for scan in symmetry),
     ]
 
 
@@ -488,7 +491,7 @@ def test_table_compares_order_faults_in_different_tables(monkeypatch, hermitian_
 
     monkeypatch.setattr(verify, "_class_count_tables", faulty_counts)
     request = verify._Request(hermitian_q3, box)
-    for (p_at, q_at) in [(late, early), (both, both)]:
+    for p_at, q_at in [(late, early), (both, both)]:
         request.p[p_at] += 1
         request.q[q_at] += 1
     # members are read off the jumps, so they are flipped before a jump is raised
@@ -527,7 +530,12 @@ def test_table_checks_never_enumerate_the_box(monkeypatch, hermitian_q3, genus0_
         raise AssertionError("the request's box was enumerated")
 
     monkeypatch.setattr(Box, "points", counting)
-    checks = [verify._check_class_counts, verify._check_lub_generation, verify._check_qp_identity, verify._check_symmetry]
+    checks = [
+        verify._check_class_counts,
+        verify._check_lub_generation,
+        verify._check_qp_identity,
+        verify._check_symmetry,
+    ]
     for d, box in [(hermitian_q3, Box((-6, -6), (8, 8))), (genus0_m4, Box((-1,) * 4, (1,) * 4))]:
         object.__setattr__(box, "points", tripwire)
         request = verify._Request(d, box)
