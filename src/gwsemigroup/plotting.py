@@ -2,16 +2,16 @@
 
 Open circles mark maximal elements, filled dots the remaining members, with
 the first coordinate rightward and the second upward on a unit grid.  The
-points are classified from one ``dim`` grid on the box grown by one layer
-below, by the dimension tests of ``is_member`` and ``is_maximal``; the grid
-is sliced from the description's dim table and asks ``dimension`` nothing.
+points are classified from the ``dim`` grid of a ``series._Request`` grown by
+one layer below, by the dimension tests of ``is_member`` and ``is_maximal``;
+the grid is sliced from the dim table and asks ``dimension`` nothing.
 The SVG is assembled by hand so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
-from .core import Box, SemigroupDescription, require_box_dim, require_description
-from .series import _dim_grid, _window
+from .core import Box, SemigroupDescription, require_description
+from .series import _Request, _window
 
 __all__ = ["render_membership_svg"]
 
@@ -25,7 +25,7 @@ def render_membership_svg(d: SemigroupDescription, box: Box) -> str:
     """Classify the box and render it; two-point descriptions only."""
     if require_description(d).m != 2:
         raise ValueError("plots are drawn for two-point descriptions only")
-    require_box_dim(box, 2)
+    request = _Request(d, box, 1)
     (x_lo, y_lo), (x_hi, y_hi) = box.lower, box.upper
 
     def sx(x: int) -> int:
@@ -52,9 +52,9 @@ def render_membership_svg(d: SemigroupDescription, box: Box) -> str:
             f'<line x1="{sx(x_lo) - _MARGIN // 2}" y1="{sy(0)}" x2="{sx(x_hi) + _MARGIN // 2}" '
             f'y2="{sy(0)}" stroke="black" stroke-width="1"/>'
         )
-    size = (x_hi - x_lo + 1, y_hi - y_lo + 1)
+    size = request.size
     shape = (size[0] + 1, size[1] + 1)
-    grid = _dim_grid(d, (x_lo - 1, y_lo - 1), box.upper)
+    grid = request.near
     # dim at alpha, alpha - e_1, alpha - e_2 and alpha - (1, 1)
     cells = zip(
         box.points(),

@@ -19,12 +19,13 @@ periodic under the period lattice, so every last-axis row is a slice of one
 run per region prefix r (``semigroup._dim_run``), itself a slice of the
 description's dim table, so a box request asks ``dimension`` nothing.  The
 flat table, in ``Box.points()`` order, is the result: a
-:class:`BoxSeries` holds it as ``values``.  :func:`series_on_box` grows its
-grid by its own steps.  Each identity iterator builds one :class:`_Request`,
-and the checks of a ``verify`` request share one: its P, Q, dims and jumps
-are differences of one grid grown by 2.  Infinite formal series cannot be
-multiplied in general, so each identity here is checked coefficientwise on
-a finite box, by an iterator over the violating points.
+:class:`BoxSeries` holds it as ``values``.  A :class:`_Request` builds every
+box grid: one for :func:`series_on_box`, ``plot`` and each identity
+iterator, and one shared by the checks of a ``verify`` request, grown by 1
+for L, P and ``plot`` and else by 2; the symmetry identities' reflected box
+is a request of its own.  Infinite formal series cannot be multiplied in
+general, so each identity here is checked coefficientwise on a finite box,
+by an iterator over the violating points.
 The same reasoning turns the lattice-sum factorization of P into a
 fundamental-region lookup: translates of the region tile Z^m, so exactly
 one lattice translate contributes to each monomial, and the semigroup
@@ -261,42 +262,39 @@ def series_on_box(d: SemigroupDescription, kind: str, box: Box) -> BoxSeries:
     """
     if kind not in ("L", "Q", "P"):
         raise ValueError(f"kind must be one of L, Q, P; got {kind!r}")
-    require_box_dim(box, m := require_description(d).m)
-    units = [unit(m, i) for i in range(1, m + 1)]
-    steps = {"L": [ones(m)], "Q": [ones(m)] + units, "P": units}[kind]
-    lower = tsub(box.lower, tuple(map(sum, zip(*steps))))
-    shape = tuple(u - l + 1 for l, u in zip(lower, box.upper))
-    values = _differences(_dim_grid(d, lower, box.upper), shape, steps)
-    return BoxSeries(box=box, kind=kind, values=tuple(values))
+    request = _Request(d, box, 2 if kind == "Q" else 1)
+    steps = {"L": [ones(d.m)], "Q": [ones(d.m)] + request.units, "P": request.units}[kind]
+    return BoxSeries(box, kind, tuple(request.differences(steps)))
 
 
 class _Request:
     """The tables of one box request on description d, each built on its first read.
 
-    ``near`` is the dim grid on the box grown by 2 below, and ``dims``,
-    ``jumps`` (one table per direction), ``p`` and ``q`` are its
+    ``near`` is the dim grid on the box grown below by ``grow``, no less than
+    the read steps add up to along one axis: 1 for L, P and ``plot``, else 2.
+    ``dims``, ``jumps`` (one table per direction), ``p`` and ``q`` are its
     :meth:`differences`; ``members`` is read off the jumps, and ``reach`` is
     the walk of ``semigroup._reach_tables``.  No table lives on the
     description, so they die with the request.
     """
 
-    def __init__(self, d: SemigroupDescription, box: Box) -> None:
+    def __init__(self, d: SemigroupDescription, box: Box, grow: int = 2) -> None:
         require_box_dim(box, require_description(d).m)
-        self.d, self.box = d, box
+        self.d, self.box, self.grow = d, box, grow
         self.size = tuple(u - l + 1 for l, u in zip(box.lower, box.upper))
         self.units = [unit(d.m, i) for i in range(1, d.m + 1)]
 
     def differences(self, steps: list[IntTuple]) -> list[int]:
         """The difference of dim over the steps at every box point, from near
         (no steps: the box's own dims)."""
-        shape = tuple(n + 2 for n in self.size)
+        shape = tuple(n + self.grow for n in self.size)
         cut = tuple(map(sum, zip(self.size, *steps)))
         return _differences(_window(self.near, shape, tsub(shape, cut), cut), cut, steps)
 
     @cached_property
     def near(self) -> list[int]:
-        """dim on the box grown by 2 below, from one dim grid."""
-        return _dim_grid(self.d, tsub(self.box.lower, (2,) * self.d.m), self.box.upper)
+        """dim on the box grown by ``grow`` below, from one dim grid."""
+        return _dim_grid(self.d, tsub(self.box.lower, (self.grow,) * self.d.m), self.box.upper)
 
     @cached_property
     def dims(self) -> list[int]:
@@ -512,7 +510,8 @@ def _symmetry_violations(request: _Request, sigma: IntTuple) -> Iterator[tuple[s
     ]
     shape = tuple(n + 2 for n in request.size)
     # with u = upper - alpha, the cell at offsets u of far holds dim(s - alpha - 1)
-    far = _dim_grid(d, tsub(tsub(sigma, box.upper), ones(m)), tadd(tsub(sigma, box.lower), ones(m)))
+    reflected = Box(tadd(tsub(sigma, box.upper), ones(m)), tadd(tsub(sigma, box.lower), ones(m)))
+    far = _Request(d, reflected).near
     failures = []
     for j, (_, steps, c, k, near_d) in enumerate(identities):
         cut = tuple(map(sum, zip(request.size, *steps)))

@@ -24,12 +24,13 @@ tables together.
 ``dimension-class-counts`` reads ``dims`` and ``reach``;
 ``lub-generation`` reads ``reach`` and ``members``; ``riemann-roch-regime``
 reads ``dims``; ``qp-identity``, ``poincare-support`` and
-``polynomial-reconstruction`` read ``p``, and ``qp-identity`` also ``q``;
+``polynomial-reconstruction`` read ``p``, ``qp-identity`` also ``q`` and
+``poincare-support`` also ``reach``, the only lattice walk of a request;
 ``symmetry-equations`` reads ``p``, ``q`` and ``jumps``.  The class counts,
 lub-generation, qp-identity and symmetry-equations compare whole tables
 (``series._mismatches``): a passing verdict is one list compare per table.
-The per-point routes stay per point;
-``poincare-support`` asks absolute maximality only at the listed translates.
+The per-point routes stay per point; ``poincare-support`` asks absolute
+maximality only at the listed translates, the walk's points in the box.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from functools import cache, partial
 from heapq import merge
 from itertools import islice, product
 from math import prod
-from operator import add
+from operator import add, le
 from typing import Callable, Iterator
 
 from .core import (
@@ -59,7 +60,6 @@ from .semigroup import (
     is_absolute_maximal,
     is_maximal,
     is_member,
-    lattice_translates,
     two_point_profile,
 )
 from .series import (
@@ -209,7 +209,7 @@ def _check_poincare_support(request: _Request) -> str | None:
     # implementation cross-check: by (b), p = 1 at every absolute maximal point wherever
     # dim is monotone, and dimension = |V(alpha)| always is, so no description fires it.
     d, box = request.d, request.box
-    listed = set(lattice_translates(d.lattice.periods, d.gamma_fundamental, box.upper, box.lower))
+    listed = {beta for beta in request.reach[0] if all(map(le, box.lower, beta))}
     for alpha, p in zip(box.points(), request.p):
         if p != 0 and not is_maximal(d, alpha):
             kind = "non-maximal member" if is_member(d, alpha) else "non-member"

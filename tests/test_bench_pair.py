@@ -134,3 +134,14 @@ def test_host_names_the_interpreter_the_machine_and_the_cpus(bench_pair):
         "cpus": os.cpu_count(),
     }
     assert info["cpus"] >= 1 and info["python"].count(".") == 2
+
+
+def test_src_lines_counts_the_newlines_of_the_python_files_under_src(bench_pair, tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n\n")
+    (package / "b.py").write_text("z = 3")
+    (package / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tool.py").write_text("outside src\n")
+    # wc -l counts newlines, so the last line of b.py, without one, is not counted
+    assert bench_pair.src_lines(tmp_path) == 3

@@ -6,8 +6,10 @@ own through ``coeff_l/q/p``, ``dimension_jump``, ``is_member`` and
 ``is_maximal``.
 """
 
+import inspect
 import random
 import re
+from functools import partial
 
 import pytest
 
@@ -24,6 +26,7 @@ from gwsemigroup import (
     is_maximal,
     is_member,
     render_membership_svg,
+    semigroup_polynomial,
     series_on_box,
     symmetry_report,
 )
@@ -189,8 +192,7 @@ def grid_calls(monkeypatch):
 
     for module in (semigroup, series, verify):
         monkeypatch.setattr(module, "dimension", counting)
-    for module in (series, plotting):
-        monkeypatch.setattr(module, "_dim_grid", recording)
+    monkeypatch.setattr(series, "_dim_grid", recording)
     return grids
 
 
@@ -295,6 +297,36 @@ def test_plot_and_symmetry_grids_ask_dimension_nothing(monkeypatch, grid_calls):
     far = (tsub(tsub(sigma, box.upper), (1, 1)), tadd(tsub(sigma, box.lower), (1, 1)))
     assert [g[:2] for g in grid_calls[1:]] == [near, far]
     assert [calls for _, _, calls in grid_calls] == [[], [], []]
+
+
+def test_box_paths_build_grids_only_through_the_request(monkeypatch):
+    # every dim grid of a box path is the near grid of a series._Request: one
+    # per series, plot and polynomial call, and two per symmetry call (the
+    # box's and the reflected box's), counted at every module binding
+    callers, dim_grid = [], series._dim_grid
+
+    def recording(d, lower, upper):
+        callers.append(inspect.currentframe().f_back.f_code)
+        return dim_grid(d, lower, upper)
+
+    for module in (plotting, semigroup, series, verify):
+        if getattr(module, "_dim_grid", None) is dim_grid:
+            monkeypatch.setattr(module, "_dim_grid", recording)
+    h3, box = hermitian_description(3), Box((-4, -4), (6, 6))
+    paths = [partial(series_on_box, d, kind, b) for d, b in [(h3, box), PERIODIC_CASES[1]] for kind in "LQP"]
+    paths += [
+        partial(render_membership_svg, h3, box),
+        partial(semigroup_polynomial, h3),
+        partial(semigroup_polynomial, PERIODIC_M3),
+        lambda: list(symmetry_violations(h3, box)),
+    ]
+    built = []
+    for path in paths:
+        callers.clear()
+        path()
+        built.append(len(callers))
+        assert set(callers) == {series._Request.near.func.__code__}, path
+    assert built == [1] * 9 + [2]
 
 
 def test_verify_catches_a_dimension_fault_outside_the_region(monkeypatch):

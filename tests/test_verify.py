@@ -823,17 +823,19 @@ def test_dimension_calls_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
 
 
 def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
-    # work gate beside the dimension calls: the dim grids (series._dim_grid)
-    # and the walks of the absolute maximal elements (semigroup._reach_tables)
-    # that each check builds alone, on a fresh request, counted at every module
-    # binding of each.  A request shares its tables across checks, so it builds
-    # 3 grids and walks once: the slab grid of description-consistency's
+    # work gate beside the dimension calls: the dim grids (series._dim_grid),
+    # the walks of the absolute maximal elements (semigroup._reach_tables) and
+    # the lattice_translates calls, here only the walk inside _reach_tables,
+    # that each check builds alone, on a fresh request, counted at every
+    # module binding of each.  A request shares its tables across checks, so
+    # it builds 3 grids and walks once: the slab grid of description-consistency's
     # polynomial, and the request's near grid, of which P and Q are
     # differences, and reflected grid (far).  A change that moves one says
     # why in CHANGES.md.
     from gwsemigroup import backends, cli, core, plotting
 
-    built = {"_dim_grid": 0, "_reach_tables": 0}
+    names = ("_dim_grid", "_reach_tables", "lattice_translates")
+    built = dict.fromkeys(names, 0)
 
     def counting(name, real):
         def call(*args):
@@ -842,25 +844,26 @@ def test_engine_tables_of_each_check(monkeypatch, hermitian_q3, genus0_m4):
 
         return call
 
-    for name, real in [("_dim_grid", series._dim_grid), ("_reach_tables", semigroup._reach_tables)]:
+    for name in names:
+        real = getattr(series if name == "_dim_grid" else semigroup, name)
         for module in (backends, cli, core, plotting, semigroup, series, verify):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
     grids = [1, 1, 1, 1, 0, 1, 1, 0, 1, 2, 0]
-    walks = [0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]
+    walks = [0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0]
     for d, box in [(hermitian_q3, Box((-6, -6), (8, 8))), (genus0_m4, Box((-1,) * 4, (1,) * 4))]:
         got = []
         for _, check in verify._CHECKS:
-            built.update(_dim_grid=0, _reach_tables=0)
+            built.update(dict.fromkeys(names, 0))
             try:
                 check(verify._Request(d, box))
             except verify._Skipped:
                 pass
-            got.append((built["_dim_grid"], built["_reach_tables"]))
-        assert dict(zip(CHECK_NAMES, got)) == dict(zip(CHECK_NAMES, zip(grids, walks))), d.label
-        built.update(_dim_grid=0, _reach_tables=0)
+            got.append(tuple(built.values()))
+        assert dict(zip(CHECK_NAMES, got)) == dict(zip(CHECK_NAMES, zip(grids, walks, walks))), d.label
+        built.update(dict.fromkeys(names, 0))
         run_verification(d, box)
-        assert built == {"_dim_grid": 3, "_reach_tables": 1}
+        assert built == {"_dim_grid": 3, "_reach_tables": 1, "lattice_translates": 1}
 
 
 def test_every_one_step_mutant_fails_a_verify_check():

@@ -17,7 +17,8 @@ change first on the others, so a drift in host speed hits both sides alike.
 
 The file records the commit ids, seeds, run length, the host (the version
 of the interpreter that runs the benchmark command, the machine and the CPU
-count) and, per workload, each
+count), each side's ``src_lines`` (the lines of the Python files under the
+exported tree's ``src/``, as ``wc -l`` counts them) and, per workload, each
 side's fail_ratio and, per end-to-end metric, every run's value, the median,
 the quartiles and their distance (the spread), and the pairs the change won
 (ties count for neither side).  ``gain`` is true when the change won at
@@ -62,6 +63,11 @@ def export(commit: str, dest: Path) -> None:
     tar = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True, capture_output=True)
     dest.mkdir(parents=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar.stdout, check=True)
+
+
+def src_lines(tree: Path) -> int:
+    """The newlines of the Python files under tree/src, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
 def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -170,6 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
         for side, commit in commits.items():
             export(commit, Path(tmp) / side)
+        lines = {side: src_lines(Path(tmp) / side) for side in commits}
         for k, seed in enumerate(args.seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for workload in workloads:
@@ -185,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": args.seconds,
         "seeds": args.seeds,
         "host": host(bench["command"][0]),
+        "src_lines": lines,
         "order": "parent first on the 1st, 3rd, ... seed; change first on the others",
     }
     out["workloads"], out["worse"], out["unresolved"] = summarize(runs, bench["end_to_end"])
